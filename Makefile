@@ -1,5 +1,5 @@
 # Tier-1: what every change must keep green.
-.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke regress-smoke daware-smoke engine-smoke diverge-smoke
+.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke regress-smoke daware-smoke
 
 build:
 	go build ./...
@@ -7,16 +7,18 @@ build:
 test: build
 	go test ./...
 
-# Tier-2 gate: static analysis, the race detector over the engine and all
-# device/protocol packages, and the system-level invariant bundle. CI runs
-# this target. experiments/ is excluded from the race pass only because its
-# drivers regenerate entire paper tables (~10x slower under -race, past any
-# sane CI budget); it holds no goroutines of its own and is covered by the
+# Tier-2 gate: static analysis, every test workload under simdebug (a
+# past-time schedule or a pool double-free/use-after-free panics there),
+# the race detector over the engine and all device/protocol packages, and
+# the system-level invariant bundle. CI runs this target. experiments/ is
+# excluded from the simdebug and race passes only because its drivers
+# regenerate entire paper tables (~10x slower under -race, past any sane
+# CI budget); it holds no goroutines of its own and is covered by the
 # tier-1 `make test`.
 check: build
 	go vet ./...
 	go build -tags simdebug ./...
-	go test -tags simdebug ./internal/core ./internal/sim ./cmd/ooctl
+	go test -tags simdebug . ./cmd/... ./internal/...
 	go test -race . ./cmd/... ./internal/...
 	go test -run TestInvariants .
 
@@ -66,18 +68,3 @@ regress-smoke:
 # loop's counters must reach the exported metrics. CI runs this.
 daware-smoke:
 	bash scripts/daware_smoke.sh
-
-# Engine-observatory smoke: oosim with the causality ledger + 4-way shard
-# profile on the 16-node acceptance topology, every `ooctl engine` view
-# byte-deterministic, the merge analysis naming concrete savings, and the
-# ledger-off hot path held to its allocation ceiling. CI runs this.
-engine-smoke:
-	bash scripts/engine_smoke.sh
-
-# Determinism-auditor smoke: identical oosim runs produce byte-identical
-# digest journals and `ooctl diverge` exit 0; a run with one same-instant
-# event pair swapped (simdebug perturbation) exits 3 with the exact event
-# named; reports byte-deterministic; digest-off hot path held to its
-# allocation ceiling. CI runs this.
-diverge-smoke:
-	bash scripts/diverge_smoke.sh

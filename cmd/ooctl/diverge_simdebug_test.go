@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -124,5 +125,19 @@ func TestDivergeBisectsPerturbedRun(t *testing.T) {
 	out = captureStdout(t, func() { code = runDiverge([]string{fa, fa2}) })
 	if code != 0 || !strings.Contains(out, "verdict: IDENTICAL") {
 		t.Fatalf("identical journals: exit %d\n%s", code, out)
+	}
+	// ... and write byte-identical journals, modulo the manifest's
+	// wall-clock start.
+	startedAt := regexp.MustCompile(`"started_at": ?"[^"]*"`)
+	var journals [2][]byte
+	for i, f := range []string{fa, fa2} {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals[i] = startedAt.ReplaceAll(body, nil)
+	}
+	if !bytes.Equal(journals[0], journals[1]) {
+		t.Fatal("two clean recordings wrote different journals")
 	}
 }

@@ -9,22 +9,19 @@ import (
 	"openoptics/internal/engineobs"
 )
 
-// runEngine implements `ooctl engine <chains|pressure|shards> <engine.json>`:
-// it reads the engine-observatory report written by `oosim -engine-out` and
-// renders one of its three views. Every view is derived from the report's
-// ordered slices only, so rendering the same file twice is byte-identical —
-// the CI smoke test relies on that.
+// runEngine implements `ooctl engine <chains|pressure> <engine.json>`: it
+// reads the engine-observatory report written by `oosim -engine-out` and
+// renders one of its two views. Every view is derived from the report's
+// ordered slices only, so rendering the same file twice is byte-identical.
 func runEngine(args []string) int {
 	fs := flag.NewFlagSet("engine", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: ooctl engine <subcommand> <engine.json>
+		fmt.Fprintln(os.Stderr, `usage: ooctl engine <chains|pressure> <engine.json>
 
   chains    causality ledger: top event chains, scheduling edges, and the
             merge analysis (which edges a fused dispatch would eliminate)
   pressure  scheduler pressure: calendar residency, inline/spill/overflow
-            push rates, churn counters, bucket occupancy, packet pool
-  shards    sharding feasibility: cross-partition event-flow matrix and
-            the minimum cross-partition lookahead (conservative-sync window)`)
+            push rates, churn counters, bucket occupancy, packet pool`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -44,10 +41,8 @@ func runEngine(args []string) int {
 		engineobs.RenderChains(os.Stdout, r)
 	case "pressure":
 		engineobs.RenderPressure(os.Stdout, r)
-	case "shards":
-		engineobs.RenderShards(os.Stdout, r)
 	default:
-		fmt.Fprintf(os.Stderr, "ooctl: engine: unknown view %q (want chains|pressure|shards)\n", view)
+		fmt.Fprintf(os.Stderr, "ooctl: engine: unknown view %q (want chains|pressure)\n", view)
 		return 2
 	}
 	return 0

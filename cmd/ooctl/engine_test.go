@@ -79,7 +79,7 @@ func TestLoadEngineReportRejectsNonReports(t *testing.T) {
 
 func TestRunEngineViews(t *testing.T) {
 	path := writeEngineFixture(t, nil)
-	for _, view := range []string{"chains", "pressure", "shards"} {
+	for _, view := range []string{"chains", "pressure"} {
 		if rc := runEngine([]string{view, path}); rc != 0 {
 			t.Fatalf("engine %s exited %d", view, rc)
 		}
@@ -88,8 +88,10 @@ func TestRunEngineViews(t *testing.T) {
 
 func TestRunEngineBadInvocations(t *testing.T) {
 	path := writeEngineFixture(t, nil)
-	if rc := runEngine([]string{"bogus", path}); rc != 2 {
-		t.Fatalf("unknown view exited %d, want 2", rc)
+	for _, view := range []string{"bogus", "shards"} {
+		if rc := runEngine([]string{view, path}); rc != 2 {
+			t.Fatalf("unknown view %q exited %d, want 2", view, rc)
+		}
 	}
 	if rc := runEngine([]string{"chains"}); rc != 2 {
 		t.Fatalf("missing path exited %d, want 2", rc)

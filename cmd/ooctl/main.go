@@ -18,11 +18,10 @@
 // entry point, exiting 3 when a candidate regresses against a committed
 // baseline (compare.go).
 //
-// It also fronts the engine observatory: `ooctl engine
-// <chains|pressure|shards>` reads the report written by `oosim -engine-out`
-// and renders the event-causality ledger with its merge analysis, the
-// scheduler-pressure counters, or the sharding-feasibility matrix
-// (engine.go).
+// It also fronts the engine observatory: `ooctl engine <chains|pressure>`
+// reads the report written by `oosim -engine-out` and renders the
+// event-causality ledger with its merge analysis or the scheduler-pressure
+// counters (engine.go).
 //
 // It also fronts the determinism auditor: `ooctl diverge` compares two
 // digest journals written by `oosim -digest-out`, finds the first
@@ -41,7 +40,7 @@
 //	ooctl compare before/summary.json after/summary.json
 //	ooctl regress -baseline testdata/baselines/regress_base.summary.json run/summary.json
 //	ooctl engine chains run.engine.json
-//	ooctl engine shards run.engine.json
+//	ooctl engine pressure run.engine.json
 //	ooctl diverge a.digest.jsonl b.digest.jsonl
 package main
 

@@ -31,54 +31,54 @@ import (
 	"openoptics/internal/traffic"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-// run is the real main; main wraps it in os.Exit so deferred flushes
-// (trace sinks, flight dumps, the metrics file) run on every exit path,
-// including an interrupted run.
-func run() int {
-	cfgPath := flag.String("config", "", "JSON static configuration file (optional)")
-	archName := flag.String("arch", "rotornet-vlb", "architecture: clos|c-through|jupiter|mordia|rotornet-vlb|rotornet-direct|rotornet-ucmp|rotornet-hoho|opera|semi-oblivious|shale|daware")
-	workload := flag.String("workload", "memcached", "workload: memcached|allreduce|iperf|udp-probe|rpc|hadoop|kv")
-	nodes := flag.Int("nodes", 8, "endpoint nodes (ignored with -config)")
-	uplink := flag.Int("uplink", 0, "uplinks per node (0 = architecture default)")
-	durMs := flag.Int("duration-ms", 100, "virtual run duration")
-	load := flag.Float64("load", 0.4, "trace replay load fraction")
-	sliceUs := flag.Int("slice-us", 100, "slice duration in µs")
-	seed := flag.Uint64("seed", 1, "seed")
-	policy := flag.String("policy", "aware", "daware scheduling policy: oblivious|aware|reqgrant")
-	predictor := flag.String("predictor", "last", "daware TM predictor: last|ewma|mean")
-	collectUs := flag.Int64("collect-us", 1000, "daware TM collection interval in µs")
-	reprogramUs := flag.Int64("reprogram-us", 0, "daware reprogram epoch in µs (0 = 2x collect interval)")
-	drainUs := flag.Int64("drain-us", 0, "daware hot-swap drain window in µs (reconfiguration cost)")
-	hotFrac := flag.Float64("hot-frac", 0, "fraction of replay flows aimed at one hotspot node")
-	hotPairs := flag.Int("hot-pairs", 0, "route the hot fraction between this many disjoint node pairs instead")
-	loadShape := flag.String("load-shape", "", "replay load shape: flat|diurnal|bursty")
-	shapePeriodMs := flag.Int("shape-period-ms", 0, "load-shape period in ms (0 = 10)")
-	shapeAmplitude := flag.Float64("shape-amplitude", 0, "load-shape swing in [0,1) (0 = 0.8)")
-	metricsOut := flag.String("metrics-out", "", "write metrics at exit (.json = JSON, else Prometheus text)")
-	traceOut := flag.String("trace-out", "", "write sampled in-band packet traces as JSONL")
-	traceSample := flag.Float64("trace-sample", 0.01, "fraction of flows traced (with -trace-out)")
-	profile := flag.Bool("profile", false, "collect per-handler-class wall-clock profiling")
-	engineLedger := flag.Bool("engine-ledger", false, "record the event-causality ledger (see ooctl engine chains)")
-	engineLedgerSample := flag.Uint64("engine-ledger-sample", 64, "capture one full chain per this many root events (power of two)")
-	enginePartitions := flag.Int("engine-partitions", 0, "profile cross-partition event flow for this many ToR-group shards (0 disables)")
-	engineOut := flag.String("engine-out", "", "write the engine-observatory report (JSON) at exit")
-	digestOut := flag.String("digest-out", "", "attach the determinism auditor; write its digest journal (JSONL) at exit")
-	digestWindow := flag.Uint64("digest-window", 0, "events per digest window (power of two; 0 = 65536)")
-	digestCheckpointUs := flag.Int64("digest-checkpoint-us", 1000, "virtual µs between state checkpoints (<0 disables; checkpoints are engine events, so compared runs must match)")
-	perturbSwap := flag.String("perturb-swap", "", "swap scheduling sequence numbers A:B (simdebug builds; see a clean journal's perturb_hint)")
-	progressMs := flag.Int("progress-ms", 0, "print a virtual/real speed report every N virtual ms")
-	httpAddr := flag.String("http", "", "serve live observability (metrics, snapshot, pprof) on this address")
-	httpIntervalUs := flag.Int("http-interval-us", 1000, "virtual µs between live publications (with -http)")
-	flightOut := flag.String("flight-out", "", "enable the flight recorder; write anomaly dumps to this JSONL file")
-	flightSize := flag.Int("flight-size", 64, "flight-recorder ring size in slices")
-	flightDrops := flag.Uint64("flight-drops", 500, "dump on this many drops in one slice (0 disables)")
-	flightCongest := flag.Uint64("flight-congest", 200, "dump on this many congestion hits per slice sustained (0 disables)")
-	flightCongestSlices := flag.Int("flight-congest-slices", 8, "slices of sustained congestion before dumping")
-	flightEQO := flag.Int64("flight-eqo", 0, "dump when EQO error reaches this many bytes (0 disables)")
-	version := flag.Bool("version", false, "print build provenance and exit")
-	flag.Parse()
+// run is the real main over the command-line arguments; main wraps it in
+// os.Exit so deferred flushes (trace sinks, flight dumps, the metrics
+// file) run on every exit path, including an interrupted run.
+func run(args []string) int {
+	fs := flag.NewFlagSet("oosim", flag.ExitOnError)
+	cfgPath := fs.String("config", "", "JSON static configuration file (optional)")
+	archName := fs.String("arch", "rotornet-vlb", "architecture: clos|c-through|jupiter|mordia|rotornet-vlb|rotornet-direct|rotornet-ucmp|rotornet-hoho|opera|semi-oblivious|shale|daware")
+	workload := fs.String("workload", "memcached", "workload: memcached|allreduce|iperf|udp-probe|rpc|hadoop|kv")
+	nodes := fs.Int("nodes", 8, "endpoint nodes (ignored with -config)")
+	uplink := fs.Int("uplink", 0, "uplinks per node (0 = architecture default)")
+	durMs := fs.Int("duration-ms", 100, "virtual run duration")
+	load := fs.Float64("load", 0.4, "trace replay load fraction")
+	sliceUs := fs.Int("slice-us", 100, "slice duration in µs")
+	seed := fs.Uint64("seed", 1, "seed")
+	policy := fs.String("policy", "aware", "daware scheduling policy: oblivious|aware|reqgrant")
+	predictor := fs.String("predictor", "last", "daware TM predictor: last|ewma|mean")
+	collectUs := fs.Int64("collect-us", 1000, "daware TM collection interval in µs")
+	reprogramUs := fs.Int64("reprogram-us", 0, "daware reprogram epoch in µs (0 = 2x collect interval)")
+	drainUs := fs.Int64("drain-us", 0, "daware hot-swap drain window in µs (reconfiguration cost)")
+	hotFrac := fs.Float64("hot-frac", 0, "fraction of replay flows aimed at one hotspot node")
+	hotPairs := fs.Int("hot-pairs", 0, "route the hot fraction between this many disjoint node pairs instead")
+	loadShape := fs.String("load-shape", "", "replay load shape: flat|diurnal|bursty")
+	shapePeriodMs := fs.Int("shape-period-ms", 0, "load-shape period in ms (0 = 10)")
+	shapeAmplitude := fs.Float64("shape-amplitude", 0, "load-shape swing in [0,1) (0 = 0.8)")
+	metricsOut := fs.String("metrics-out", "", "write metrics at exit (.json = JSON, else Prometheus text)")
+	traceOut := fs.String("trace-out", "", "write sampled in-band packet traces as JSONL")
+	traceSample := fs.Float64("trace-sample", 0.01, "fraction of flows traced (with -trace-out)")
+	profile := fs.Bool("profile", false, "collect per-handler-class wall-clock profiling")
+	engineLedger := fs.Bool("engine-ledger", false, "record the event-causality ledger (see ooctl engine chains)")
+	engineLedgerSample := fs.Uint64("engine-ledger-sample", 64, "capture one full chain per this many root events (power of two)")
+	engineOut := fs.String("engine-out", "", "write the engine-observatory report (JSON) at exit")
+	digestOut := fs.String("digest-out", "", "attach the determinism auditor; write its digest journal (JSONL) at exit")
+	digestWindow := fs.Uint64("digest-window", 0, "events per digest window (power of two; 0 = 65536)")
+	digestCheckpointUs := fs.Int64("digest-checkpoint-us", 1000, "virtual µs between state checkpoints (<0 disables; checkpoints are engine events, so compared runs must match)")
+	perturbSwap := fs.String("perturb-swap", "", "swap scheduling sequence numbers A:B (simdebug builds; see a clean journal's perturb_hint)")
+	progressMs := fs.Int("progress-ms", 0, "print a virtual/real speed report every N virtual ms")
+	httpAddr := fs.String("http", "", "serve live observability (metrics, snapshot, pprof) on this address")
+	httpIntervalUs := fs.Int("http-interval-us", 1000, "virtual µs between live publications (with -http)")
+	flightOut := fs.String("flight-out", "", "enable the flight recorder; write anomaly dumps to this JSONL file")
+	flightSize := fs.Int("flight-size", 64, "flight-recorder ring size in slices")
+	flightDrops := fs.Uint64("flight-drops", 500, "dump on this many drops in one slice (0 disables)")
+	flightCongest := fs.Uint64("flight-congest", 200, "dump on this many congestion hits per slice sustained (0 disables)")
+	flightCongestSlices := fs.Int("flight-congest-slices", 8, "slices of sustained congestion before dumping")
+	flightEQO := fs.Int64("flight-eqo", 0, "dump when EQO error reaches this many bytes (0 disables)")
+	version := fs.Bool("version", false, "print build provenance and exit")
+	fs.Parse(args)
 	if *version {
 		fmt.Println(provenance.VersionString("oosim"))
 		return 0
@@ -141,8 +141,14 @@ func run() int {
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		<-sigs
+		select {
+		case <-sigs:
+		case <-done:
+			return
+		}
 		fmt.Fprintln(os.Stderr, "oosim: interrupted — stopping (signal again to kill)")
 		eng.Interrupt()
 		<-sigs
@@ -233,9 +239,6 @@ func run() int {
 	}
 	if *engineLedger {
 		in.Net.AttachEngineLedger(*engineLedgerSample)
-	}
-	if *enginePartitions > 0 {
-		in.Net.EnableShardProfile(*enginePartitions)
 	}
 	if *progressMs > 0 {
 		eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {

@@ -1,0 +1,76 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+
+	"openoptics/internal/diverge"
+)
+
+// startedAt matches the manifest's wall-clock start, the one field that
+// legitimately differs between two invocations.
+var startedAt = regexp.MustCompile(`"started_at": ?"[^"]*"`)
+
+func readMasked(t *testing.T, path string) []byte {
+	t.Helper()
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) == 0 {
+		t.Fatalf("%s is empty", path)
+	}
+	return startedAt.ReplaceAll(body, []byte(`"started_at":""`))
+}
+
+// TestObserversKeepRunsIdentical runs the 16-node RotorNet/VLB RPC
+// workload twice with the profiler, the causality ledger and the digest
+// all attached, and once with the digest alone. The two instrumented runs
+// must write byte-identical journals and engine reports, and their digest
+// chain must equal the digest-only run's: attaching observers never
+// changes what the engine dispatches.
+func TestObserversKeepRunsIdentical(t *testing.T) {
+	dir := t.TempDir()
+	oosim := func(extra ...string) {
+		t.Helper()
+		args := append([]string{
+			"-nodes", "16", "-arch", "rotornet-vlb", "-workload", "rpc",
+			"-load", "0.3", "-duration-ms", "4", "-seed", "7",
+		}, extra...)
+		if rc := run(args); rc != 0 {
+			t.Fatalf("oosim %v exited %d", extra, rc)
+		}
+	}
+	path := func(name string) string { return filepath.Join(dir, name) }
+	for _, r := range []string{"a", "b"} {
+		oosim("-profile", "-engine-ledger",
+			"-engine-out", path(r+".engine.json"), "-digest-out", path(r+".digest.jsonl"))
+	}
+	oosim("-digest-out", path("d.digest.jsonl"))
+
+	for _, name := range []string{"engine.json", "digest.jsonl"} {
+		if !bytes.Equal(readMasked(t, path("a."+name)), readMasked(t, path("b."+name))) {
+			t.Fatalf("%s differs between two identical instrumented runs", name)
+		}
+	}
+
+	all, err := diverge.ReadFile(path("a.digest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := diverge.ReadFile(path("d.digest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := diverge.Compare(all, alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Identical || all.Final.Chain != alone.Final.Chain || len(all.Windows) < 2 {
+		t.Fatalf("instrumented chain %s (%d windows) vs digest-only %s: identical=%v",
+			all.Final.Chain, len(all.Windows), alone.Final.Chain, rep.Identical)
+	}
+}

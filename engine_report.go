@@ -3,15 +3,13 @@ package openoptics
 import (
 	"openoptics/internal/core"
 	"openoptics/internal/engineobs"
-	"openoptics/internal/fabric"
 	"openoptics/internal/sim"
 )
 
-// Engine observatory wiring: the Net-level switches for the event-
-// causality ledger and the shard-affinity profile, and the report builder
-// `ooctl engine` consumes. Both instruments follow the tracer's cost
-// discipline — a Net that never enables them pays a nil check per
-// scheduled event (ledger) and per link send (shard profile).
+// Engine observatory wiring: the Net-level switch for the event-causality
+// ledger and the report builder `ooctl engine` consumes. The ledger rides
+// the engine's one observer seam, so a Net that never attaches it pays
+// only the seam's nil checks.
 
 // AttachEngineLedger starts recording event causality on this Net's
 // engine, sampling chain capture every sampleEvery root events (rounded up
@@ -24,59 +22,13 @@ func (n *Net) AttachEngineLedger(sampleEvery uint64) *sim.Ledger {
 	return l
 }
 
-// EnableShardProfile starts recording the cross-partition event-flow
-// profile for a hypothetical engine sharding into `parts` partitions.
-// Partitions are contiguous ToR groups: nodes 0..g-1 form partition 0,
-// g..2g-1 partition 1, and so on with g = ceil(NodeNum/parts); a node's
-// hosts and edge links belong to its partition, and control messages to
-// the optical controller (NoNode) are charged to partition 0, where a
-// sharded engine would co-locate the controller. parts clamps to
-// [1, NodeNum].
-func (n *Net) EnableShardProfile(parts int) *sim.ShardProfile {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n.Cfg.NodeNum {
-		parts = n.Cfg.NodeNum
-	}
-	group := (n.Cfg.NodeNum + parts - 1) / parts
-	partOf := func(id core.NodeID) int {
-		if id == core.NoNode || int(id) < 0 {
-			return 0
-		}
-		p := int(id) / group
-		if p >= parts {
-			p = parts - 1
-		}
-		return p
-	}
-	prof := sim.NewShardProfile(parts)
-	n.shardProf, n.shardGroup = prof, group
-	n.optical.EnableShardProfile(prof, partOf)
-	if n.elec != nil {
-		n.elec.EnableShardProfile(prof, partOf)
-	}
-	n.cp.Prof, n.cp.PartOf = prof, partOf
-	for _, sw := range n.switches {
-		part := partOf(sw.ID())
-		sw.ForEachLink(func(l *fabric.Link) {
-			l.Prof, l.PartA, l.PartB = prof, part, part
-		})
-	}
-	return prof
-}
-
-// ShardProfile returns the enabled shard profile, or nil.
-func (n *Net) ShardProfile() *sim.ShardProfile { return n.shardProf }
-
 // PoolStats returns the packet pool's counters (cheap; no copy of network
 // state, unlike Snapshot).
 func (n *Net) PoolStats() core.PoolStats { return n.pool.Stats() }
 
-// EngineReport builds the engine-observatory report from whatever
-// instruments are enabled: pressure and pool sections always, the ledger
-// section when AttachEngineLedger was called (the ledger is flushed —
-// call after the run), the shard section when EnableShardProfile was.
+// EngineReport builds the engine-observatory report: pressure and pool
+// sections always, the ledger section when AttachEngineLedger was called
+// (the ledger is flushed — call after the run).
 func (n *Net) EngineReport() *engineobs.Report {
 	events := n.eng.Processed
 	packets := n.pool.Stats().Gets
@@ -92,9 +44,6 @@ func (n *Net) EngineReport() *engineobs.Report {
 	if l := n.eng.Ledger(); l != nil {
 		l.Flush()
 		r.Ledger = engineobs.BuildLedger(l, packets)
-	}
-	if n.shardProf != nil {
-		r.Shards = engineobs.BuildShards(n.shardProf, n.shardGroup)
 	}
 	return r
 }

@@ -3,6 +3,7 @@ package openoptics
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +11,8 @@ import (
 	"openoptics/internal/engineobs"
 )
 
-// rotorNet16 builds the observatory's acceptance topology: 16 nodes, so a
-// 4-way shard profile has 4 ToR groups of 4 and real cross-partition flow.
+// rotorNet16 builds the observatory's acceptance topology: a 16-node
+// RotorNet under VLB.
 func rotorNet16(t *testing.T) *Net {
 	t.Helper()
 	cfg := Config{
@@ -40,13 +41,12 @@ func rotorNet16(t *testing.T) *Net {
 	return n
 }
 
-// observatoryRun builds the 16-node net with both instruments on, drives
-// probe traffic, and returns the engine report.
+// observatoryRun builds the 16-node net with the causality ledger on,
+// drives probe traffic, and returns the engine report.
 func observatoryRun(t *testing.T) *engineobs.Report {
 	t.Helper()
 	n := rotorNet16(t)
 	n.AttachEngineLedger(4)
-	n.EnableShardProfile(4)
 	probeTraffic(t, n, int64(4*time.Millisecond))
 	n.Run(5 * time.Millisecond)
 	return n.EngineReport()
@@ -57,7 +57,7 @@ func TestEngineReportEndToEnd(t *testing.T) {
 	if r.Events == 0 || r.Packets == 0 || r.EventsPerPacket <= 1 {
 		t.Fatalf("headline: events=%d packets=%d e/p=%.2f", r.Events, r.Packets, r.EventsPerPacket)
 	}
-	if r.Pressure == nil || r.Pool == nil || r.Ledger == nil || r.Shards == nil {
+	if r.Pressure == nil || r.Pool == nil || r.Ledger == nil {
 		t.Fatalf("missing sections: %+v", r)
 	}
 	if r.Pressure.InlinePushes+r.Pressure.SpillPushes == 0 {
@@ -87,26 +87,11 @@ func TestEngineReportEndToEnd(t *testing.T) {
 	if len(r.Ledger.Chains) == 0 || len(r.Ledger.Adjacent) == 0 {
 		t.Fatal("chains or adjacency empty")
 	}
-
-	// Shard section: 4×4 matrix, real cross-partition flow, a positive
-	// conservative-sync window.
-	s := r.Shards
-	if s.Parts != 4 || s.GroupSize != 4 || len(s.Flow) != 4 || len(s.Flow[0]) != 4 {
-		t.Fatalf("shard dims = %+v", s)
-	}
-	if s.CrossHops == 0 || s.LocalHops == 0 {
-		t.Fatalf("hops = local %d cross %d", s.LocalHops, s.CrossHops)
-	}
-	if !s.HasCross || s.MinLookaheadNs <= 0 {
-		t.Fatalf("lookahead = %d (has=%v), want positive window", s.MinLookaheadNs, s.HasCross)
-	}
-	if len(s.LookaheadHist) == 0 {
-		t.Fatal("lookahead histogram empty")
-	}
 }
 
 // TestEngineReportDeterministic: two identical runs yield byte-identical
-// reports (sans manifest) and byte-identical renders.
+// reports (sans manifest) and byte-identical renders of both views, and
+// each view carries its sections.
 func TestEngineReportDeterministic(t *testing.T) {
 	a, b := observatoryRun(t), observatoryRun(t)
 	ja, err := json.MarshalIndent(a, "", "  ")
@@ -117,11 +102,29 @@ func TestEngineReportDeterministic(t *testing.T) {
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("reports differ across identical runs:\n%s\nvs\n%s", ja, jb)
 	}
-	var ra, rb bytes.Buffer
-	engineobs.RenderChains(&ra, a)
-	engineobs.RenderChains(&rb, b)
-	if ra.String() != rb.String() {
-		t.Fatal("chains render differs across identical runs")
+	for _, v := range []struct {
+		name   string
+		render func(io.Writer, *engineobs.Report)
+		want   []string
+	}{
+		{"chains", engineobs.RenderChains, []string{
+			"mergeable edges", "link.deliver     -> switch.ingress", "total events saved if merged",
+		}},
+		{"pressure", engineobs.RenderPressure, []string{
+			"inline=", "spill=", "bucket occupancy", "packet pool",
+		}},
+	} {
+		var ra, rb bytes.Buffer
+		v.render(&ra, a)
+		v.render(&rb, b)
+		if ra.String() != rb.String() {
+			t.Fatalf("%s render differs across identical runs", v.name)
+		}
+		for _, w := range v.want {
+			if !strings.Contains(ra.String(), w) {
+				t.Fatalf("%s render lacks %q:\n%s", v.name, w, ra.String())
+			}
+		}
 	}
 }
 
@@ -131,11 +134,11 @@ func TestLedgerOverheadOffByDefault(t *testing.T) {
 	n := rotorNet4(t, nil)
 	probeTraffic(t, n, int64(time.Millisecond))
 	n.Run(2 * time.Millisecond)
-	if n.Engine().Ledger() != nil || n.ShardProfile() != nil {
-		t.Fatal("instruments attached without opt-in")
+	if n.Engine().Ledger() != nil {
+		t.Fatal("ledger attached without opt-in")
 	}
 	r := n.EngineReport()
-	if r.Ledger != nil || r.Shards != nil {
+	if r.Ledger != nil {
 		t.Fatalf("sections present without instruments: %+v", r)
 	}
 	if r.Pressure == nil || r.Pool == nil || r.Events == 0 {

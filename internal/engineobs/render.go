@@ -8,7 +8,7 @@ import (
 	"openoptics/internal/sim"
 )
 
-// Text renderers for the three `ooctl engine` views. All output is derived
+// Text renderers for the two `ooctl engine` views. All output is derived
 // from the Report's ordered slices only, so rendering the same report
 // twice is byte-identical.
 
@@ -99,45 +99,5 @@ func RenderPressure(w io.Writer, r *Report) {
 		pl := r.Pool
 		fmt.Fprintf(w, "\npacket pool: gets=%d puts=%d outstanding=%d high-water=%d slabs=%d grows=%d free=%d\n",
 			pl.Gets, pl.Puts, pl.Outstanding, pl.HighWater, pl.Slabs, pl.Grows, pl.FreeLen)
-	}
-}
-
-// RenderShards writes the sharding-feasibility view.
-func RenderShards(w io.Writer, r *Report) {
-	fmt.Fprintf(w, "engine shards  events=%d packets=%d events/packet=%.2f\n",
-		r.Events, r.Packets, r.EventsPerPacket)
-	if r.Shards == nil {
-		fmt.Fprintln(w, "no shard section (run with -engine-partitions)")
-		return
-	}
-	s := r.Shards
-	fmt.Fprintf(w, "partitions: %d (ToR groups of %d)\n", s.Parts, s.GroupSize)
-	fmt.Fprintf(w, "hops: local=%d cross=%d cross-fraction=%.4f\n",
-		s.LocalHops, s.CrossHops, s.CrossFraction)
-	if s.HasCross {
-		fmt.Fprintf(w, "min cross-partition lookahead: %d ns (conservative-sync window)\n", s.MinLookaheadNs)
-	} else {
-		fmt.Fprintln(w, "no cross-partition hops recorded")
-	}
-
-	fmt.Fprintf(w, "\ncross-partition event-flow matrix (row=src, col=dst)\n")
-	fmt.Fprintf(w, "  %6s", "")
-	for j := range s.Flow {
-		fmt.Fprintf(w, " %10s", fmt.Sprintf("p%d", j))
-	}
-	fmt.Fprintln(w)
-	for i, row := range s.Flow {
-		fmt.Fprintf(w, "  %6s", fmt.Sprintf("p%d", i))
-		for _, v := range row {
-			fmt.Fprintf(w, " %10d", v)
-		}
-		fmt.Fprintln(w)
-	}
-
-	if len(s.LookaheadHist) > 0 {
-		fmt.Fprintf(w, "\ncross-partition delay histogram (ns: hops)\n")
-		for _, b := range s.LookaheadHist {
-			fmt.Fprintf(w, "  %16s: %d\n", b.Label, b.Count)
-		}
 	}
 }

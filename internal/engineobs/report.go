@@ -1,13 +1,10 @@
 // Package engineobs turns the engine observatory's raw accumulators — the
-// event-causality ledger, scheduler-pressure counters, shard-affinity
-// profile, and packet-pool statistics (internal/sim, internal/core) — into
-// a deterministic JSON report and the analyses `ooctl engine` renders. The
-// headline analysis is event-merge evidence for ROADMAP item 4: which
-// parent→child scheduling edges a merged dispatch could eliminate, and how
-// many events per run (and per packet) that saves. The shard section is
-// ROADMAP item 1's feasibility input: the cross-partition event-flow
-// matrix and the minimum cross-partition delay that bounds a conservative
-// synchronization window.
+// event-causality ledger, scheduler-pressure counters, and packet-pool
+// statistics (internal/sim, internal/core) — into a deterministic JSON
+// report and the analyses `ooctl engine` renders. The headline analysis is
+// event-merge evidence: which parent→child scheduling edges a merged
+// dispatch could eliminate, and how many events per run (and per packet)
+// that saves.
 package engineobs
 
 import (
@@ -37,7 +34,6 @@ type Report struct {
 
 	Ledger   *LedgerReport      `json:"ledger,omitempty"`
 	Pressure *sim.SchedPressure `json:"pressure,omitempty"`
-	Shards   *ShardReport       `json:"shards,omitempty"`
 	Pool     *PoolReport        `json:"pool,omitempty"`
 }
 
@@ -110,15 +106,15 @@ type MergeReport struct {
 
 // LedgerReport is the causality section of the report.
 type LedgerReport struct {
-	SampleEvery     uint64        `json:"sample_every"`
-	ChainsStarted   uint64        `json:"chains_started"`
-	ChainsFinalized uint64        `json:"chains_finalized"`
-	Edges           []EdgeReport  `json:"edges"`
-	Adjacent        []AdjReport   `json:"adjacent_same_instant,omitempty"`
+	SampleEvery     uint64         `json:"sample_every"`
+	ChainsStarted   uint64         `json:"chains_started"`
+	ChainsFinalized uint64         `json:"chains_finalized"`
+	Edges           []EdgeReport   `json:"edges"`
+	Adjacent        []AdjReport    `json:"adjacent_same_instant,omitempty"`
 	Fanouts         []FanoutReport `json:"fanouts,omitempty"`
-	Roots           []ClassCount  `json:"roots,omitempty"`
-	Chains          []ChainReport `json:"chains,omitempty"`
-	Mergeable       []MergeReport `json:"mergeable,omitempty"`
+	Roots           []ClassCount   `json:"roots,omitempty"`
+	Chains          []ChainReport  `json:"chains,omitempty"`
+	Mergeable       []MergeReport  `json:"mergeable,omitempty"`
 	// EventsSaved totals the mergeable edges; EventsSavedPerPacket scales
 	// it by the report's packet count (0 when unknown).
 	EventsSaved          uint64  `json:"events_saved"`
@@ -246,82 +242,6 @@ func mergeAnalysis(l *sim.Ledger) []MergeReport {
 		return out[i].Child < out[j].Child
 	})
 	return out
-}
-
-// HistBin is one labeled histogram bucket.
-type HistBin struct {
-	Label string `json:"label"`
-	Count uint64 `json:"count"`
-}
-
-// ShardReport is the shard-affinity section: the PDES feasibility evidence.
-type ShardReport struct {
-	Parts     int `json:"parts"`
-	GroupSize int `json:"group_size"`
-	// LocalHops/CrossHops split recorded event hops by whether they stay
-	// inside one partition; CrossFraction = cross / (local + cross).
-	LocalHops     uint64  `json:"local_hops"`
-	CrossHops     uint64  `json:"cross_hops"`
-	CrossFraction float64 `json:"cross_fraction"`
-	// MinLookaheadNs is the smallest cross-partition delay observed — the
-	// conservative-sync window a sharded engine could run ahead by.
-	// HasCross is false (and MinLookaheadNs 0) when nothing crossed.
-	MinLookaheadNs int64 `json:"min_lookahead_ns"`
-	HasCross       bool  `json:"has_cross"`
-	// Flow[src][dst] counts event hops; PairMinNs[src][dst] is the minimum
-	// cross delay for the pair (-1 = no hop recorded).
-	Flow      [][]uint64 `json:"flow"`
-	PairMinNs [][]int64  `json:"pair_min_ns"`
-	// LookaheadHist histograms the cross-partition delays (log2-ns bins;
-	// empty leading/trailing bins trimmed).
-	LookaheadHist []HistBin `json:"lookahead_hist"`
-}
-
-// BuildShards converts a shard profile into its report section. groupSize
-// is the nodes-per-partition assignment the caller used (informational).
-func BuildShards(p *sim.ShardProfile, groupSize int) *ShardReport {
-	if p == nil {
-		return nil
-	}
-	r := &ShardReport{
-		Parts:     p.Parts(),
-		GroupSize: groupSize,
-		LocalHops: p.Local(),
-		CrossHops: p.Cross(),
-		Flow:      p.Flow(),
-	}
-	if tot := r.LocalHops + r.CrossHops; tot > 0 {
-		r.CrossFraction = float64(r.CrossHops) / float64(tot)
-	}
-	if min, ok := p.MinLookaheadNs(); ok {
-		r.MinLookaheadNs, r.HasCross = min, true
-	}
-	r.PairMinNs = make([][]int64, r.Parts)
-	for i := 0; i < r.Parts; i++ {
-		row := make([]int64, r.Parts)
-		for j := 0; j < r.Parts; j++ {
-			if v, ok := p.PairMinNs(i, j); ok {
-				row[j] = v
-			} else {
-				row[j] = -1
-			}
-		}
-		r.PairMinNs[i] = row
-	}
-	hist := p.Hist()
-	lo, hi := -1, -1
-	for i, c := range hist {
-		if c > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	for i := lo; lo >= 0 && i <= hi; i++ {
-		r.LookaheadHist = append(r.LookaheadHist, HistBin{Label: sim.LookLabel(i), Count: hist[i]})
-	}
-	return r
 }
 
 // PoolReport mirrors core.PoolStats with JSON tags.

@@ -85,62 +85,14 @@ func TestBuildLedgerMergeAnalysis(t *testing.T) {
 	if r.EventsSavedPerPacket != float64(sum)/4 {
 		t.Fatalf("per-packet savings = %v", r.EventsSavedPerPacket)
 	}
-}
-
-func TestBuildShardsReport(t *testing.T) {
-	p := sim.NewShardProfile(2)
-	p.Record(0, 0, 100)
-	p.Record(0, 1, 900)
-	p.Record(0, 1, 700)
-	p.Record(1, 0, 1500)
-	r := BuildShards(p, 8)
-	if r.Parts != 2 || r.GroupSize != 8 {
-		t.Fatalf("header = %+v", r)
-	}
-	if r.LocalHops != 1 || r.CrossHops != 3 || r.CrossFraction != 0.75 {
-		t.Fatalf("hops = %+v", r)
-	}
-	if !r.HasCross || r.MinLookaheadNs != 700 {
-		t.Fatalf("lookahead = %+v", r)
-	}
-	if r.Flow[0][1] != 2 || r.Flow[1][0] != 1 {
-		t.Fatalf("flow = %v", r.Flow)
-	}
-	if r.PairMinNs[0][1] != 700 || r.PairMinNs[1][0] != 1500 {
-		t.Fatalf("pair mins = %v", r.PairMinNs)
-	}
-	if r.PairMinNs[0][0] != -1 || r.PairMinNs[1][1] != -1 {
-		t.Fatalf("diagonal sentinel = %v", r.PairMinNs)
-	}
-	// Histogram trimmed to the populated log2 range: 700/900 in 512-1023,
-	// 1500 in 1024-2047.
-	if len(r.LookaheadHist) != 2 {
-		t.Fatalf("hist = %+v", r.LookaheadHist)
-	}
-	if r.LookaheadHist[0].Label != "512-1023" || r.LookaheadHist[0].Count != 2 {
-		t.Fatalf("hist[0] = %+v", r.LookaheadHist[0])
-	}
-	if r.LookaheadHist[1].Label != "1024-2047" || r.LookaheadHist[1].Count != 1 {
-		t.Fatalf("hist[1] = %+v", r.LookaheadHist[1])
-	}
-}
-
-func TestBuildShardsEmptyProfile(t *testing.T) {
-	r := BuildShards(sim.NewShardProfile(2), 4)
-	if r.HasCross || r.MinLookaheadNs != 0 || len(r.LookaheadHist) != 0 {
-		t.Fatalf("empty profile report = %+v", r)
-	}
-	if BuildShards(nil, 0) != nil || BuildLedger(nil, 0) != nil {
-		t.Fatal("nil inputs must yield nil sections")
+	if BuildLedger(nil, 0) != nil {
+		t.Fatal("nil ledger must yield a nil section")
 	}
 }
 
 // fullReport builds a report exercising every section.
 func fullReport() *Report {
 	events, packets := uint64(140), uint64(10)
-	p := sim.NewShardProfile(2)
-	p.Record(0, 1, 800)
-	p.Record(1, 1, 5)
 	r := &Report{
 		SchemaVersion:   SchemaVersion,
 		Events:          events,
@@ -148,7 +100,6 @@ func fullReport() *Report {
 		EventsPerPacket: EventsPerPacketOf(events, packets),
 		Ledger:          BuildLedger(ledgeredRun(), packets),
 		Pressure:        &sim.SchedPressure{PendingEvents: 3, InlinePushes: 90, SpillPushes: 10},
-		Shards:          BuildShards(p, 8),
 		Pool:            BuildPool(core.PoolStats{Gets: 10, Puts: 8, Outstanding: 2, HighWater: 5, Slabs: 1}),
 	}
 	return r
@@ -159,7 +110,6 @@ func TestRendersAreByteDeterministic(t *testing.T) {
 	for name, render := range map[string]func(*Report) string{
 		"chains":   func(r *Report) string { var b bytes.Buffer; RenderChains(&b, r); return b.String() },
 		"pressure": func(r *Report) string { var b bytes.Buffer; RenderPressure(&b, r); return b.String() },
-		"shards":   func(r *Report) string { var b bytes.Buffer; RenderShards(&b, r); return b.String() },
 	} {
 		a, b := render(r), render(r)
 		if a != b {
@@ -182,7 +132,7 @@ func TestRendersAreByteDeterministic(t *testing.T) {
 	if err := json.Unmarshal(j1, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.EventsPerPacket != r.EventsPerPacket || back.Ledger == nil || back.Shards == nil {
+	if back.EventsPerPacket != r.EventsPerPacket || back.Ledger == nil {
 		t.Fatalf("round-trip lost sections: %+v", back)
 	}
 }
@@ -214,8 +164,8 @@ func TestRenderHandlesMissingSections(t *testing.T) {
 		t.Fatalf("chains without ledger: %q", b.String())
 	}
 	b.Reset()
-	RenderShards(&b, r)
-	if !strings.Contains(b.String(), "no shard section") {
-		t.Fatalf("shards without profile: %q", b.String())
+	RenderPressure(&b, r)
+	if !strings.Contains(b.String(), "no pressure section") {
+		t.Fatalf("pressure without counters: %q", b.String())
 	}
 }

@@ -29,14 +29,6 @@ type ElectricalFabric struct {
 	// Tracer, when set, flushes in-band traces of sampled packets the
 	// fabric drops (queue overflow, unroutable destination).
 	Tracer *telemetry.Tracer
-
-	// Prof/PartOf, when set, record every routed packet as an event hop
-	// from the source node's partition to the destination node's partition.
-	// The recorded delay (pipeline latency + egress propagation) omits
-	// queueing and serialization, lower-bounding the cross-partition
-	// latency — conservative for lookahead estimation.
-	Prof   *sim.ShardProfile
-	PartOf func(core.NodeID) int
 }
 
 type elecPort struct {
@@ -77,10 +69,6 @@ func (f *ElectricalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		f.traceDrop(pkt, core.DropElecRoute)
 		pkt.Free()
 		return
-	}
-	if f.Prof != nil {
-		f.Prof.Record(f.PartOf(pkt.SrcNode), f.PartOf(pkt.DstNode),
-			f.PipelineDelay+f.ports[fp].link.PropDelay)
 	}
 	f.eng.AfterEvent(f.PipelineDelay, sim.ClassFabricElec, (*elecEnqueue)(f), pkt, int64(fp))
 }
@@ -153,18 +141,6 @@ func (a *elecTxDone) RunEvent(arg any, _ int64) {
 func (f *ElectricalFabric) traceDrop(pkt *core.Packet, reason core.DropReason) {
 	if f.Tracer != nil && pkt.Trace != nil {
 		f.Tracer.Drop(pkt, reason, core.NoNode, f.eng.Now())
-	}
-}
-
-// EnableShardProfile starts recording cross-partition event hops into prof
-// under the partition assignment partOf; port links are tagged with their
-// node's partition on both sides. Call after all endpoints are attached.
-func (f *ElectricalFabric) EnableShardProfile(prof *sim.ShardProfile, partOf func(core.NodeID) int) {
-	f.Prof, f.PartOf = prof, partOf
-	for node, fp := range f.byNode {
-		part := partOf(node)
-		l := f.ports[fp].link
-		l.Prof, l.PartA, l.PartB = prof, part, part
 	}
 }
 

@@ -55,15 +55,6 @@ type Link struct {
 	// Stats
 	SentAB, SentBA   uint64
 	BytesAB, BytesBA uint64
-
-	// Prof, when set, records every delivery this link schedules as an
-	// event hop from PartA to PartB (or the reverse) in the shard-affinity
-	// profile. Both endpoints of an edge link (switch↔fabric, host↔switch)
-	// are normally assigned the switch's partition, so link hops land on
-	// the matrix diagonal; the fabrics record the true cross-partition
-	// hops. Nil costs one branch per send.
-	Prof         *sim.ShardProfile
-	PartA, PartB int
 }
 
 // NewLink wires two endpoints with the given line rate and propagation
@@ -120,13 +111,6 @@ func (l *Link) send(from Device, pkt *core.Packet, cutThrough bool) {
 	arrive := start + ser + l.PropDelay
 	if cutThrough {
 		arrive = start + l.PropDelay
-	}
-	if l.Prof != nil {
-		if to == &l.b {
-			l.Prof.Record(l.PartA, l.PartB, arrive-now)
-		} else {
-			l.Prof.Record(l.PartB, l.PartA, arrive-now)
-		}
 	}
 	l.eng.AtEvent(arrive, sim.ClassLinkDeliver, to, pkt, 0)
 }

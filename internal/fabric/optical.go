@@ -66,15 +66,6 @@ type OpticalFabric struct {
 	// Tracer, when set, flushes in-band traces of sampled packets the
 	// fabric drops (guardband, blackout, no live circuit).
 	Tracer *telemetry.Tracer
-
-	// Prof/PartOf, when set, record every forwarded packet as an event hop
-	// from the ingress node's partition to the egress node's partition —
-	// the optical fabric is where a future sharded engine's boundaries
-	// would actually be crossed. The recorded delay (cut-through latency +
-	// egress propagation) lower-bounds the true cross-partition latency,
-	// which is the conservative direction for a lookahead estimate.
-	Prof   *sim.ShardProfile
-	PartOf func(core.NodeID) int
 }
 
 type attachKey struct {
@@ -242,10 +233,6 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		return
 	}
 	f.Forwarded++
-	if f.Prof != nil {
-		f.Prof.Record(f.PartOf(f.rev[int(port)].node), f.PartOf(f.rev[out].node),
-			f.CutThroughDelay+f.ports[out].PropDelay)
-	}
 	f.eng.AfterEvent(f.CutThroughDelay, sim.ClassFabricOptical, (*opticalRelay)(f), pkt, int64(out))
 }
 
@@ -271,16 +258,3 @@ func (f *OpticalFabric) traceDrop(pkt *core.Packet, reason core.DropReason) {
 // Links returns the attached fabric-side links in port order, for
 // utilization export.
 func (f *OpticalFabric) Links() []*Link { return f.ports }
-
-// EnableShardProfile starts recording cross-partition event hops into prof
-// under the partition assignment partOf. The fabric's own port links are
-// tagged with their node's partition on both sides (link deliveries are
-// intra-partition traffic; the fabric crossing itself is what this fabric
-// records). Call after all endpoints are attached.
-func (f *OpticalFabric) EnableShardProfile(prof *sim.ShardProfile, partOf func(core.NodeID) int) {
-	f.Prof, f.PartOf = prof, partOf
-	for i, l := range f.ports {
-		part := partOf(f.rev[i].node)
-		l.Prof, l.PartA, l.PartB = prof, part, part
-	}
-}

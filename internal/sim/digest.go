@@ -11,11 +11,12 @@ package sim
 // with per-event capture (SetCapture) names the exact first divergent
 // dispatch. See internal/diverge for the journal format and comparison.
 //
-// Cost discipline matches the ledger and the tracer: a detached engine
-// pays exactly one nil check per dispatch. Attached, the per-event cost is
-// three mixes of a 64-bit state plus one type assertion for the payload
-// fingerprint — no allocation outside window closure (one appended record
-// per 64k events at the default width).
+// The digest is an observer on the engine's instrumentation seam
+// (observer.go): a detached engine pays nothing beyond the seam's nil
+// checks. Attached, the per-event cost is three mixes of a 64-bit state
+// plus one type assertion for the payload fingerprint — no allocation
+// outside window closure (one appended record per 64k events at the
+// default width).
 
 // Fingerprinted is implemented by event payloads that can contribute a
 // stable identity to the dispatch digest: a node the event acts on and a
@@ -65,8 +66,7 @@ type CapturedEvent struct {
 }
 
 // EventDigest accumulates the windowed hash-chain over an engine's
-// dispatch stream. Attach with Engine.AttachDigest; a nil digest costs one
-// branch per dispatch.
+// dispatch stream. Attach with Engine.AttachDigest.
 type EventDigest struct {
 	mask  uint64 // windowEvents-1 (power of two)
 	hash  uint64 // rolling hash of the open window
@@ -124,23 +124,27 @@ func (e *Engine) AttachDigest(d *EventDigest) {
 	if d != nil {
 		d.attachSeq = e.seq
 	}
-	e.digest = d
+	e.setObservers(d, e.Ledger(), observed[*profiler](e))
 }
 
 // Digest returns the attached event digest, or nil.
-func (e *Engine) Digest() *EventDigest { return e.digest }
+func (e *Engine) Digest() *EventDigest { return observed[*EventDigest](e) }
 
-// digestRecord folds the dispatched event into the digest. Called from
-// dispatch only when a digest is attached, before the handler runs — the
-// payload is still live then (the pool may recycle it inside the handler).
-func (e *Engine) digestRecord(rec eventRec, seq uint64) {
+func (d *EventDigest) scheduled(*Engine, int64, uint64, Class) {}
+
+// beginDispatch folds the dispatched event into the digest before its
+// handler runs — the payload is still live then (the pool may recycle it
+// inside the handler).
+func (d *EventDigest) beginDispatch(e *Engine, seq uint64, class Class, arg any, v int64) {
 	var node int32
 	var fp uint64
-	if f, ok := rec.arg.(Fingerprinted); ok {
+	if f, ok := arg.(Fingerprinted); ok {
 		node, fp = f.EventFingerprint()
 	}
-	e.digest.record(e.now, seq, rec.class, node, fp, rec.v, e.seq)
+	d.record(e.now, seq, class, node, fp, v, e.seq)
 }
+
+func (d *EventDigest) endDispatch(*Engine, Class) {}
 
 // record folds one dispatch into the rolling window hash, closing the
 // window at the granularity boundary. pushSeq is the engine's scheduling

@@ -20,12 +20,18 @@ func runScript(windowEvents uint64, payloads []*fpPayload) *EventDigest {
 	e := New()
 	d := NewEventDigest(windowEvents)
 	e.AttachDigest(d)
+	digestScript(e, payloads)
+	return d
+}
+
+// digestScript schedules one fingerprinted action per payload, two per
+// instant, and runs them.
+func digestScript(e *Engine, payloads []*fpPayload) {
 	act := &digNopAction{}
 	for i, p := range payloads {
 		e.AtEvent(int64(100*(i/2)), ClassLinkDeliver, act, p, int64(i))
 	}
 	e.RunUntil(1 << 20)
-	return d
 }
 
 func somePayloads(n int) []*fpPayload {
@@ -56,6 +62,9 @@ func TestDigestDeterministic(t *testing.T) {
 			t.Fatalf("window %d differs between identical runs", i)
 		}
 	}
+	// With the profiler and the ledger attached too, the digest chain is
+	// the one the digest records alone (and so are theirs).
+	checkObserversCompose(t, func(e *Engine) { digestScript(e, somePayloads(10)) })
 }
 
 func TestDigestDetectsChange(t *testing.T) {

@@ -31,26 +31,14 @@ type Engine struct {
 	// branch, not an atomic load per event.
 	interrupted atomic.Bool
 
-	// Profiling state (profile.go): per-class event counts are always
-	// collected (one array increment per event); wall-clock accounting
-	// only while profiling is enabled.
+	// Per-class event counts (profile.go): always collected, one array
+	// increment per event.
 	classCount [NumClasses]uint64
-	classWall  [NumClasses]int64
-	profiling  bool
 
-	// Event-causality ledger (ledger.go): nil when detached, one branch
-	// per scheduled event and per dispatch. The dispatch-context fields
-	// below are only written while a ledger is attached.
-	ledger      *Ledger
-	inDispatch  bool
-	curClass    Class
-	curChain    int32
-	curKids     int32
-	chainHanded bool
-
-	// Determinism auditor (digest.go): nil when detached, one branch per
-	// dispatch.
-	digest *EventDigest
+	// obs is the one instrumentation seam (observer.go): the wall-clock
+	// profiler, the causality ledger and the event digest attach here.
+	// Nil when none is attached — one branch per schedule and per dispatch.
+	obs observer
 
 	// Perturbation harness (digest.go, simdebug builds only): when armed,
 	// the events that would receive sequence numbers perturbA and perturbB
@@ -79,6 +67,12 @@ func (e *Engine) AtClass(t int64, class Class, fn func()) {
 	if fn == nil {
 		panic("sim: nil event fn")
 	}
+	e.schedule(t, eventRec{fn: fn, class: class})
+}
+
+// schedule queues rec at time t: the one scheduling path behind every
+// At*/After*/Every* variant.
+func (e *Engine) schedule(t int64, rec eventRec) {
 	if t < e.now {
 		if simDebug {
 			panic(fmt.Sprintf("sim: scheduling event at t=%d in the past (now=%d)", t, e.now))
@@ -86,11 +80,10 @@ func (e *Engine) AtClass(t int64, class Class, fn func()) {
 		t = e.now
 	}
 	seq := e.nextSeq()
-	var chain int32
-	if e.ledger != nil {
-		chain = e.ledgerSchedule(t, class)
+	e.sched.push(t, seq, rec)
+	if e.obs != nil {
+		e.obs.scheduled(e, t, seq, rec.class)
 	}
-	e.sched.push(t, seq, eventRec{fn: fn, class: class, chain: chain})
 }
 
 // nextSeq allocates the next scheduling sequence number, applying the
@@ -121,18 +114,7 @@ func (e *Engine) AtEvent(t int64, class Class, act Action, arg any, v int64) {
 	if act == nil {
 		panic("sim: nil event action")
 	}
-	if t < e.now {
-		if simDebug {
-			panic(fmt.Sprintf("sim: scheduling event at t=%d in the past (now=%d)", t, e.now))
-		}
-		t = e.now
-	}
-	seq := e.nextSeq()
-	var chain int32
-	if e.ledger != nil {
-		chain = e.ledgerSchedule(t, class)
-	}
-	e.sched.push(t, seq, eventRec{act: act, arg: arg, v: v, class: class, chain: chain})
+	e.schedule(t, eventRec{act: act, arg: arg, v: v, class: class})
 }
 
 // AfterEvent is AtEvent d nanoseconds from now.
@@ -315,28 +297,23 @@ func (e *Engine) RunUntil(deadline int64) {
 	}
 }
 
-// dispatch invokes one event's handler with class accounting (and wall-
-// clock attribution while profiling). seq is the event's scheduling
+// dispatch invokes one event's handler with class accounting, bracketed
+// by the attached observer's hooks. seq is the event's scheduling
 // sequence number — the second half of the deterministic (t, seq) total
-// order — consumed only by the determinism auditor's digest.
+// order.
 func (e *Engine) dispatch(rec eventRec, seq uint64) {
 	e.classCount[rec.class]++
-	if e.digest != nil {
-		e.digestRecord(rec, seq)
-	}
-	if e.ledger != nil {
-		e.dispatchLedgered(rec)
-		return
-	}
-	if e.profiling {
-		start := time.Now()
+	if o := e.obs; o != nil {
+		o.beginDispatch(e, seq, rec.class, rec.arg, rec.v)
 		if rec.fn != nil {
 			rec.fn()
 		} else {
 			rec.act.RunEvent(rec.arg, rec.v)
 		}
-		e.classWall[rec.class] += time.Since(start).Nanoseconds()
-	} else if rec.fn != nil {
+		o.endDispatch(e, rec.class)
+		return
+	}
+	if rec.fn != nil {
 		rec.fn()
 	} else {
 		rec.act.RunEvent(rec.arg, rec.v)

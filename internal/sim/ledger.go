@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // This file is the event-causality ledger: the engine-side half of the
 // "engine observatory". When attached, every scheduled event optionally
@@ -17,17 +14,21 @@ import (
 // class schedules exactly one child per dispatch is mergeable — the parent
 // can compute the child's time directly and save one event per occurrence.
 //
-// Cost discipline matches the tracer: a detached engine pays exactly one
-// nil check per scheduled event and one per dispatch. Edge/fan-out/
-// adjacency aggregation is a few array increments per event when attached;
-// only chain capture is sampled (map operations happen once per finalized
-// chain, never per event).
+// The ledger is an observer on the engine's instrumentation seam
+// (observer.go): a detached engine pays nothing beyond the seam's nil
+// checks. Edge/fan-out/adjacency aggregation is a few array increments per
+// event when attached; only chain capture is sampled — the events that
+// carry a sampled chain are tracked by sequence number in a map, so its
+// cost scales with the sampling rate.
 
 // maxChainLen caps a sampled chain's recorded length. Event cascades are
 // self-sustaining (each handler schedules its successors, forever), so
 // chains are finalized — counted and recycled — once they reach the cap or
 // die out (a dispatch that schedules no successor).
 const maxChainLen = 16
+
+// markMask sizes the ledger's carrier marks (see Ledger.marks).
+const markMask = 1<<12 - 1
 
 // EdgeStats aggregates one parent-class → child-class scheduling edge.
 type EdgeStats struct {
@@ -53,7 +54,7 @@ type chainRec struct {
 }
 
 // Ledger collects event-causality evidence. Attach with
-// Engine.AttachLedger; a nil ledger costs one branch per event.
+// Engine.AttachLedger.
 type Ledger struct {
 	// sampleMask gates chain capture: a chain may start when
 	// seq&sampleMask == 0. 0 means every opportunity (full capture).
@@ -70,6 +71,22 @@ type Ledger struct {
 	freeChains []int32
 	started    uint64
 	finalized  uint64
+
+	// carriers maps the scheduling sequence number of every queued event
+	// that extends a sampled chain to that chain's id. marks counts those
+	// events by seq&markMask, so a dispatch probes the map only when its
+	// mark is set — most dispatches carry no chain.
+	carriers map[uint64]int32
+	marks    [markMask + 1]uint32
+
+	// Dispatch context: the event whose handler is running, the chain it
+	// carries (0 = none), how many children it has scheduled so far, and
+	// whether it handed its chain on to the first of them.
+	inDispatch  bool
+	curClass    Class
+	curChain    int32
+	curKids     int32
+	chainHanded bool
 
 	// Adjacency context (previous dispatched event).
 	prevT     int64
@@ -93,6 +110,7 @@ func NewLedger(sampleEvery uint64) *Ledger {
 		sampleMask:  m - 1,
 		sampleEvery: m,
 		chains:      make(map[string]uint64),
+		carriers:    make(map[uint64]int32),
 	}
 }
 
@@ -102,19 +120,29 @@ func (l *Ledger) SampleEvery() uint64 { return l.sampleEvery }
 // AttachLedger starts recording event causality into l (nil detaches).
 // Attach before Run; attaching mid-run is safe — recording simply begins
 // with the next scheduled event.
-func (e *Engine) AttachLedger(l *Ledger) { e.ledger = l }
+func (e *Engine) AttachLedger(l *Ledger) {
+	e.setObservers(e.Digest(), l, observed[*profiler](e))
+}
 
 // Ledger returns the attached ledger, or nil.
-func (e *Engine) Ledger() *Ledger { return e.ledger }
+func (e *Engine) Ledger() *Ledger { return observed[*Ledger](e) }
 
-// ledgerSchedule records one scheduling decision (an event of class
-// `class` scheduled for time t) against the current dispatch context and
-// returns the chain id the new event should carry (0 = none). Called from
-// the At*/After* push paths only when a ledger is attached; e.seq has
-// already been advanced to the new event's sequence number.
-func (e *Engine) ledgerSchedule(t int64, class Class) int32 {
-	l := e.ledger
-	if !e.inDispatch {
+// scheduled records one scheduling decision (an event of class `class`
+// queued for time t under seq) against the current dispatch context, and
+// remembers seq when the new event carries a sampled chain. Sampling keys
+// on the engine's own counter e.seq, which the perturbation swap never
+// relabels.
+func (l *Ledger) scheduled(e *Engine, t int64, seq uint64, class Class) {
+	if id := l.chainFor(e, t, class); id != 0 {
+		l.carriers[seq] = id
+		l.marks[seq&markMask]++
+	}
+}
+
+// chainFor aggregates the scheduling edge and returns the chain id the new
+// event should carry (0 = none).
+func (l *Ledger) chainFor(e *Engine, t int64, class Class) int32 {
+	if !l.inDispatch {
 		// Scheduled from outside any handler: a root event (application
 		// start-up, Every arming, driver machinery).
 		l.roots[class]++
@@ -124,7 +152,7 @@ func (e *Engine) ledgerSchedule(t int64, class Class) int32 {
 		return 0
 	}
 	d := t - e.now
-	es := &l.edges[int(e.curClass)*int(NumClasses)+int(class)]
+	es := &l.edges[int(l.curClass)*int(NumClasses)+int(class)]
 	es.Count++
 	if d == 0 {
 		es.SameInstant++
@@ -136,58 +164,54 @@ func (e *Engine) ledgerSchedule(t int64, class Class) int32 {
 		es.MaxDelayNs = d
 	}
 	es.SumDelayNs += uint64(d)
-	e.curKids++
-	if e.curKids == 1 {
+	l.curKids++
+	if l.curKids == 1 {
 		// The chain follows the first child only — cascades in this
 		// simulator are overwhelmingly linear (fan-out ≤ 1), and a linear
 		// signature is what the merge analysis consumes.
-		if e.curChain != 0 {
-			e.chainHanded = true
-			return l.extendChain(e.curChain, class)
+		if l.curChain != 0 {
+			l.chainHanded = true
+			return l.extendChain(l.curChain, class)
 		}
 		if e.seq&l.sampleMask == 0 {
-			return l.startChainPair(e.curClass, class)
+			return l.startChainPair(l.curClass, class)
 		}
 	}
 	return 0
 }
 
-// dispatchLedgered is Engine.dispatch with causality recording around the
-// handler: same-instant adjacency against the previous dispatch, dispatch
-// context for ledgerSchedule, fan-out tallying, and chain finalization
-// when a cascade dies out.
-func (e *Engine) dispatchLedgered(rec eventRec) {
-	l := e.ledger
+// beginDispatch counts same-instant adjacency against the previous
+// dispatch and opens the dispatch context chainFor records against.
+func (l *Ledger) beginDispatch(e *Engine, seq uint64, class Class, _ any, _ int64) {
 	if l.havePrev && e.now == l.prevT {
-		l.adj[int(l.prevClass)*int(NumClasses)+int(rec.class)]++
+		l.adj[int(l.prevClass)*int(NumClasses)+int(class)]++
 	}
-	l.prevT, l.prevClass, l.havePrev = e.now, rec.class, true
-	e.inDispatch = true
-	e.curClass = rec.class
-	e.curChain = rec.chain
-	e.curKids = 0
-	e.chainHanded = false
-	if e.profiling {
-		start := time.Now()
-		if rec.fn != nil {
-			rec.fn()
-		} else {
-			rec.act.RunEvent(rec.arg, rec.v)
+	l.prevT, l.prevClass, l.havePrev = e.now, class, true
+	l.inDispatch = true
+	l.curClass = class
+	l.curChain = 0
+	if l.marks[seq&markMask] != 0 {
+		if id, ok := l.carriers[seq]; ok {
+			l.curChain = id
+			delete(l.carriers, seq)
+			l.marks[seq&markMask]--
 		}
-		e.classWall[rec.class] += time.Since(start).Nanoseconds()
-	} else if rec.fn != nil {
-		rec.fn()
-	} else {
-		rec.act.RunEvent(rec.arg, rec.v)
 	}
-	e.inDispatch = false
-	k := e.curKids
+	l.curKids = 0
+	l.chainHanded = false
+}
+
+// endDispatch tallies the dispatch's fan-out and finalizes its chain when
+// the cascade died out (no child took it over).
+func (l *Ledger) endDispatch(_ *Engine, class Class) {
+	l.inDispatch = false
+	k := l.curKids
 	if k > 2 {
 		k = 2
 	}
-	l.fanout[rec.class][k]++
-	if rec.chain != 0 && !e.chainHanded {
-		l.finalizeChain(rec.chain)
+	l.fanout[class][k]++
+	if l.curChain != 0 && !l.chainHanded {
+		l.finalizeChain(l.curChain)
 	}
 }
 
@@ -247,16 +271,18 @@ func (l *Ledger) finalizeChain(id int32) {
 	l.freeChains = append(l.freeChains, id)
 }
 
-// Flush finalizes every in-flight chain (events still queued keep their
-// now-dangling ids; they are simply not extended further — extendChain on
-// a recycled record would corrupt it, so Flush must only be called after
-// the run, which is when reports are built).
+// Flush finalizes every in-flight chain. Queued events (and a running
+// handler) stop carrying their chains, so recording may continue after a
+// Flush; chains are simply cut at the flush point.
 func (l *Ledger) Flush() {
 	for id := int32(1); id <= int32(len(l.active)); id++ {
 		if l.active[id-1].n > 0 {
 			l.finalizeChain(id)
 		}
 	}
+	clear(l.carriers)
+	l.marks = [markMask + 1]uint32{}
+	l.curChain = 0
 }
 
 // LedgerEdge is one parent→child scheduling edge with its statistics.

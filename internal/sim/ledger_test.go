@@ -192,16 +192,22 @@ func TestLedgerSamplingRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
+// ledgerScript is the determinism workload: seven overlapping linear
+// cascades plus one unrelated root.
+func ledgerScript(e *Engine) {
+	for i := 0; i < 7; i++ {
+		cascade(e, []Class{ClassHostTx, ClassLinkDeliver, ClassSwitchIngress, ClassSwitchDrain}, 300)
+	}
+	e.AtClass(5, ClassTelemetry, func() {})
+	e.Run()
+}
+
 func TestLedgerDeterminism(t *testing.T) {
 	run := func() *Ledger {
 		e := New()
 		l := NewLedger(2)
 		e.AttachLedger(l)
-		for i := 0; i < 7; i++ {
-			cascade(e, []Class{ClassHostTx, ClassLinkDeliver, ClassSwitchIngress, ClassSwitchDrain}, 300)
-		}
-		e.AtClass(5, ClassTelemetry, func() {})
-		e.Run()
+		ledgerScript(e)
 		l.Flush()
 		return l
 	}
@@ -218,4 +224,7 @@ func TestLedgerDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.AdjacentSameInstant(), b.AdjacentSameInstant()) {
 		t.Fatal("adjacency differs across identical runs")
 	}
+	// With the profiler and the digest attached too, the ledger records
+	// exactly what it records alone (and so do they).
+	checkObserversCompose(t, ledgerScript)
 }

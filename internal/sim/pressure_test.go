@@ -73,3 +73,20 @@ func TestSchedPressureSnapshotIsCheapView(t *testing.T) {
 		t.Fatalf("back-to-back snapshots differ:\n%+v\n%+v", a, b)
 	}
 }
+
+func TestOccLabels(t *testing.T) {
+	for _, tc := range []struct {
+		i    int
+		want string
+	}{
+		{0, "0"}, {1, "1"}, {2, "2-3"}, {3, "4-7"}, {4, "8-15"},
+	} {
+		if got := OccLabel(tc.i); got != tc.want {
+			t.Fatalf("OccLabel(%d) = %q, want %q", tc.i, got, tc.want)
+		}
+	}
+	// The final class is open-ended.
+	if got := OccLabel(occBuckets - 1); got[len(got)-1] != '+' {
+		t.Fatalf("last occ label %q not open-ended", got)
+	}
+}

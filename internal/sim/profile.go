@@ -53,22 +53,51 @@ type ClassStats struct {
 	WallNs int64
 }
 
-// EnableProfiling turns on per-class wall-clock accounting. Event counts
-// are collected regardless.
-func (e *Engine) EnableProfiling(on bool) { e.profiling = on }
+// profiler is the wall-clock observer behind EnableProfiling: two clock
+// reads per dispatch, bracketing the handler alone.
+type profiler struct {
+	wall  [NumClasses]int64
+	start time.Time
+}
+
+func (p *profiler) scheduled(*Engine, int64, uint64, Class) {}
+
+func (p *profiler) beginDispatch(*Engine, uint64, Class, any, int64) { p.start = time.Now() }
+
+func (p *profiler) endDispatch(_ *Engine, class Class) {
+	p.wall[class] += time.Since(p.start).Nanoseconds()
+}
+
+// EnableProfiling turns per-class wall-clock accounting on or off. Event
+// counts are collected regardless. Turning it off discards the wall-clock
+// totals; turning it on while already on keeps them.
+func (e *Engine) EnableProfiling(on bool) {
+	p := observed[*profiler](e)
+	if !on {
+		p = nil
+	} else if p == nil {
+		p = &profiler{}
+	}
+	e.setObservers(e.Digest(), e.Ledger(), p)
+}
 
 // Profiling reports whether wall-clock accounting is on.
-func (e *Engine) Profiling() bool { return e.profiling }
+func (e *Engine) Profiling() bool { return observed[*profiler](e) != nil }
 
 // ProfileStats returns per-class event counts and wall-clock totals,
 // ordered by class, omitting classes that never ran.
 func (e *Engine) ProfileStats() []ClassStats {
+	p := observed[*profiler](e)
 	out := make([]ClassStats, 0, NumClasses)
 	for c := Class(0); c < NumClasses; c++ {
 		if e.classCount[c] == 0 {
 			continue
 		}
-		out = append(out, ClassStats{Class: c, Count: e.classCount[c], WallNs: e.classWall[c]})
+		cs := ClassStats{Class: c, Count: e.classCount[c]}
+		if p != nil {
+			cs.WallNs = p.wall[c]
+		}
+		out = append(out, cs)
 	}
 	return out
 }

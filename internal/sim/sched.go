@@ -79,9 +79,6 @@ type eventRec struct {
 	arg   any
 	v     int64
 	class Class
-	// chain is the causality-ledger chain id this event extends (0 = none;
-	// always 0 when no ledger is attached). See ledger.go.
-	chain int32
 }
 
 // bucketInline is the per-bucket inline capacity. The hot pattern is a

@@ -21,13 +21,6 @@ type ControlPlane struct {
 
 	Sent    uint64
 	Dropped uint64
-
-	// Prof/PartOf, when set, record every control message as an event hop
-	// from the sender's partition to the addressee's (the PartOf closure
-	// decides where NoNode — the controller — lives). The control-network
-	// delay is the recorded lookahead.
-	Prof   *sim.ShardProfile
-	PartOf func(core.NodeID) int
 }
 
 // NewControlPlane creates a control plane on the engine.
@@ -63,9 +56,6 @@ func (cp *ControlPlane) SendTo(id core.NodeID, pkt *core.Packet) {
 		return
 	}
 	cp.Sent++
-	if cp.Prof != nil {
-		cp.Prof.Record(cp.PartOf(pkt.SrcNode), cp.PartOf(id), cp.delay())
-	}
 	cp.eng.AfterEvent(cp.delay(), sim.ClassOther, (*cpDeliver)(cp), pkt, int64(id))
 }
 

@@ -421,17 +421,6 @@ func (s *Switch) AttachElectrical(id core.PortID, link *fabric.Link) {
 	s.addPort(id, portElec, core.NoHost, link)
 }
 
-// ForEachLink invokes fn for every wired link (uplinks, downlinks,
-// electrical) in port order — the shard-affinity profile uses it to tag a
-// switch's links with the switch's partition.
-func (s *Switch) ForEachLink(fn func(*fabric.Link)) {
-	for _, p := range s.ports {
-		if p.link != nil {
-			fn(p.link)
-		}
-	}
-}
-
 // AttachControlPlane joins the out-of-band management network used for
 // push-back messages and controller communication.
 func (s *Switch) AttachControlPlane(cp *ControlPlane) {

@@ -62,11 +62,6 @@ type Net struct {
 	// tracer is the attached in-band packet tracer, if any (observe.go).
 	tracer *telemetry.Tracer
 
-	// shardProf/shardGroup hold the enabled shard-affinity profile and its
-	// nodes-per-partition group size (engine_report.go).
-	shardProf  *sim.ShardProfile
-	shardGroup int
-
 	// audit is the attached determinism auditor (audit.go), nil when off.
 	audit *Auditor
 	// flightDump, set by AttachFlightRecorder, forces a flight-recorder
