@@ -1,5 +1,5 @@
 # Tier-1: what every change must keep green.
-.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke regress-smoke daware-smoke
+.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke regress-smoke
 
 build:
 	go build ./...
@@ -61,10 +61,3 @@ trace-smoke:
 # artifact, -version answers on all four CLIs. CI runs this.
 regress-smoke:
 	bash scripts/regress_smoke.sh
-
-# Demand-aware control-plane smoke: the committed daware sweep at -jobs 1
-# and -jobs 4 must match byte for byte, the aware policy must hot-swap at
-# least once and beat the oblivious baseline on median FCT, and the control
-# loop's counters must reach the exported metrics. CI runs this.
-daware-smoke:
-	bash scripts/daware_smoke.sh

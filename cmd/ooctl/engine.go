@@ -21,7 +21,7 @@ func runEngine(args []string) int {
   chains    causality ledger: top event chains, scheduling edges, and the
             merge analysis (which edges a fused dispatch would eliminate)
   pressure  scheduler pressure: calendar residency, inline/spill/overflow
-            push rates, churn counters, bucket occupancy, packet pool`)
+            push rates, bucket sorts, packet pool`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)

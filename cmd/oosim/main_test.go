@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"openoptics/internal/diverge"
@@ -72,5 +74,68 @@ func TestObserversKeepRunsIdentical(t *testing.T) {
 	if !rep.Identical || all.Final.Chain != alone.Final.Chain || len(all.Windows) < 2 {
 		t.Fatalf("instrumented chain %s (%d windows) vs digest-only %s: identical=%v",
 			all.Final.Chain, len(all.Windows), alone.Final.Chain, rep.Identical)
+	}
+}
+
+// TestDawareControlLoopMetrics runs a demand-aware hot-swap scenario and
+// checks the control loop reaches both of oosim's surfaces: the printed
+// demand line, and the exported metrics with at least one reconfiguration
+// counted.
+func TestDawareControlLoopMetrics(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "metrics.json")
+	stdout, err := os.Create(filepath.Join(dir, "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = stdout
+	rc := run([]string{
+		"-arch", "daware", "-policy", "aware", "-nodes", "8", "-hot-frac", "0.5", "-hot-pairs", "2",
+		"-workload", "rpc", "-load", "0.3", "-duration-ms", "20", "-metrics-out", metrics,
+	})
+	os.Stdout = saved
+	stdout.Close()
+	if rc != 0 {
+		t.Fatalf("oosim exited %d", rc)
+	}
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "demand: epochs=") {
+		t.Fatalf("oosim printed no demand stats:\n%s", out)
+	}
+
+	body, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var export struct {
+		Families []struct {
+			Name    string `json:"name"`
+			Metrics []struct {
+				Value *float64 `json:"value"`
+			} `json:"metrics"`
+		} `json:"families"`
+	}
+	if err := json.Unmarshal(body, &export); err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, f := range export.Families {
+		if len(f.Metrics) > 0 && f.Metrics[0].Value != nil {
+			values[f.Name] = *f.Metrics[0].Value
+		}
+	}
+	for _, name := range []string{
+		"oo_reconfig_total", "oo_demand_epochs_total", "oo_predictor_error_ratio", "oo_matching_weight_coverage",
+	} {
+		if _, ok := values[name]; !ok {
+			t.Fatalf("metric %s missing from the export", name)
+		}
+	}
+	if values["oo_reconfig_total"] < 1 {
+		t.Fatalf("oo_reconfig_total = %g, want >= 1", values["oo_reconfig_total"])
 	}
 }

@@ -111,7 +111,7 @@ func TestEngineReportDeterministic(t *testing.T) {
 			"mergeable edges", "link.deliver     -> switch.ingress", "total events saved if merged",
 		}},
 		{"pressure", engineobs.RenderPressure, []string{
-			"inline=", "spill=", "bucket occupancy", "packet pool",
+			"inline=", "spill=", "packet pool",
 		}},
 	} {
 		var ra, rb bytes.Buffer
@@ -173,7 +173,7 @@ func TestRegistryExportsPoolAndSchedMetrics(t *testing.T) {
 		"oo_pool_high_water",
 		"oo_sched_inline_pushes_total",
 		"oo_sched_pending_events",
-		"oo_sched_bucket_occupancy_total",
+		"oo_sched_resorts_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics export missing %s", want)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"openoptics/internal/sim"
 )
 
 // Text renderers for the two `ooctl engine` views. All output is derived
@@ -73,8 +71,7 @@ func RenderPressure(w io.Writer, r *Report) {
 	p := r.Pressure
 	fmt.Fprintf(w, "\nresidency: pending=%d wheel=%d overflow=%d (max wheel=%d overflow=%d)\n",
 		p.PendingEvents, p.WheelEvents, p.OverflowEvents, p.MaxWheelEvents, p.MaxOverflowEvents)
-	fmt.Fprintf(w, "storage:   slab=%d free=%d drainbuf-cap=%d\n",
-		p.SlabCap, p.FreeSlots, p.DrainBufCap)
+	fmt.Fprintf(w, "storage:   slab=%d free=%d\n", p.SlabCap, p.FreeSlots)
 	pushes := p.InlinePushes + p.SpillPushes + p.OverflowPushes
 	inPct, spPct, ovPct := 0.0, 0.0, 0.0
 	if pushes > 0 {
@@ -84,16 +81,7 @@ func RenderPressure(w io.Writer, r *Report) {
 	}
 	fmt.Fprintf(w, "pushes:    inline=%d (%.2f%%) spill=%d (%.2f%%) overflow=%d (%.2f%%)\n",
 		p.InlinePushes, inPct, p.SpillPushes, spPct, p.OverflowPushes, ovPct)
-	fmt.Fprintf(w, "churn:     migrations=%d resorts=%d reanchors=%d\n",
-		p.Migrations, p.Resorts, p.Reanchors)
-
-	fmt.Fprintf(w, "\nbucket occupancy after push (depth: pushes)\n")
-	for i, c := range p.BucketOccupancy {
-		if c == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  %8s: %d\n", sim.OccLabel(i), c)
-	}
+	fmt.Fprintf(w, "sorts:     resorts=%d\n", p.Resorts)
 
 	if r.Pool != nil {
 		pl := r.Pool

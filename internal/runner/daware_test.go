@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -86,10 +87,11 @@ func TestDawareExpandAxes(t *testing.T) {
 }
 
 // TestDawareSweepAcceptance runs the committed demand-aware sweep spec at
-// two worker counts and checks the headline claims: byte-identical output,
-// the aware policy beating the oblivious baseline on median FCT under
-// skewed pair demand, and reconfigurations actually happening (none for
-// the oblivious control).
+// two worker counts and checks the headline claims: byte-identical
+// summaries (summary.json modulo the manifest's wall-clock start), the
+// aware policy beating the oblivious baseline on median FCT under skewed
+// pair demand, and reconfigurations actually happening under both
+// demand-aware policies (none for the oblivious control).
 func TestDawareSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
@@ -98,7 +100,8 @@ func TestDawareSweepAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(jobs int) ([]byte, []Record) {
+	startedAt := regexp.MustCompile(`"started_at": *"[^"]*"`)
+	run := func(jobs int) (csv, summary []byte, recs []Record) {
 		t.Helper()
 		ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 		sr, err := Sweep(spec, SweepOptions{Jobs: jobs, LedgerPath: ledger, Retries: -1})
@@ -108,22 +111,28 @@ func TestDawareSweepAcceptance(t *testing.T) {
 		if sr.Failed != 0 {
 			t.Fatalf("jobs=%d: %d jobs failed", jobs, sr.Failed)
 		}
-		recs, err := ReadLedger(ledger)
+		recs, hdr, err := ReadLedgerFull(ledger)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = SortRecords(recs)
 		agg := NewAggregate(spec.Name, recs)
-		var csv bytes.Buffer
-		if err := agg.WriteCSV(&csv); err != nil {
+		agg.Stamp(hdr)
+		var c, j bytes.Buffer
+		if err := agg.WriteCSV(&c); err != nil {
 			t.Fatal(err)
 		}
-		return csv.Bytes(), recs
+		if err := agg.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return c.Bytes(), startedAt.ReplaceAll(j.Bytes(), []byte(`"started_at": ""`)), SortRecords(recs)
 	}
-	csv1, recs := run(1)
-	csv4, _ := run(4)
+	csv1, json1, recs := run(1)
+	csv4, json4, _ := run(4)
 	if !bytes.Equal(csv1, csv4) {
 		t.Fatalf("summary CSV differs between -jobs 1 and -jobs 4:\n--- jobs=1\n%s\n--- jobs=4\n%s", csv1, csv4)
+	}
+	if !bytes.Equal(json1, json4) {
+		t.Fatalf("summary JSON differs between -jobs 1 and -jobs 4 beyond started_at:\n--- jobs=1\n%s\n--- jobs=4\n%s", json1, json4)
 	}
 
 	byPolicy := make(map[string]*Result)
@@ -132,16 +141,16 @@ func TestDawareSweepAcceptance(t *testing.T) {
 			byPolicy[r.Scenario.Policy] = r.Result
 		}
 	}
-	obl, aw := byPolicy["oblivious"], byPolicy["aware"]
-	if obl == nil || aw == nil {
+	obl, aw, rg := byPolicy["oblivious"], byPolicy["aware"], byPolicy["reqgrant"]
+	if obl == nil || aw == nil || rg == nil {
 		t.Fatalf("sweep missing policies, got %v", byPolicy)
 	}
 	if aw.FCTP50Ns >= obl.FCTP50Ns {
 		t.Fatalf("aware p50 %.0f ns not better than oblivious %.0f ns",
 			aw.FCTP50Ns, obl.FCTP50Ns)
 	}
-	if aw.Reconfigs == 0 {
-		t.Fatal("aware policy performed no mid-run reconfigurations")
+	if aw.Reconfigs == 0 || rg.Reconfigs == 0 {
+		t.Fatalf("mid-run reconfigurations: aware=%d reqgrant=%d, want both >= 1", aw.Reconfigs, rg.Reconfigs)
 	}
 	if obl.Reconfigs != 0 {
 		t.Fatalf("oblivious baseline reconfigured %d times, want 0", obl.Reconfigs)

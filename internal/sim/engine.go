@@ -176,33 +176,10 @@ func (e *Engine) Run() {
 // interrupt is honored within a few microseconds of simulation work.
 const interruptMask = 1023
 
-// RunUntil executes events with timestamps <= deadline. The clock finishes
-// at the last executed event's time (or deadline if events remain).
-//
-// Dispatch is batched per calendar bucket: once min() has located the
-// front bucket, its events move to a scratch buffer, are sorted ascending
-// once, and are consumed front-to-back — replacing a full heap sift per
-// event with an index increment, and skipping the cursor scan and window
-// re-anchoring work between events. The batch preserves the exact (t, seq)
-// total order:
-//
-//   - The drained events pop in sorted (t, seq) order by construction.
-//   - Events a handler pushes mid-batch land either in this same bucket —
-//     its heap is empty at drain start, and every pop takes the smaller of
-//     the buffer front and the heap top — or at strictly later times
-//     (bucket residents all lie within one bucket width of the current
-//     window, and past-time scheduling clamps to now).
-//   - The overflow top is compared before every pop, the same check min()
-//     performs; min() returning the bucket guarantees the first iteration
-//     cannot prefer overflow, so the batch always progresses.
-//   - A push after the queue fully drained mid-batch re-anchors the wheel
-//     window, after which this bucket's index may alias a different time
-//     window; the anchorGen check detects exactly that case (the drain
-//     buffer is provably empty then — re-anchoring requires n == 0, which
-//     counts unconsumed buffered events) and falls back to min().
-//
-// Early exits (deadline, halt, interrupt) return unconsumed buffered
-// events to the bucket heap via endDrain.
+// RunUntil executes events with timestamps <= deadline. Unless halted or
+// running to MaxInt64 (Run), the clock then moves to the deadline, but
+// never backwards: a deadline behind Now() runs nothing and leaves the
+// clock where it is.
 func (e *Engine) RunUntil(deadline int64) {
 	if e.interrupted.Load() {
 		return
@@ -213,85 +190,15 @@ func (e *Engine) RunUntil(deadline int64) {
 		if e.Processed&interruptMask == 0 && e.interrupted.Load() {
 			return
 		}
-		b := s.min()
-		if b == nil {
-			// Overflow holds the global minimum (saturated horizon, or the
-			// wheel window jumped past a near event): single-event path.
-			if s.overflow[0].t > deadline {
-				e.now = deadline
-				return
-			}
-			t, seq, rec := s.takeOverflow()
-			e.now = t
-			e.Processed++
-			e.dispatch(rec, seq)
-			continue
+		it, src := s.peek()
+		if it.t > deadline {
+			break
 		}
-		if b.peek().t > deadline {
-			e.now = deadline
-			return
-		}
-		gen := s.anchorGen
-		s.beginDrain(b)
-		for {
-			// Select the earliest of the sorted buffer front and the
-			// bucket (mid-batch pushes into this same bucket).
-			var it item
-			fromBucket := false
-			if s.drainPos < len(s.drainBuf) {
-				it = s.drainBuf[s.drainPos]
-				if !b.empty() {
-					if bt := b.peek(); itemLess(bt, it) {
-						it = bt
-						fromBucket = true
-					}
-				}
-			} else if !b.empty() {
-				// Buffer exhausted but the bucket refilled mid-batch (event
-				// cascades: each handler schedules successors a few hundred
-				// ns out, often into this same bucket). If it refilled deep,
-				// re-sort it into the buffer — the batch keeps consuming by
-				// index instead of sifting a heap per event.
-				if b.size() >= drainSortMin {
-					s.beginDrain(b)
-					continue
-				}
-				it = b.peek()
-				fromBucket = true
-			} else {
-				break // batch exhausted: back to min()
-			}
-			if len(s.overflow) > 0 && itemLess(s.overflow[0], it) {
-				break // overflow holds the global minimum
-			}
-			if it.t > deadline {
-				s.endDrain(b)
-				e.now = deadline
-				return
-			}
-			var t int64
-			var seq uint64
-			var rec eventRec
-			if fromBucket {
-				t, seq, rec = s.takeBucket(b)
-			} else {
-				t, seq, rec = s.takeDrained()
-			}
-			e.now = t
-			e.Processed++
-			e.dispatch(rec, seq)
-			if e.halted || s.anchorGen != gen {
-				break
-			}
-			if e.Processed&interruptMask == 0 && e.interrupted.Load() {
-				s.endDrain(b)
-				return
-			}
-		}
-		s.endDrain(b)
+		t, seq, rec := s.pop(src)
+		e.now = t
+		e.Processed++
+		e.dispatch(rec, seq)
 	}
-	// The queue drained (or halted): virtual time still passes to the
-	// deadline so callers observe a consistent clock.
 	if !e.halted && deadline != math.MaxInt64 && deadline > e.now {
 		e.now = deadline
 	}
@@ -320,8 +227,9 @@ func (e *Engine) dispatch(rec eventRec, seq uint64) {
 	}
 }
 
-// RunFor executes events for d nanoseconds of virtual time from now.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + int64(d)) }
+// RunFor executes events for d nanoseconds of virtual time from now. The
+// deadline saturates at MaxInt64 instead of wrapping negative.
+func (e *Engine) RunFor(d time.Duration) { e.RunUntil(satAdd(e.now, int64(d))) }
 
 // Halt stops Run after the current event handler returns. Pending events
 // remain queued; Run may be called again to resume.

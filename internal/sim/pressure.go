@@ -1,56 +1,10 @@
 package sim
 
-import "math/bits"
-
 // Scheduler-pressure telemetry: a cheap, always-on view of how hard the
 // calendar queue is working. The counters live in scheduler (sched.go) and
 // cost a few integer operations per push; this file is the read side — a
 // plain-value snapshot embeddable in Net.Snapshot(), the telemetry
 // registry, and `ooctl engine pressure`.
-
-// occBuckets sizes the bucket-occupancy histogram: log2 depth classes
-// 1, 2, 3–4, 5–8, … with everything ≥ 2^(occBuckets-2) in the last class.
-const occBuckets = 16
-
-// occIndex maps a bucket depth (≥1, observed just after a push) to its
-// histogram class: floor(log2(depth)) + 1, capped.
-func occIndex(depth int) int {
-	i := bits.Len(uint(depth))
-	if i >= occBuckets {
-		i = occBuckets - 1
-	}
-	return i
-}
-
-// OccLabel names histogram class i for renderers: class i covers depths
-// [2^(i-1), 2^i - 1], so the labels run "1", "2-3", "4-7", "8-15", … with
-// the final class open-ended.
-func OccLabel(i int) string {
-	switch {
-	case i <= 0:
-		return "0"
-	case i == 1:
-		return "1"
-	case i == occBuckets-1:
-		return itoa(1<<(i-1)) + "+"
-	default:
-		return itoa(1<<(i-1)) + "-" + itoa(1<<i-1)
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
 
 // SchedPressure is a point-in-time snapshot of scheduler pressure. All
 // fields are plain values so the struct marshals deterministically.
@@ -61,23 +15,21 @@ type SchedPressure struct {
 	OverflowEvents int `json:"overflow_events"`
 	SlabCap        int `json:"slab_cap"`
 	FreeSlots      int `json:"free_slots"`
-	DrainBufCap    int `json:"drain_buf_cap"`
 
-	// Cumulative counters since engine construction.
+	// Cumulative counters since engine construction. InlinePushes counts
+	// appends to a bucket the cursor has not opened yet, SpillPushes
+	// pushes into the open bucket (its heap), and OverflowPushes pushes
+	// outside the calendar window. Resorts counts buckets sorted when the
+	// cursor opened them.
 	InlinePushes   uint64 `json:"inline_pushes"`
 	SpillPushes    uint64 `json:"spill_pushes"`
 	OverflowPushes uint64 `json:"overflow_pushes"`
-	Migrations     uint64 `json:"migrations"`
 	Resorts        uint64 `json:"resorts"`
-	Reanchors      uint64 `json:"reanchors"`
 
-	// High-water marks.
+	// High-water marks: events in the calendar's buckets, and in the
+	// overflow heap.
 	MaxWheelEvents    int `json:"max_wheel_events"`
 	MaxOverflowEvents int `json:"max_overflow_events"`
-
-	// BucketOccupancy[i] counts pushes that left their bucket at a depth in
-	// occupancy class i (see OccLabel). Index 0 is unused.
-	BucketOccupancy [occBuckets]uint64 `json:"bucket_occupancy"`
 }
 
 // SchedPressure captures the current scheduler-pressure snapshot.
@@ -89,15 +41,11 @@ func (e *Engine) SchedPressure() SchedPressure {
 		OverflowEvents:    len(s.overflow),
 		SlabCap:           len(s.slab),
 		FreeSlots:         len(s.free),
-		DrainBufCap:       cap(s.drainBuf),
 		InlinePushes:      s.inlinePushes,
 		SpillPushes:       s.spillPushes,
 		OverflowPushes:    s.overflowPushes,
-		Migrations:        s.migrations,
 		Resorts:           s.resorts,
-		Reanchors:         s.anchorGen,
 		MaxWheelEvents:    s.maxWheel,
 		MaxOverflowEvents: s.maxOverflow,
-		BucketOccupancy:   s.occ,
 	}
 }

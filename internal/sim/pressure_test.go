@@ -4,58 +4,64 @@ import "testing"
 
 // TestSchedPressureCounters drives known push patterns through the
 // calendar queue and checks the pressure snapshot attributes each one
-// correctly: inline vs spill within a bucket, overflow beyond the wheel
-// horizon, occupancy-histogram totals, and drain-time churn counters.
+// correctly: appends to unopened buckets, pushes into the open bucket,
+// overflow beyond the window, and one sort per multi-event bucket the
+// cursor opens.
 func TestSchedPressureCounters(t *testing.T) {
 	e := New()
-	// 20 events in one 512 ns bucket: the first bucketInline land in the
-	// inline array, the rest spill.
+	// The first push anchors the window, so t = 0..19 all land in the
+	// open bucket's heap.
 	for i := 0; i < 20; i++ {
 		e.At(int64(i), func() {})
 	}
-	// Far beyond the wheel horizon (1024 buckets × 512 ns): overflow heap.
+	// Twelve events appended, in reverse time order, to the next bucket,
+	// and one alone in a later bucket.
+	for i := 11; i >= 0; i-- {
+		e.At(bucketWidth+int64(i), func() {})
+	}
+	e.At(5*bucketWidth, func() {})
+	// Far beyond the window (1024 buckets × 128 ns): overflow heap.
 	e.At(10_000_000, func() {})
 
 	p := e.SchedPressure()
-	if p.PendingEvents != 21 {
-		t.Fatalf("pending = %d, want 21", p.PendingEvents)
+	if p.PendingEvents != 34 {
+		t.Fatalf("pending = %d, want 34", p.PendingEvents)
 	}
-	if p.WheelEvents != 20 || p.OverflowEvents != 1 {
-		t.Fatalf("wheel=%d overflow=%d, want 20/1", p.WheelEvents, p.OverflowEvents)
+	if p.WheelEvents != 33 || p.OverflowEvents != 1 {
+		t.Fatalf("wheel=%d overflow=%d, want 33/1", p.WheelEvents, p.OverflowEvents)
 	}
-	if p.InlinePushes != 8 || p.SpillPushes != 12 || p.OverflowPushes != 1 {
-		t.Fatalf("pushes inline=%d spill=%d overflow=%d, want 8/12/1",
+	if p.InlinePushes != 13 || p.SpillPushes != 20 || p.OverflowPushes != 1 {
+		t.Fatalf("pushes inline=%d spill=%d overflow=%d, want 13/20/1",
 			p.InlinePushes, p.SpillPushes, p.OverflowPushes)
 	}
-	if p.MaxWheelEvents != 20 || p.MaxOverflowEvents != 1 {
-		t.Fatalf("max wheel=%d overflow=%d, want 20/1", p.MaxWheelEvents, p.MaxOverflowEvents)
+	if p.MaxWheelEvents != 33 || p.MaxOverflowEvents != 1 {
+		t.Fatalf("max wheel=%d overflow=%d, want 33/1", p.MaxWheelEvents, p.MaxOverflowEvents)
 	}
-	var occSum uint64
-	for _, c := range p.BucketOccupancy {
-		occSum += c
-	}
-	if occSum != 20 {
-		t.Fatalf("occupancy histogram sums to %d, want one sample per wheel push (20)", occSum)
-	}
-	// Depth 1 lands in class 1, depths 2-3 in class 2 (see OccLabel).
-	if p.BucketOccupancy[1] != 1 || p.BucketOccupancy[2] != 2 {
-		t.Fatalf("occupancy[1]=%d occupancy[2]=%d, want 1/2",
-			p.BucketOccupancy[1], p.BucketOccupancy[2])
+	if p.Resorts != 0 {
+		t.Fatalf("resorts before the run = %d, want 0", p.Resorts)
 	}
 
+	var last int64 = -1
+	e.At(bucketWidth+3, func() {
+		// Fires inside the opened twelve-event bucket: a same-bucket push
+		// goes to its heap.
+		e.At(e.Now()+1, func() { last = e.Now() })
+	})
 	e.Run()
 	p = e.SchedPressure()
-	if p.PendingEvents != 0 {
-		t.Fatalf("pending after run = %d", p.PendingEvents)
+	if p.PendingEvents != 0 || p.WheelEvents != 0 || p.OverflowEvents != 0 {
+		t.Fatalf("residency after run = %+v", p)
 	}
-	// Draining a 20-deep bucket takes the sorted batch path.
-	if p.Resorts == 0 {
-		t.Fatal("deep-bucket drain recorded no resort")
+	// Only the thirteen-event bucket needed a sort: the single event and
+	// the overflow event are served without one.
+	if p.Resorts != 1 {
+		t.Fatalf("resorts = %d, want 1", p.Resorts)
 	}
-	// The far-future event reaches the wheel via migration or a window
-	// re-anchor; either way the churn is visible.
-	if p.Migrations == 0 && p.Reanchors == 0 {
-		t.Fatal("overflow event drained without any recorded migration or re-anchor")
+	if p.InlinePushes != 14 || p.SpillPushes != 21 {
+		t.Fatalf("pushes inline=%d spill=%d after the run, want 14/21", p.InlinePushes, p.SpillPushes)
+	}
+	if last != bucketWidth+4 {
+		t.Fatalf("open-bucket push fired at %d, want %d", last, bucketWidth+4)
 	}
 }
 
@@ -71,22 +77,5 @@ func TestSchedPressureSnapshotIsCheapView(t *testing.T) {
 	b := e.SchedPressure()
 	if a != b {
 		t.Fatalf("back-to-back snapshots differ:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestOccLabels(t *testing.T) {
-	for _, tc := range []struct {
-		i    int
-		want string
-	}{
-		{0, "0"}, {1, "1"}, {2, "2-3"}, {3, "4-7"}, {4, "8-15"},
-	} {
-		if got := OccLabel(tc.i); got != tc.want {
-			t.Fatalf("OccLabel(%d) = %q, want %q", tc.i, got, tc.want)
-		}
-	}
-	// The final class is open-ended.
-	if got := OccLabel(occBuckets - 1); got[len(got)-1] != '+' {
-		t.Fatalf("last occ label %q not open-ended", got)
 	}
 }

@@ -2,11 +2,9 @@ package sim
 
 import "testing"
 
-// Satellite coverage for ProfileStats under batched bucket dispatch: the
-// drainSortMin threshold decides whether a bucket drains through the
-// sorted-batch path or item-by-item, and per-class event counts and
-// wall-time attribution must not depend on which path ran. drainSortMin is
-// a var precisely so these tests can force both regimes.
+// Coverage for ProfileStats when the calendar serves a bucket from its
+// sorted run and from its heap of same-bucket pushes: per-class event
+// counts and wall-time attribution must cover every dispatch either way.
 
 // batchWorkload runs a fixed mixed-class workload — five instants with
 // eight same-instant events each, plus drain-triggered cascades — and
@@ -43,55 +41,24 @@ func countsOf(stats []ClassStats) map[Class]uint64 {
 }
 
 func TestProfileStatsInvariantUnderBatchedDispatch(t *testing.T) {
-	saved := drainSortMin
-	defer func() { drainSortMin = saved }()
-
-	// drainSortMin=1 forces every bucket through the sorted-batch path;
-	// a large threshold forces item-by-item dispatch; 8 sits on the
-	// workload's bucket depth boundary.
-	results := map[int][]ClassStats{}
-	for _, threshold := range []int{1, 8, 1 << 20} {
-		drainSortMin = threshold
-		results[threshold] = batchWorkload()
+	stats := batchWorkload()
+	counts := countsOf(stats)
+	if counts[ClassLinkDeliver] != 20 || counts[ClassSwitchDrain] != 10 {
+		t.Fatalf("unexpected counts %v (want 10 drains spawning 10 extra link.delivers)", counts)
 	}
-
-	base := countsOf(results[1])
-	if len(base) == 0 {
-		t.Fatal("workload produced no profiled classes")
-	}
-	if base[ClassLinkDeliver] != 20 || base[ClassSwitchDrain] != 10 {
-		t.Fatalf("unexpected baseline counts %v (want 10 drains spawning 10 extra link.delivers)", base)
-	}
-	for _, threshold := range []int{8, 1 << 20} {
-		got := countsOf(results[threshold])
-		if len(got) != len(base) {
-			t.Fatalf("drainSortMin=%d: class set %v differs from baseline %v", threshold, got, base)
-		}
-		for c, n := range base {
-			if got[c] != n {
-				t.Fatalf("drainSortMin=%d: class %s count %d, want %d", threshold, c, got[c], n)
-			}
-		}
-	}
-	// Wall-time attribution follows the same classes in every regime: each
-	// profiled class accumulated measurable time.
-	for threshold, stats := range results {
-		for _, s := range stats {
-			if s.WallNs <= 0 {
-				t.Fatalf("drainSortMin=%d: class %s count=%d but wall=%d",
-					threshold, s.Class, s.Count, s.WallNs)
-			}
+	// Wall-time attribution follows the classes: each profiled class
+	// accumulated measurable time.
+	for _, s := range stats {
+		if s.WallNs <= 0 {
+			t.Fatalf("class %s count=%d but wall=%d", s.Class, s.Count, s.WallNs)
 		}
 	}
 }
 
-// TestProfileStatsDeterministicAcrossRuns: the same workload at the same
-// threshold yields identical per-class counts run-to-run (wall time is
-// real time and may differ).
+// TestProfileStatsDeterministicAcrossRuns: the same workload yields
+// identical per-class counts run-to-run (wall time is real time and may
+// differ).
 func TestProfileStatsDeterministicAcrossRuns(t *testing.T) {
-	saved := drainSortMin
-	defer func() { drainSortMin = saved }()
-	drainSortMin = 8
 	a := countsOf(batchWorkload())
 	b := countsOf(batchWorkload())
 	if len(a) != len(b) {

@@ -2,17 +2,20 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // These tests pin down the calendar-queue scheduler's edge behavior: the
-// RunUntil fence sitting exactly on an event, halting with same-instant
-// events still queued, periodic timers whose interval exceeds the wheel
-// horizon, saturated far-future timestamps, the zero-allocation guarantee,
-// and a differential check against the straightforward container/heap
-// scheduler the seed engine used.
+// RunUntil fence sitting exactly on an event, a clock that never moves
+// backwards, halting with same-instant events still queued, periodic
+// timers whose interval exceeds the calendar window, saturated far-future
+// timestamps, the zero-allocation guarantee, and a differential check
+// against the straightforward container/heap scheduler the seed engine
+// used.
 
 // TestRunUntilDeadlineOnEvent: an event whose timestamp equals the RunUntil
 // deadline executes (the fence is inclusive), and an event one nanosecond
@@ -35,6 +38,29 @@ func TestRunUntilDeadlineOnEvent(t *testing.T) {
 	e.RunUntil(101)
 	if len(fired) != 2 || fired[1] != 101 {
 		t.Fatalf("fired after resume = %v", fired)
+	}
+}
+
+// TestRunUntilNeverMovesClockBackwards: a deadline behind the clock runs
+// nothing and leaves the clock alone, and RunFor saturates instead of
+// wrapping to a negative deadline.
+func TestRunUntilNeverMovesClockBackwards(t *testing.T) {
+	e := New()
+	fired := false
+	e.At(1000, func() { fired = true })
+	e.RunUntil(500)
+	e.RunUntil(200)
+	if e.Now() != 500 {
+		t.Fatalf("RunUntil(200) after RunUntil(500): now = %d, want 500", e.Now())
+	}
+	e.RunFor(-300)
+	if e.Now() != 500 {
+		t.Fatalf("RunFor(-300) at 500: now = %d, want 500", e.Now())
+	}
+	e.RunFor(time.Duration(math.MaxInt64))
+	if !fired || e.Now() != 1000 || e.Pending() != 0 {
+		t.Fatalf("RunFor(MaxInt64) at 500: fired=%v now=%d pending=%d, want the t=1000 event run",
+			fired, e.Now(), e.Pending())
 	}
 }
 
@@ -68,7 +94,7 @@ func TestHaltWithSameInstantPending(t *testing.T) {
 
 // TestEveryAcrossWheelBoundary: a periodic timer whose interval exceeds the
 // wheel span lives in the overflow heap and must still tick exactly on
-// schedule as events migrate into (or are served past) the wheel window.
+// schedule while the window moves past it.
 func TestEveryAcrossWheelBoundary(t *testing.T) {
 	if interval := int64(5 * wheelSpan / 2); interval <= wheelSpan {
 		t.Fatal("test interval must exceed the wheel span")
@@ -109,10 +135,9 @@ func TestFarFutureTimestamps(t *testing.T) {
 	}
 }
 
-// TestWindowJumpThenNearEvent: after the wheel anchors at a far-future
-// event, a handler scheduling before the (re-based) window start must not
-// be lost or reordered — the push lands in overflow and min() serves it by
-// comparison.
+// TestWindowJumpThenNearEvent: after the window anchors at a far-future
+// event, the events its handler schedules — same instant, next tick, and
+// beyond the window again — must not be lost or reordered.
 func TestWindowJumpThenNearEvent(t *testing.T) {
 	e := New()
 	var got []int64
@@ -162,13 +187,14 @@ func (nopAction) RunEvent(any, int64) {}
 
 // --- differential test against a container/heap reference ---------------
 
-// refEvent / refQueue reimplement the seed engine's event store: a binary
-// heap of (t, seq) pointers via container/heap. The calendar queue must
-// reproduce its execution order exactly.
+// refEvent / refEngine reimplement the seed engine: a binary heap of
+// (t, seq) pointers via container/heap, the past-time clamp, and a
+// RunUntil whose clock moves to the deadline but never backwards. The
+// calendar queue must reproduce its execution order and clock exactly.
 type refEvent struct {
 	t   int64
 	seq uint64
-	id  int
+	fn  func()
 }
 
 type refQueue []*refEvent
@@ -180,22 +206,86 @@ func (q refQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q refQueue) Swap(i, j int)    { q[i], q[j] = q[j], q[i] }
-func (q *refQueue) Push(x any)      { *q = append(*q, x.(*refEvent)) }
-func (q *refQueue) Pop() any        { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q *refQueue) next() *refEvent { return heap.Pop(q).(*refEvent) }
-func (q *refQueue) add(e *refEvent) { heap.Push(q, e) }
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)   { *q = append(*q, x.(*refEvent)) }
+func (q *refQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
+
+type refEngine struct {
+	q   refQueue
+	now int64
+	seq uint64
+}
+
+func (r *refEngine) Now() int64 { return r.now }
+
+func (r *refEngine) At(t int64, fn func()) {
+	r.seq++
+	heap.Push(&r.q, &refEvent{t: max(t, r.now), seq: r.seq, fn: fn})
+}
+
+func (r *refEngine) RunUntil(deadline int64) {
+	for r.q.Len() > 0 && r.q[0].t <= deadline {
+		ev := heap.Pop(&r.q).(*refEvent)
+		r.now = ev.t
+		ev.fn()
+	}
+	if deadline != math.MaxInt64 && deadline > r.now {
+		r.now = deadline
+	}
+}
+
+// diffQueue is what a differential input drives: the engine or the
+// reference.
+type diffQueue interface {
+	Now() int64
+	At(t int64, fn func())
+	RunUntil(deadline int64)
+}
+
+// dispatched is one executed event: its id and the clock it ran at.
+type dispatched struct {
+	id int
+	t  int64
+}
 
 // TestDifferentialVsHeap drives the calendar-queue engine and the reference
-// heap with an identical randomized schedule — bursty near-future times,
-// same-instant clusters, overflow-range timers, and handler-scheduled
-// followups — and asserts the execution orders are identical.
+// heap through identical inputs and asserts identical execution order and
+// clocks. Each input is a function that touches its queue only through
+// diffQueue and draws from its own seeded stream, so both sides see the
+// same calls for as long as their orders agree.
 func TestDifferentialVsHeap(t *testing.T) {
+	type input struct {
+		name string
+		run  func(diffQueue) []dispatched
+	}
+	var inputs []input
 	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		inputs = append(inputs, input{fmt.Sprintf("random/%d", trial), randomSchedule(int64(1000 + trial))})
+	}
+	for _, seed := range []int64{7, 8} {
+		inputs = append(inputs, input{fmt.Sprintf("cascade/%d", seed), cascadeChunks(seed)})
+	}
+	for _, in := range inputs {
+		got := in.run(New())
+		want := in.run(&refEngine{})
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("%s: execution diverges at %d: got event %d at t=%d, reference %d at t=%d",
+					in.name, i, got[i].id, got[i].t, want[i].id, want[i].t)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: executed %d events, reference executed %d", in.name, len(got), len(want))
+		}
+	}
+}
 
-		// Generate the root schedule plus deterministic followup rules:
-		// event i, when executed, schedules followups at now+delta.
+// randomSchedule is a randomized root schedule — bursty near-future times,
+// same-instant clusters, overflow-range timers, bucket-boundary neighbors —
+// whose roots schedule followups (past ones clamped), run to completion.
+func randomSchedule(seed int64) func(diffQueue) []dispatched {
+	return func(q diffQueue) []dispatched {
+		rng := rand.New(rand.NewSource(seed))
 		type spec struct {
 			t         int64
 			followups []int64 // deltas; negative = past (clamped)
@@ -207,15 +297,12 @@ func TestDifferentialVsHeap(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // same-instant cluster
 				tt = int64(rng.Intn(4)) * 64
-			case 1: // near future, within the wheel
+			case 1: // near future, within the window
 				tt = int64(rng.Intn(int(wheelSpan)))
 			case 2: // overflow range
 				tt = wheelSpan + int64(rng.Intn(int(wheelSpan*20)))
 			default: // bucket-boundary adjacent
-				tt = int64(rng.Intn(64))*bucketWidth + int64(rng.Intn(3)) - 1
-				if tt < 0 {
-					tt = 0
-				}
+				tt = max(int64(rng.Intn(64))*bucketWidth+int64(rng.Intn(3))-1, 0)
 			}
 			s := spec{t: tt}
 			for f := rng.Intn(3); f > 0; f-- {
@@ -223,70 +310,88 @@ func TestDifferentialVsHeap(t *testing.T) {
 			}
 			specs[i] = s
 		}
-
-		// Run the real engine.
-		var gotOrder []int
-		e := New()
-		var schedule func(id int, at int64, followups []int64)
+		var order []dispatched
 		nextID := n
+		var schedule func(id int, at int64, followups []int64)
 		schedule = func(id int, at int64, followups []int64) {
-			// Clamp here (identically to the engine's normal-build clamp)
-			// so `-tags simdebug` builds don't panic on followups that
-			// would land in the past.
-			if at < e.Now() {
-				at = e.Now()
-			}
-			e.At(at, func() {
-				gotOrder = append(gotOrder, id)
+			// Clamp here, like the engine's normal-build clamp, so
+			// `-tags simdebug` builds don't panic on past followups.
+			q.At(max(at, q.Now()), func() {
+				order = append(order, dispatched{id, q.Now()})
 				for _, d := range followups {
 					fid := nextID
 					nextID++
-					schedule(fid, e.Now()+d, nil)
+					schedule(fid, q.Now()+d, nil)
 				}
 			})
 		}
 		for i, s := range specs {
 			schedule(i, s.t, s.followups)
 		}
-		e.Run()
+		q.RunUntil(math.MaxInt64)
+		return order
+	}
+}
 
-		// Run the reference heap with the same logic (including the
-		// past-time clamp) and the same seq assignment discipline.
-		var wantOrder []int
-		var rq refQueue
-		var rnow int64
-		var rseq uint64
-		followupsOf := make(map[int][]int64, n)
-		for i, s := range specs {
-			rseq++
-			rq.add(&refEvent{t: s.t, seq: rseq, id: i})
-			followupsOf[i] = s.followups
-		}
-		rNextID := n
-		for rq.Len() > 0 {
-			ev := rq.next()
-			rnow = ev.t
-			wantOrder = append(wantOrder, ev.id)
-			for _, d := range followupsOf[ev.id] {
-				at := rnow + d
-				if at < rnow {
-					at = rnow
+// cascadeDelay draws a follow-up delay from the mix measured on the
+// simulator's benchmark workloads: ~13% under 8 ns (same-instant and
+// pipeline hops), ~57% at 64–256 ns (serialization), ~29% at 600–700 ns
+// (wire and fabric relay) and ~1.5% timers at 0.1–1.1 ms.
+func cascadeDelay(rng *rand.Rand) int64 {
+	switch r := rng.Intn(1000); {
+	case r < 130:
+		return int64(rng.Intn(8))
+	case r < 700:
+		return 64 + int64(rng.Intn(193))
+	case r < 985:
+		return 600 + int64(rng.Intn(101))
+	default:
+		return 100_000 + int64(rng.Intn(1_000_001))
+	}
+}
+
+// cascadeChunks is a benchmark-shaped input: a self-sustaining cascade of
+// ~150 near-term events in which every handler schedules one successor at
+// a cascadeDelay (a timer successor also gets a near-term sibling, so
+// timers accumulate the way RTO checks do), ~40k events in all. It runs
+// through RunUntil in deadline chunks with top-level pushes between
+// chunks, and one chunk in ten has a deadline behind the clock.
+func cascadeChunks(seed int64) func(diffQueue) []dispatched {
+	const total = 40_000
+	return func(q diffQueue) []dispatched {
+		rng := rand.New(rand.NewSource(seed))
+		var order []dispatched
+		nextID := 0
+		var schedule func(at int64)
+		schedule = func(at int64) {
+			id := nextID
+			nextID++
+			q.At(max(at, q.Now()), func() {
+				order = append(order, dispatched{id, q.Now()})
+				if nextID >= total {
+					return
 				}
-				rseq++
-				rq.add(&refEvent{t: at, seq: rseq, id: rNextID})
-				rNextID++
+				d := cascadeDelay(rng)
+				schedule(q.Now() + d)
+				if d >= 100_000 {
+					schedule(q.Now() + int64(rng.Intn(700)))
+				}
+			})
+		}
+		for i := 0; i < 150; i++ {
+			schedule(int64(rng.Intn(1000)))
+		}
+		for nextID < total {
+			deadline := q.Now() + 100 + int64(rng.Intn(2000))
+			if rng.Intn(10) == 0 {
+				deadline = q.Now() - 1 - int64(rng.Intn(2000))
+			}
+			q.RunUntil(deadline)
+			for k := rng.Intn(4); k > 0; k-- {
+				schedule(q.Now() + cascadeDelay(rng))
 			}
 		}
-
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("trial %d: executed %d events, reference executed %d",
-				trial, len(gotOrder), len(wantOrder))
-		}
-		for i := range gotOrder {
-			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("trial %d: execution order diverges at %d: got event %d, reference %d",
-					trial, i, gotOrder[i], wantOrder[i])
-			}
-		}
+		q.RunUntil(math.MaxInt64)
+		return order
 	}
 }

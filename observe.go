@@ -164,32 +164,28 @@ func (n *Net) registerPool(reg *telemetry.Registry) {
 }
 
 // registerSched exposes the calendar queue's pressure counters: where
-// pushes land (inline array, spill heap, overflow heap), structural churn
-// (migrations, re-sorts, re-anchors), and residency high-water marks.
+// pushes land (unopened bucket, open bucket, overflow heap), bucket sorts,
+// and residency high-water marks.
 func (n *Net) registerSched(reg *telemetry.Registry) {
 	for _, c := range []struct {
 		name, help string
 		read       func(sim.SchedPressure) float64
 	}{
-		{"oo_sched_inline_pushes_total", "Events pushed into a bucket's inline array.",
+		{"oo_sched_inline_pushes_total", "Events appended to a calendar bucket not yet opened.",
 			func(p sim.SchedPressure) float64 { return float64(p.InlinePushes) }},
-		{"oo_sched_spill_pushes_total", "Events pushed into a bucket's spill heap.",
+		{"oo_sched_spill_pushes_total", "Events pushed into the open calendar bucket.",
 			func(p sim.SchedPressure) float64 { return float64(p.SpillPushes) }},
 		{"oo_sched_overflow_pushes_total", "Events pushed into the overflow heap.",
 			func(p sim.SchedPressure) float64 { return float64(p.OverflowPushes) }},
-		{"oo_sched_migrations_total", "Overflow→wheel event migrations.",
-			func(p sim.SchedPressure) float64 { return float64(p.Migrations) }},
-		{"oo_sched_resorts_total", "Drain-buffer sorts (batched dispatch).",
+		{"oo_sched_resorts_total", "Calendar buckets sorted when the cursor opened them.",
 			func(p sim.SchedPressure) float64 { return float64(p.Resorts) }},
-		{"oo_sched_reanchors_total", "Wheel window re-anchors.",
-			func(p sim.SchedPressure) float64 { return float64(p.Reanchors) }},
 	} {
 		c := c
 		reg.CounterFunc(c.name, c.help, func() float64 { return c.read(n.eng.SchedPressure()) })
 	}
 	reg.GaugeFunc("oo_sched_pending_events", "Events currently queued.",
 		func() float64 { return float64(n.eng.Pending()) })
-	reg.GaugeFunc("oo_sched_max_wheel_events", "High-water wheel residency.",
+	reg.GaugeFunc("oo_sched_max_wheel_events", "High-water calendar-bucket residency.",
 		func() float64 { return float64(n.eng.SchedPressure().MaxWheelEvents) })
 	reg.GaugeFunc("oo_sched_max_overflow_events", "High-water overflow residency.",
 		func() float64 { return float64(n.eng.SchedPressure().MaxOverflowEvents) })
@@ -197,17 +193,6 @@ func (n *Net) registerSched(reg *telemetry.Registry) {
 		func() float64 { return float64(n.eng.SchedPressure().SlabCap) })
 	reg.GaugeFunc("oo_sched_free_slots", "Free event-slab slots.",
 		func() float64 { return float64(n.eng.SchedPressure().FreeSlots) })
-	reg.DynamicFamily("oo_sched_bucket_occupancy_total",
-		"Pushes by resulting bucket depth (log2 classes).", telemetry.TypeCounter,
-		func(emit func([]telemetry.Label, float64)) {
-			p := n.eng.SchedPressure()
-			for i, c := range p.BucketOccupancy {
-				if c == 0 {
-					continue
-				}
-				emit([]telemetry.Label{telemetry.L("depth", sim.OccLabel(i))}, float64(c))
-			}
-		})
 }
 
 func (n *Net) registerFabrics(reg *telemetry.Registry) {
