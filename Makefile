@@ -1,5 +1,5 @@
 # Tier-1: what every change must keep green.
-.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke regress-smoke
+.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke
 
 build:
 	go build ./...
@@ -7,8 +7,9 @@ build:
 test: build
 	go test ./...
 
-# Tier-2 gate: static analysis, every test workload under simdebug (a
-# past-time schedule or a pool double-free/use-after-free panics there),
+# Tier-2 gate: formatting (gofmt -l lists nothing) and static analysis,
+# every test workload under simdebug (a past-time schedule or a pool
+# double-free/use-after-free panics there),
 # the race detector over the engine and all device/protocol packages, and
 # the system-level invariant bundle. CI runs this target. experiments/ is
 # excluded from the simdebug and race passes only because its drivers
@@ -16,6 +17,7 @@ test: build
 # CI budget); it holds no goroutines of its own and is covered by the
 # tier-1 `make test`.
 check: build
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go build -tags simdebug ./...
 	go test -tags simdebug . ./cmd/... ./internal/...
@@ -54,10 +56,3 @@ obsv-smoke:
 # corrupt-line tolerance surfaced. CI runs this.
 trace-smoke:
 	bash scripts/trace_smoke.sh
-
-# Regression-gate smoke: replay the committed baseline sweep, `ooctl
-# regress` passes the equal run and catches the injected-5%-latency fixture
-# (exit 3), reports are byte-deterministic, provenance reaches every
-# artifact, -version answers on all four CLIs. CI runs this.
-regress-smoke:
-	bash scripts/regress_smoke.sh

@@ -273,14 +273,13 @@ func (a *Auditor) Status() AuditStatus {
 // the run (or after an interrupt's graceful drain — the engine's
 // interrupted flag is recorded so comparison tooling knows the journal is
 // truncated).
-func (a *Auditor) BuildJournal(m *provenance.Manifest, rspec *diverge.ReplaySpec) *diverge.Journal {
+func (a *Auditor) BuildJournal(m *provenance.Manifest) *diverge.Journal {
 	j := &diverge.Journal{
 		Header: diverge.Header{
 			SchemaVersion:     diverge.SchemaVersion,
 			Manifest:          m,
 			WindowEvents:      a.dig.WindowEvents(),
 			CheckpointEveryNs: a.CheckpointEveryNs(),
-			Replay:            rspec,
 		},
 		Checkpoints: a.checkpoints,
 		Violations:  a.violations,

@@ -2,9 +2,9 @@ package main
 
 // `ooctl diverge` compares two determinism digest journals (oosim
 // -digest-out) and reports where — if anywhere — the two runs' dispatch
-// streams first parted ways. When the journals carry replay specs, a
+// streams first parted ways. When the journals carry their scenarios, a
 // window-level mismatch is narrowed to the exact first divergent event by
-// re-running both specs with per-event capture armed over the divergent
+// re-running both scenarios with per-event capture armed over the divergent
 // window. Exit codes mirror `ooctl regress`: 0 identical, 1 error,
 // 2 usage, 3 divergent.
 

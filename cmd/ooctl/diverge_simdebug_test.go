@@ -4,8 +4,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,43 +14,23 @@ import (
 
 	"openoptics/internal/diverge"
 	"openoptics/internal/diverge/replay"
+	"openoptics/internal/runner"
 )
-
-// captureStdout runs fn with os.Stdout redirected and returns what it
-// printed.
-func captureStdout(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		var b bytes.Buffer
-		io.Copy(&b, r)
-		done <- b.String()
-	}()
-	fn()
-	os.Stdout = old
-	w.Close()
-	out := <-done
-	r.Close()
-	return out
-}
 
 // TestDivergeBisectsPerturbedRun is the acceptance test for the
 // determinism auditor: record a clean journal, re-run with exactly one
 // same-instant event pair swapped (the clean journal's perturb hint), and
 // check `ooctl diverge` exits 3 naming that exact event.
 func TestDivergeBisectsPerturbedRun(t *testing.T) {
-	spec := &diverge.ReplaySpec{
-		Arch: "rotornet-vlb", Workload: "rpc", Nodes: 4, SliceUs: 100,
-		Load: 0.3, Seed: 7, DurationMs: 3,
-		WindowEvents: 256, CheckpointEveryNs: 500_000,
+	raw, err := json.Marshal(runner.Scenario{
+		Arch: "rotornet-vlb", Trace: "rpc", Nodes: 4, SliceDurationNs: 100_000,
+		Load: 0.3, Seed: 7, DurationMs: 3, EventDigest: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	clean, err := replay.Execute(spec, 0, 0)
+	header := &diverge.Header{WindowEvents: 256, CheckpointEveryNs: 500_000, Scenario: raw}
+	clean, err := replay.Execute(header, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +43,9 @@ func TestDivergeBisectsPerturbedRun(t *testing.T) {
 		t.Fatalf("bad hint %q: %v", hint, err)
 	}
 
-	pspec := *spec
-	pspec.PerturbA, pspec.PerturbB = pa, pb
-	perturbed, err := replay.Execute(&pspec, 0, 0)
+	pheader := *header
+	pheader.PerturbA, pheader.PerturbB = pa, pb
+	perturbed, err := replay.Execute(&pheader, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +94,7 @@ func TestDivergeBisectsPerturbedRun(t *testing.T) {
 	}
 
 	// And two identical recordings must compare clean with exit 0.
-	clean2, err := replay.Execute(spec, 0, 0)
+	clean2, err := replay.Execute(header, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@
 //
 // It also fronts the determinism auditor: `ooctl diverge` compares two
 // digest journals written by `oosim -digest-out`, finds the first
-// mismatched hash window, and — when the journals carry replay specs —
+// mismatched hash window, and — when the journals carry their scenarios —
 // re-runs that window with per-event capture to name the exact first
 // divergent event, exiting 3 on divergence (diverge.go).
 //
@@ -57,28 +57,30 @@ import (
 	"openoptics/internal/topo"
 )
 
+// subcommands are ooctl's verbs other than the default compiler front end;
+// each takes the arguments after its name and returns the exit code.
+var subcommands = map[string]func([]string) int{
+	"watch":     runWatch,
+	"trace":     runTrace,
+	"compare":   func(args []string) int { return runCompare(args, false) },
+	"regress":   runRegress,
+	"engine":    runEngine,
+	"diverge":   runDiverge,
+	"version":   runVersion,
+	"-version":  runVersion,
+	"--version": runVersion,
+}
+
+func runVersion([]string) int {
+	fmt.Println(provenance.VersionString("ooctl"))
+	return 0
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "watch" {
-		os.Exit(runWatch(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		os.Exit(runTrace(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		os.Exit(runCompare(os.Args[2:], false))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "regress" {
-		os.Exit(runRegress(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "engine" {
-		os.Exit(runEngine(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "diverge" {
-		os.Exit(runDiverge(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && (os.Args[1] == "-version" || os.Args[1] == "--version" || os.Args[1] == "version") {
-		fmt.Println(provenance.VersionString("ooctl"))
-		os.Exit(0)
+	if len(os.Args) > 1 {
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			os.Exit(cmd(os.Args[2:]))
+		}
 	}
 	n := flag.Int("n", 8, "endpoint-node count")
 	uplink := flag.Int("uplink", 1, "optical uplinks per node")

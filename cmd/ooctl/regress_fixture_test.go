@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,16 +30,18 @@ import (
 var update = flag.Bool("update", false, "regenerate the committed regression baselines")
 
 const (
+	smokeSpecPath     = "../../testdata/sweep_smoke.json"
 	regressSpecPath   = "../../testdata/sweep_regress.json"
 	regressBasePath   = "../../testdata/baselines/regress_base.summary.json"
 	regressInjectPath = "../../testdata/baselines/regress_inject.summary.json"
 )
 
-// runRegressSweep executes the committed regression spec in-process and
-// returns its stamped aggregate.
-func runRegressSweep(t *testing.T) *runner.Aggregate {
+// runSweep executes a committed sweep spec in-process, as `oosweep run`
+// does, and returns its aggregate stamped with the ledger's provenance
+// header.
+func runSweep(t *testing.T, specPath string) *runner.Aggregate {
 	t.Helper()
-	spec, err := runner.LoadSpec(regressSpecPath)
+	spec, err := runner.LoadSpec(specPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +54,21 @@ func runRegressSweep(t *testing.T) *runner.Aggregate {
 		t.Fatal(err)
 	}
 	if sr.Failed > 0 || sr.OK != sr.Total {
-		t.Fatalf("regression sweep incomplete: %+v", sr)
+		t.Fatalf("sweep %s incomplete: %+v", specPath, sr)
 	}
 	recs, hdr, err := runner.ReadLedgerFull(ledger)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Provenance reaches the ledger: a header first line carrying the
+	// spec's config digest.
+	raw, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte(`{"kind":"header"`)) || hdr == nil || hdr.Manifest == nil ||
+		hdr.Manifest.ConfigDigest != spec.ConfigDigest() {
+		t.Fatalf("ledger lacks a provenance header with the spec digest %s: %+v", spec.ConfigDigest(), hdr)
 	}
 	agg := runner.NewAggregate(spec.Name, recs)
 	agg.Stamp(hdr)
@@ -114,7 +128,7 @@ func TestRegressionBaselineFixtures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an 8-replication sweep")
 	}
-	agg := runRegressSweep(t)
+	agg := runSweep(t, regressSpecPath)
 	if *update {
 		writeAggregate(t, regressBasePath, agg)
 		writeAggregate(t, regressInjectPath, injectLatency(agg, 1.05))
@@ -129,11 +143,34 @@ func TestRegressionBaselineFixtures(t *testing.T) {
 
 	// Equal runs must pass: a fresh deterministic re-run of the committed
 	// spec carries identical per-replication metrics, so the gate is clean.
-	freshPath := filepath.Join(t.TempDir(), "summary.json")
+	dir := t.TempDir()
+	freshPath := filepath.Join(dir, "summary.json")
 	writeAggregate(t, freshPath, agg)
 	fresh, err := compare.LoadRun(freshPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The summary carries the ledger's provenance.
+	var summary struct {
+		SchemaVersion int                  `json:"schema_version"`
+		ConfigDigest  string               `json:"config_digest"`
+		Manifest      *provenance.Manifest `json:"manifest"`
+	}
+	body, err := os.ReadFile(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &summary); err != nil {
+		t.Fatal(err)
+	}
+	if summary.SchemaVersion == 0 || summary.Manifest == nil || summary.Manifest.Module == "" ||
+		summary.ConfigDigest == "" || summary.ConfigDigest != summary.Manifest.ConfigDigest {
+		t.Fatalf("summary provenance incomplete: %s", body)
+	}
+	var rc int
+	out := captureStdout(t, func() { rc = runRegress([]string{"-baseline", regressBasePath, freshPath}) })
+	if rc != 0 || !strings.Contains(out, "regressions=0") {
+		t.Fatalf("ooctl regress on the fresh run exited %d:\n%s", rc, out)
 	}
 	rep, err := compare.Compare(base, fresh, compare.Options{})
 	if err != nil {
@@ -152,6 +189,14 @@ func TestRegressionBaselineFixtures(t *testing.T) {
 				t.Fatalf("equal runs: metric %s significant (p=%g)", md.Metric, md.P)
 			}
 		}
+	}
+
+	// Runs of a different spec must be refused, not silently mis-aligned.
+	otherPath := filepath.Join(dir, "other.summary.json")
+	writeAggregate(t, otherPath, runSweep(t, smokeSpecPath))
+	out = captureStdout(t, func() { rc = runCompare([]string{regressBasePath, otherPath}, false) })
+	if rc != 0 || !strings.Contains(out, "aligned=0") {
+		t.Fatalf("ooctl compare across specs exited %d:\n%s", rc, out)
 	}
 }
 
@@ -212,5 +257,28 @@ func TestRegressionInjectedShiftCaught(t *testing.T) {
 	}
 	if !bytes.Equal(render(), render()) {
 		t.Fatal("regression report is not byte-deterministic")
+	}
+
+	// The CLI gate fires with its distinct exit code, naming the metric,
+	// and `compare -json` writes identical bytes on every invocation.
+	var rc int
+	out := captureStdout(t, func() { rc = runRegress([]string{"-baseline", regressBasePath, regressInjectPath}) })
+	if rc != exitRegression || !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "fct_p50_ns") {
+		t.Fatalf("ooctl regress on the injected fixture exited %d, want %d:\n%s", rc, exitRegression, out)
+	}
+	dir := t.TempDir()
+	var reports [2][]byte
+	for i := range reports {
+		path := filepath.Join(dir, fmt.Sprintf("r%d.json", i))
+		captureStdout(t, func() { rc = runCompare([]string{"-json", path, regressBasePath, regressInjectPath}, false) })
+		if rc != 0 {
+			t.Fatalf("ooctl compare -json exited %d", rc)
+		}
+		if reports[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(reports[0]) == 0 || !bytes.Equal(reports[0], reports[1]) {
+		t.Fatal("ooctl compare -json output differs between invocations")
 	}
 }

@@ -74,13 +74,13 @@ func TestWatchRendersSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"slice 2/3",       // header slice position
-		"events 12345",    // engine progress
-		"circuits 1",      // OCS state
-		"N0",              // per-switch rows
-		"3000",            // buffered bytes
-		"1500*",           // active queue marked
-		"drops",           // column header
+		"slice 2/3",    // header slice position
+		"events 12345", // engine progress
+		"circuits 1",   // OCS state
+		"N0",           // per-switch rows
+		"3000",         // buffered bytes
+		"1500*",        // active queue marked
+		"drops",        // column header
 		"totals: rx 10  tx 9  delivered 8  drops 2",
 		"engine: pending 17 (max wheel 42)", // scheduler-pressure line
 		"spill 10.00%",                      // spill share of pushes

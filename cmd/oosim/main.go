@@ -26,6 +26,7 @@ import (
 	"openoptics/internal/diverge"
 	"openoptics/internal/obsv"
 	"openoptics/internal/provenance"
+	"openoptics/internal/runner"
 	"openoptics/internal/sim"
 	"openoptics/internal/telemetry"
 	"openoptics/internal/traffic"
@@ -39,7 +40,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("oosim", flag.ExitOnError)
 	cfgPath := fs.String("config", "", "JSON static configuration file (optional)")
-	archName := fs.String("arch", "rotornet-vlb", "architecture: clos|c-through|jupiter|mordia|rotornet-vlb|rotornet-direct|rotornet-ucmp|rotornet-hoho|opera|semi-oblivious|shale|daware")
+	archName := fs.String("arch", "rotornet-vlb", "architecture: "+strings.Join(arch.Names(), "|"))
 	workload := fs.String("workload", "memcached", "workload: memcached|allreduce|iperf|udp-probe|rpc|hadoop|kv")
 	nodes := fs.Int("nodes", 8, "endpoint nodes (ignored with -config)")
 	uplink := fs.Int("uplink", 0, "uplinks per node (0 = architecture default)")
@@ -84,63 +85,218 @@ func run(args []string) int {
 		return 0
 	}
 
-	o := arch.Options{
+	sc := runner.Scenario{
+		Arch:            *archName,
 		Nodes:           *nodes,
 		Uplink:          *uplink,
-		HostsPerNode:    1,
-		SliceDurationNs: int64(*sliceUs) * 1000,
+		Trace:           *workload,
+		Load:            *load,
 		Seed:            *seed,
+		DurationMs:      *durMs,
+		SliceDurationNs: int64(*sliceUs) * 1000,
+		EventDigest:     *digestOut != "",
+		HotFrac:         *hotFrac,
+		HotPairs:        *hotPairs,
+		LoadShape:       *loadShape,
+		ShapePeriodMs:   *shapePeriodMs,
+		ShapeAmplitude:  *shapeAmplitude,
 	}
+	if *archName == "daware" {
+		sc.Policy = *policy
+		sc.Predictor = *predictor
+		sc.CollectIntervalUs = *collectUs
+		sc.ReconfigPeriodUs = *reprogramUs
+		sc.ReconfigDrainUs = *drainUs
+	}
+	w := runner.Wiring{Digest: openoptics.DigestOptions{
+		WindowEvents:      *digestWindow,
+		CheckpointEveryNs: *digestCheckpointUs * 1000,
+	}}
 	if *cfgPath != "" {
 		cfg, err := openoptics.LoadConfig(*cfgPath)
 		if err != nil {
 			return fail(err)
 		}
-		o.Nodes = cfg.NodeNum
-		o.Uplink = cfg.Uplink
-		o.HostsPerNode = cfg.HostsPerNode
+		sc.Nodes = cfg.NodeNum
+		sc.Uplink = cfg.Uplink
 		if cfg.SliceDurationNs > 0 {
-			o.SliceDurationNs = cfg.SliceDurationNs
+			sc.SliceDurationNs = cfg.SliceDurationNs
 		}
 		if cfg.Seed != 0 {
-			o.Seed = cfg.Seed
+			sc.Seed = cfg.Seed
 		}
-		base := cfg
-		o.Tune = func(c *openoptics.Config) { *c = base }
+		w.Tune = func(c *openoptics.Config) { *c = cfg }
 	}
-	dc := arch.DemandConfig{
-		Policy:         *policy,
-		Predictor:      *predictor,
-		CollectEvery:   time.Duration(*collectUs) * time.Microsecond,
-		ReprogramEvery: time.Duration(*reprogramUs) * time.Microsecond,
-		DrainNs:        *drainUs * 1000,
-	}
-	in, err := buildArch(*archName, o, dc)
-	if err != nil {
-		return fail(err)
+	w.TrafficSeed = sc.Seed
+	if *perturbSwap != "" {
+		if _, err := fmt.Sscanf(*perturbSwap, "%d:%d", &w.PerturbA, &w.PerturbB); err != nil || w.PerturbA == 0 || w.PerturbB == 0 {
+			return fail(fmt.Errorf("bad -perturb-swap %q (want two nonzero sequence numbers A:B)", *perturbSwap))
+		}
 	}
 
 	// Run provenance, captured once up front (never in the simulation hot
-	// path): the config digest covers every resolved run parameter, so two
-	// runs share a digest exactly when they simulate the same thing.
+	// path): the config digest covers the whole resolved scenario (the seed
+	// aside, which the manifest records on its own) and the config file, so
+	// two runs share a digest exactly when they simulate the same thing.
 	manifest := provenance.New(provenance.MustDigest(map[string]any{
-		"tool": "oosim", "arch": *archName, "workload": *workload,
-		"nodes": o.Nodes, "uplink": o.Uplink, "hosts_per_node": o.HostsPerNode,
-		"slice_duration_ns": o.SliceDurationNs, "duration_ms": *durMs,
-		"load": *load, "config": *cfgPath,
-	}), o.Seed)
+		"tool": "oosim", "scenario": sc.ConfigDigest(), "config": *cfgPath,
+	}), sc.Seed)
+	dur := sc.Duration()
 
-	dur := time.Duration(*durMs) * time.Millisecond
-	eps := in.Net.Endpoints()
-	sink := traffic.NewSink(eps)
-	eng := in.Net.Engine()
+	var report func()
+	switch *workload {
+	case "rpc", "hadoop", "kv":
+		// The scenario's own trace replay.
+	case "memcached":
+		w.Workload = func(st *runner.Started) error {
+			eps := st.Net.Endpoints()
+			traffic.NewMemcached(st.Net.Engine(), eps[0], eps[1:], sc.Seed).Start(int64(dur))
+			report = func() {
+				fmt.Printf("memcached: %s\n", st.Sink.FCTSample(traffic.PortMemcached).Summary())
+			}
+			return nil
+		}
+	case "allreduce":
+		w.Workload = func(st *runner.Started) error {
+			eng := st.Net.Engine()
+			ar := traffic.NewAllReduce(eng, st.Net.Endpoints(), 4_000_000)
+			done := 0
+			ar.OnDone = func(ns int64) {
+				done++
+				fmt.Printf("allreduce #%d: %.3f ms\n", done, float64(ns)/1e6)
+				if eng.Now() < int64(dur) {
+					ar.Restart(4_000_000)
+				}
+			}
+			ar.Start()
+			report = func() { fmt.Printf("allreduce: %d collectives completed\n", done) }
+			return nil
+		}
+	case "iperf":
+		w.Workload = func(st *runner.Started) error {
+			eps := st.Net.Endpoints()
+			ip := traffic.NewIperf(st.Net.Engine(), [][2]traffic.Endpoint{{eps[0], eps[len(eps)/2]}})
+			report = func() {
+				fmt.Printf("iperf: %.2f Gbps goodput, %d retransmissions\n",
+					ip.GoodputBps()/1e9, ip.Retransmissions())
+			}
+			return nil
+		}
+	case "udp-probe":
+		w.Workload = func(st *runner.Started) error {
+			eps := st.Net.Endpoints()
+			traffic.NewUDPProbe(st.Net.Engine(), eps[0], eps[len(eps)-1]).Start(int64(dur))
+			report = func() { fmt.Printf("udp rtt: %s\n", st.Sink.RTT.Summary()) }
+			return nil
+		}
+	default:
+		return fail(fmt.Errorf("unknown workload %q", *workload))
+	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM interrupts the engine so
 	// the run unwinds through the normal exit path (reports, flushed
-	// telemetry); a second signal kills the process immediately.
+	// telemetry); a second signal kills the process immediately. A signal
+	// that arrives while the network is still being built waits in the
+	// channel and stops the run before it starts.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
+
+	// The observers attach between the auditor and the arrivals (the
+	// order Scenario.Start fixes). Their files flush at exit, in reverse.
+	var closers []func()
+	defer func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}()
+	var tracer *telemetry.Tracer
+	var srv *obsv.Server
+	w.Observe = func(st *runner.Started) error {
+		// The registry is built before traffic so per-slice drop counters
+		// record from the first packet.
+		if *metricsOut != "" || *httpAddr != "" {
+			st.Net.Metrics().SetManifest(&manifest)
+		}
+		if *traceOut != "" {
+			f, err := os.Create(*traceOut)
+			if err != nil {
+				return err
+			}
+			bw := bufio.NewWriter(f)
+			closers = append(closers, func() { bw.Flush(); f.Close() })
+			tracer = st.Net.Tracer(*traceSample)
+			tracer.SetSink(bw)
+			tracer.WriteHeader(&manifest)
+		}
+		if *httpAddr != "" {
+			srv = obsv.NewServer()
+			addr, err := srv.Start(*httpAddr)
+			if err != nil {
+				return err
+			}
+			closers = append(closers, func() { srv.Close() })
+			fmt.Fprintf(os.Stderr, "oosim: live observability on http://%s\n", addr)
+			ri := struct {
+				provenance.Manifest
+				Digest *openoptics.AuditStatus `json:"digest,omitempty"`
+			}{Manifest: manifest}
+			if st.Auditor != nil {
+				as := st.Auditor.Status()
+				ri.Digest = &as
+			}
+			if b, err := json.Marshal(ri); err == nil {
+				srv.RunInfo().Set(b)
+			}
+			st.Net.AttachLive(srv, time.Duration(*httpIntervalUs)*time.Microsecond)
+		}
+		if *flightOut != "" {
+			f, err := os.Create(*flightOut)
+			if err != nil {
+				return err
+			}
+			bw := bufio.NewWriter(f)
+			closers = append(closers, func() { bw.Flush(); f.Close() })
+			rec := obsv.NewFlightRecorder(*flightSize, obsv.TriggerConfig{
+				DropSpike:     *flightDrops,
+				CongestHits:   *flightCongest,
+				CongestSlices: *flightCongestSlices,
+				EQOErrBytes:   *flightEQO,
+			}, bw)
+			rec.SchemaVersion = provenance.SchemaVersion
+			rec.Manifest = &manifest
+			rec.OnDump = func(reason string) {
+				fmt.Fprintln(os.Stderr, "oosim: flight dump:", reason)
+			}
+			st.Net.AttachFlightRecorder(rec, true)
+		}
+		eng := st.Net.Engine()
+		if *profile {
+			eng.EnableProfiling(true)
+		}
+		if *engineLedger {
+			st.Net.AttachEngineLedger(*engineLedgerSample)
+		}
+		if *progressMs > 0 {
+			eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {
+				fmt.Fprintf(os.Stderr, "progress: virtual %.1f ms, %d events, %.3fx real time\n",
+					float64(p.VirtualNs)/1e6, p.Events, p.Ratio)
+				return true
+			})
+		}
+		return nil
+	}
+	st, err := sc.Start(w)
+	if err != nil {
+		return fail(err)
+	}
+	eng := st.Net.Engine()
+	if report == nil {
+		report = func() {
+			fmt.Printf("%s replay: %d flows started, FCT %s\n",
+				*workload, st.Replay.Started, st.Sink.FCTSample(traffic.PortReplay).Summary())
+		}
+	}
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -155,183 +311,26 @@ func run(args []string) int {
 		os.Exit(130)
 	}()
 
-	// Telemetry wiring. The registry is built before traffic so per-slice
-	// drop counters record from the first packet.
-	if *metricsOut != "" || *httpAddr != "" {
-		in.Net.Metrics().SetManifest(&manifest)
-	}
-	// The perturbation harness arms before the auditor attaches: the swap
-	// relabels sequence numbers as they are assigned, and the digest's
-	// perturb hint only names seqs assigned after the attach point — so
-	// arming first guarantees a hinted pair is actually swappable.
-	var perturbA, perturbB uint64
-	if *perturbSwap != "" {
-		if _, err := fmt.Sscanf(*perturbSwap, "%d:%d", &perturbA, &perturbB); err != nil || perturbA == 0 || perturbB == 0 {
-			return fail(fmt.Errorf("bad -perturb-swap %q (want two nonzero sequence numbers A:B)", *perturbSwap))
-		}
-		if !eng.PerturbSwapSeq(perturbA, perturbB) {
-			return fail(fmt.Errorf("-perturb-swap needs an oosim built with `-tags simdebug`"))
-		}
-	}
-	var auditor *openoptics.Auditor
-	if *digestOut != "" {
-		auditor = in.Net.AttachDigest(openoptics.DigestOptions{
-			WindowEvents:      *digestWindow,
-			CheckpointEveryNs: *digestCheckpointUs * 1000,
-		})
-	}
-	var tracer *telemetry.Tracer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return fail(err)
-		}
-		w := bufio.NewWriter(f)
-		defer func() { w.Flush(); f.Close() }()
-		tracer = in.Net.Tracer(*traceSample)
-		tracer.SetSink(w)
-		tracer.WriteHeader(&manifest)
-	}
-	var srv *obsv.Server
-	if *httpAddr != "" {
-		srv = obsv.NewServer()
-		addr, err := srv.Start(*httpAddr)
-		if err != nil {
-			return fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "oosim: live observability on http://%s\n", addr)
-		ri := struct {
-			provenance.Manifest
-			Digest *openoptics.AuditStatus `json:"digest,omitempty"`
-		}{Manifest: manifest}
-		if auditor != nil {
-			st := auditor.Status()
-			ri.Digest = &st
-		}
-		if b, err := json.Marshal(ri); err == nil {
-			srv.RunInfo().Set(b)
-		}
-		in.Net.AttachLive(srv, time.Duration(*httpIntervalUs)*time.Microsecond)
-	}
-	if *flightOut != "" {
-		f, err := os.Create(*flightOut)
-		if err != nil {
-			return fail(err)
-		}
-		w := bufio.NewWriter(f)
-		defer func() { w.Flush(); f.Close() }()
-		rec := obsv.NewFlightRecorder(*flightSize, obsv.TriggerConfig{
-			DropSpike:     *flightDrops,
-			CongestHits:   *flightCongest,
-			CongestSlices: *flightCongestSlices,
-			EQOErrBytes:   *flightEQO,
-		}, w)
-		rec.SchemaVersion = provenance.SchemaVersion
-		rec.Manifest = &manifest
-		rec.OnDump = func(reason string) {
-			fmt.Fprintln(os.Stderr, "oosim: flight dump:", reason)
-		}
-		in.Net.AttachFlightRecorder(rec, true)
-	}
-	if *profile {
-		eng.EnableProfiling(true)
-	}
-	if *engineLedger {
-		in.Net.AttachEngineLedger(*engineLedgerSample)
-	}
-	if *progressMs > 0 {
-		eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {
-			fmt.Fprintf(os.Stderr, "progress: virtual %.1f ms, %d events, %.3fx real time\n",
-				float64(p.VirtualNs)/1e6, p.Events, p.Ratio)
-			return true
-		})
-	}
-
-	var report func()
-	switch *workload {
-	case "memcached":
-		mc := traffic.NewMemcached(eng, eps[0], eps[1:], o.Seed)
-		mc.Start(int64(dur))
-		report = func() {
-			fmt.Printf("memcached: %s\n", sink.FCTSample(traffic.PortMemcached).Summary())
-		}
-	case "allreduce":
-		ar := traffic.NewAllReduce(eng, eps, 4_000_000)
-		done := 0
-		ar.OnDone = func(ns int64) {
-			done++
-			fmt.Printf("allreduce #%d: %.3f ms\n", done, float64(ns)/1e6)
-			if eng.Now() < int64(dur) {
-				ar.Restart(4_000_000)
-			}
-		}
-		ar.Start()
-		report = func() { fmt.Printf("allreduce: %d collectives completed\n", done) }
-	case "iperf":
-		ip := traffic.NewIperf(eng, [][2]traffic.Endpoint{{eps[0], eps[len(eps)/2]}})
-		report = func() {
-			fmt.Printf("iperf: %.2f Gbps goodput, %d retransmissions\n",
-				ip.GoodputBps()/1e9, ip.Retransmissions())
-		}
-	case "udp-probe":
-		pr := traffic.NewUDPProbe(eng, eps[0], eps[len(eps)-1])
-		pr.Start(int64(dur))
-		report = func() {
-			fmt.Printf("udp rtt: %s\n", sink.RTT.Summary())
-		}
-	case "rpc", "hadoop", "kv":
-		cdf, err := traffic.ByName(*workload)
-		if err != nil {
-			return fail(err)
-		}
-		rp, err := traffic.NewReplay(eng, eps, cdf, *load,
-			int64(in.Net.Cfg.LineRateGbps*1e9), o.Seed)
-		if err != nil {
-			return fail(err)
-		}
-		rp.HotFrac = *hotFrac
-		rp.HotPairs = *hotPairs
-		if *loadShape != "" && *loadShape != "flat" {
-			shape := &traffic.LoadShape{
-				Kind:      *loadShape,
-				PeriodNs:  int64(*shapePeriodMs) * 1e6,
-				Amplitude: *shapeAmplitude,
-			}
-			if err := shape.Validate(); err != nil {
-				return fail(err)
-			}
-			rp.Shape = shape
-		}
-		rp.Start(int64(dur))
-		report = func() {
-			fmt.Printf("%s replay: %d flows started, FCT %s\n",
-				*workload, rp.Started, sink.FCTSample(traffic.PortReplay).Summary())
-		}
-	default:
-		return fail(fmt.Errorf("unknown workload %q", *workload))
-	}
-
-	if err := in.Run(dur + dur/4); err != nil {
+	if err := st.Run(dur + dur/4); err != nil {
 		return fail(err)
 	}
 	if srv != nil {
 		// Publish the end-of-run state; the endpoints keep serving it
 		// until the process exits.
-		in.Net.PublishLive(srv)
+		st.Net.PublishLive(srv)
 	}
 	report()
-	c := in.Net.Counters()
+	c := st.Net.Counters()
 	fmt.Printf("switches: rx=%d tx=%d delivered=%d drops{noroute=%d buffer=%d congest=%d wrap=%d} misses=%d fallbacks=%d\n",
 		c.RxPkts, c.TxPkts, c.Delivered, c.DropsNoRoute, c.DropsBuffer,
 		c.DropsCongest, c.DropsWrap, c.SliceMisses, c.Fallbacks)
-	fab := in.Net.OpticalFabric()
+	fab := st.Net.OpticalFabric()
 	fmt.Printf("optical fabric: forwarded=%d drops{guard=%d nocircuit=%d reconfig=%d}\n",
 		fab.Forwarded, fab.DropsGuard, fab.DropsNoCircuit, fab.DropsReconfig)
-	if in.Demand != nil {
-		st := in.Demand.Stats()
+	if st.Demand != nil {
+		ds := st.Demand.Stats()
 		fmt.Printf("demand: epochs=%d reconfigs=%d pred_err_ratio=%.3f coverage=%.3f\n",
-			st.Epochs, in.Net.Reconfigs(), st.PredErrRatio, st.Coverage)
+			ds.Epochs, st.Net.Reconfigs(), ds.PredErrRatio, ds.Coverage)
 	}
 	if *profile {
 		for _, cs := range eng.ProfileStats() {
@@ -345,56 +344,30 @@ func run(args []string) int {
 		tracer.FinalizeFlows()
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(in.Net, *metricsOut); err != nil {
+		if err := writeMetrics(st.Net, *metricsOut); err != nil {
 			return fail(err)
 		}
 	}
 	if *engineOut != "" {
-		if err := writeEngineReport(in.Net, &manifest, *engineOut); err != nil {
+		if err := writeEngineReport(st.Net, &manifest, *engineOut); err != nil {
 			return fail(err)
 		}
 	}
-	if auditor != nil {
+	if st.Auditor != nil {
 		// Flushed before the interrupted-run check so a SIGINT-drained run
-		// still leaves a (marked-interrupted) journal behind. The replay spec
+		// still leaves a (marked-interrupted) journal behind. The scenario
 		// is recorded only for runs `ooctl diverge` can re-execute
-		// bit-exactly: replay workloads, flag-configured (a config file can
-		// tune parameters the spec does not carry), and with no live
+		// bit-exactly: trace replays, flag-configured (a config file can
+		// tune parameters the scenario does not carry), and with no live
 		// telemetry or progress reporting (both schedule engine events).
-		var rspec *diverge.ReplaySpec
-		switch *workload {
-		case "rpc", "hadoop", "kv":
-			if *cfgPath == "" && *httpAddr == "" && *progressMs == 0 {
-				rspec = &diverge.ReplaySpec{
-					Arch:              *archName,
-					Workload:          *workload,
-					Nodes:             o.Nodes,
-					Uplink:            o.Uplink,
-					HostsPerNode:      o.HostsPerNode,
-					SliceUs:           *sliceUs,
-					Load:              *load,
-					Seed:              o.Seed,
-					DurationMs:        *durMs,
-					HotFrac:           *hotFrac,
-					HotPairs:          *hotPairs,
-					LoadShape:         *loadShape,
-					ShapePeriodMs:     *shapePeriodMs,
-					ShapeAmplitude:    *shapeAmplitude,
-					WindowEvents:      auditor.Digest().WindowEvents(),
-					CheckpointEveryNs: auditor.CheckpointEveryNs(),
-					PerturbA:          perturbA,
-					PerturbB:          perturbB,
-				}
-				if *archName == "daware" {
-					rspec.Policy = *policy
-					rspec.Predictor = *predictor
-					rspec.CollectUs = *collectUs
-					rspec.ReprogramUs = *reprogramUs
-					rspec.DrainUs = *drainUs
-				}
-			}
+		j, err := st.Journal(&manifest)
+		if err != nil {
+			return fail(err)
 		}
-		if err := diverge.WriteFile(*digestOut, auditor.BuildJournal(&manifest, rspec)); err != nil {
+		if w.Workload != nil || *cfgPath != "" || *httpAddr != "" || *progressMs != 0 {
+			j.Header.Scenario = nil
+		}
+		if err := diverge.WriteFile(*digestOut, j); err != nil {
 			return fail(err)
 		}
 	}
@@ -432,36 +405,6 @@ func writeEngineReport(n *openoptics.Net, m *provenance.Manifest, path string) e
 		return err
 	}
 	return os.WriteFile(path, append(body, '\n'), 0o644)
-}
-
-func buildArch(name string, o arch.Options, dc arch.DemandConfig) (*arch.Instance, error) {
-	switch name {
-	case "daware":
-		return arch.DemandAware(o, dc)
-	case "clos":
-		return arch.Clos(o)
-	case "c-through":
-		return arch.CThrough(o)
-	case "jupiter":
-		return arch.Jupiter(o)
-	case "mordia":
-		return arch.Mordia(o)
-	case "rotornet-vlb":
-		return arch.RotorNet(o, arch.SchemeVLB)
-	case "rotornet-direct":
-		return arch.RotorNet(o, arch.SchemeDirect)
-	case "rotornet-ucmp":
-		return arch.RotorNet(o, arch.SchemeUCMP)
-	case "rotornet-hoho":
-		return arch.RotorNet(o, arch.SchemeHOHO)
-	case "opera":
-		return arch.Opera(o)
-	case "semi-oblivious":
-		return arch.SemiOblivious(o)
-	case "shale":
-		return arch.Shale(o, 2)
-	}
-	return nil, fmt.Errorf("unknown architecture %q", name)
 }
 
 func fail(err error) int {

@@ -77,33 +77,46 @@ func TestObserversKeepRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestDawareControlLoopMetrics runs a demand-aware hot-swap scenario and
-// checks the control loop reaches both of oosim's surfaces: the printed
-// demand line, and the exported metrics with at least one reconfiguration
-// counted.
-func TestDawareControlLoopMetrics(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
-	stdout, err := os.Create(filepath.Join(dir, "stdout.txt"))
+// runCaptured runs oosim in-process and returns its exit code and what it
+// printed on stdout.
+func runCaptured(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	saved := os.Stdout
 	os.Stdout = stdout
-	rc := run([]string{
-		"-arch", "daware", "-policy", "aware", "-nodes", "8", "-hot-frac", "0.5", "-hot-pairs", "2",
-		"-workload", "rpc", "-load", "0.3", "-duration-ms", "20", "-metrics-out", metrics,
-	})
+	rc := run(args)
 	os.Stdout = saved
 	stdout.Close()
-	if rc != 0 {
-		t.Fatalf("oosim exited %d", rc)
-	}
 	out, err := os.ReadFile(stdout.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "demand: epochs=") {
+	return rc, string(out)
+}
+
+func TestVersion(t *testing.T) {
+	if rc, out := runCaptured(t, "-version"); rc != 0 || !strings.HasPrefix(out, "oosim ") {
+		t.Fatalf("oosim -version exited %d printing %q", rc, out)
+	}
+}
+
+// TestDawareControlLoopMetrics runs a demand-aware hot-swap scenario and
+// checks the control loop reaches both of oosim's surfaces: the printed
+// demand line, and the exported metrics with at least one reconfiguration
+// counted.
+func TestDawareControlLoopMetrics(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	rc, out := runCaptured(t,
+		"-arch", "daware", "-policy", "aware", "-nodes", "8", "-hot-frac", "0.5", "-hot-pairs", "2",
+		"-workload", "rpc", "-load", "0.3", "-duration-ms", "20", "-metrics-out", metrics,
+	)
+	if rc != 0 {
+		t.Fatalf("oosim exited %d", rc)
+	}
+	if !strings.Contains(out, "demand: epochs=") {
 		t.Fatalf("oosim printed no demand stats:\n%s", out)
 	}
 

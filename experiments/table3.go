@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"openoptics"
-	"openoptics/internal/arch"
-	"openoptics/internal/traffic"
+	"openoptics/internal/runner"
 )
 
 // Table3Cell is one entry of the buffer-usage study.
@@ -45,71 +43,28 @@ func Table3(p Params) (*Table3Result, error) {
 	for _, trace := range res.Traces {
 		res.Cells[trace] = make(map[string]Table3Cell)
 		for _, rt := range res.Routings {
-			cell, err := table3Run(trace, rt, nodes, dur, load, p.seed())
+			// Two uplinks per ToR: HOHO/UCMP find earliest paths within a
+			// couple of slices (they prioritize latency), while VLB
+			// intermediates hold packets up to the full cycle — the
+			// contrast Table 3 shows on the 6-uplink Opera topology. The
+			// buffer profile replays open-loop (no congestion control in
+			// the loop) and applies the §7 offload and defer tuning.
+			sc := runner.Scenario{
+				Arch: "rotornet", Routing: rt, Nodes: nodes, Trace: trace, Load: load,
+				Seed: p.seed(), DurationMs: int(dur / time.Millisecond),
+				SliceDurationNs: 300_000, // "considered long for TO architectures"
+				Uplink:          2,
+				MaxHop:          2,
+				Profile:         runner.ProfileBuffer,
+			}
+			r, err := sc.Run(runner.RunOpts{})
 			if err != nil {
 				return nil, fmt.Errorf("table3 %s/%s: %w", trace, rt, err)
 			}
-			res.Cells[trace][rt] = *cell
+			res.Cells[trace][rt] = Table3Cell{P999Bytes: r.BufP999Bytes, MaxBytes: r.BufMaxBytes, Parked: r.Parked}
 		}
 	}
 	return res, nil
-}
-
-func table3Run(trace, rt string, nodes int, dur time.Duration, load float64, seed uint64) (*Table3Cell, error) {
-	scheme := arch.SchemeVLB
-	switch rt {
-	case "hoho":
-		scheme = arch.SchemeHOHO
-	case "ucmp":
-		scheme = arch.SchemeUCMP
-	}
-	// Two uplinks per ToR: HOHO/UCMP find earliest paths within a couple
-	// of slices (they prioritize latency), while VLB intermediates hold
-	// packets up to the full cycle — the contrast Table 3 shows on the
-	// 6-uplink Opera topology.
-	o := arch.Options{
-		Nodes: nodes, Uplink: 2, HostsPerNode: 1, Seed: seed,
-		SliceDurationNs: 300_000, // "considered long for TO architectures"
-		Routing:         openoptics.RoutingOptions{MaxHop: 2},
-		Tune: func(c *openoptics.Config) {
-			if rt == "vlb+offload" {
-				c.OffloadRank = 2 // keep two slices of calendars on-switch
-			}
-			if rt == "hoho" || rt == "ucmp" {
-				c.CongestionDetection = true
-				c.Response = "defer"
-			}
-		},
-	}
-	in, err := arch.RotorNet(o, scheme)
-	if err != nil {
-		return nil, err
-	}
-	eps := in.Net.Endpoints()
-	cdf, err := traffic.ByName(trace)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := traffic.NewReplay(in.Net.Engine(), eps, cdf, load,
-		int64(in.Net.Cfg.LineRateGbps*1e9), seed^0x7ab1e3)
-	if err != nil {
-		return nil, err
-	}
-	rp.OpenLoop = true // buffer study: no congestion control in the loop
-	rp.Start(int64(dur))
-	if err := in.Run(dur + 10*time.Millisecond); err != nil {
-		return nil, err
-	}
-	sw := in.Net.Switches()[0]
-	var parked uint64
-	for _, h := range in.Net.Hosts() {
-		parked += h.Counters.Parked
-	}
-	return &Table3Cell{
-		P999Bytes: sw.BufferPercentile(0.999),
-		MaxBytes:  float64(sw.MaxBufferUsage()),
-		Parked:    parked,
-	}, nil
 }
 
 func (r *Table3Result) String() string {

@@ -73,12 +73,15 @@ type Instance struct {
 }
 
 // Run advances the instance by d, executing the TA control loop on its
-// period — the while(TM=net.collect(...)) shape of Fig. 5.
+// period — the while(TM=net.collect(...)) shape of Fig. 5. An engine
+// interrupt (a signal handler, a wall-clock watchdog) ends the run in the
+// period it lands in: no control-loop iteration runs after it.
 func (in *Instance) Run(d time.Duration) error {
 	if in.Reconfigure == nil || in.ReconfigureEvery <= 0 {
 		in.Net.Run(d)
 		return nil
 	}
+	eng := in.Net.Engine()
 	left := d
 	for left > 0 {
 		step := in.ReconfigureEvery
@@ -87,6 +90,9 @@ func (in *Instance) Run(d time.Duration) error {
 		}
 		in.Net.Run(step)
 		left -= step
+		if eng.Interrupted() {
+			return nil
+		}
 		if left > 0 {
 			if err := in.Reconfigure(); err != nil {
 				return fmt.Errorf("arch %s: reconfigure: %w", in.Name, err)

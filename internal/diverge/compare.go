@@ -61,7 +61,7 @@ type Report struct {
 	Checkpoint *CheckpointDiff `json:"divergent_checkpoint,omitempty"`
 	Event      *EventDiff      `json:"divergent_event,omitempty"`
 
-	// Note carries non-fatal caveats: missing replay specs, interrupted
+	// Note carries non-fatal caveats: missing scenarios, interrupted
 	// journals, cadence mismatches.
 	Note string `json:"note,omitempty"`
 }
@@ -224,7 +224,7 @@ func (r *Report) Render(w io.Writer) {
 			}
 		}
 	} else {
-		fmt.Fprintf(w, "first divergent event: not bisected (re-run unavailable; see notes or pass journals with replay specs)\n")
+		fmt.Fprintf(w, "first divergent event: not bisected (re-run unavailable; see notes or pass journals that carry their scenarios)\n")
 	}
 }
 

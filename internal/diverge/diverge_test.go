@@ -30,7 +30,8 @@ func testJournal(windowEvents uint64, hashes []string, events uint64, chain stri
 
 func TestJournalRoundTrip(t *testing.T) {
 	j := testJournal(64, []string{Hex(1), Hex(2)}, 130, Hex(99))
-	j.Header.Replay = &ReplaySpec{Arch: "rotornet-vlb", Workload: "rpc", Nodes: 4, Seed: 7, DurationMs: 5, WindowEvents: 64}
+	j.Header.Scenario = []byte(`{"arch":"rotornet-vlb","trace":"rpc","nodes":4,"seed":7,"duration_ms":5}`)
+	j.Header.PerturbA, j.Header.PerturbB = 5, 6
 	j.Checkpoints = append(j.Checkpoints, CheckpointRec{TNs: 1000, Events: 80, StateHash: Hex(3), PoolGets: 10, PoolPuts: 10})
 	j.Violations = append(j.Violations, ViolationRec{TNs: 2000, Events: 100, Probe: "packet-conservation", Detail: "x"})
 	j.Final.Violations = 1
@@ -44,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Header.WindowEvents != 64 || got.Header.Replay == nil || got.Header.Replay.Seed != 7 {
+	if got.Header.WindowEvents != 64 || !bytes.Equal(got.Header.Scenario, j.Header.Scenario) || got.Header.PerturbB != 6 {
 		t.Fatalf("header mangled: %+v", got.Header)
 	}
 	if len(got.Windows) != 2 || got.Windows[1].Hash != Hex(2) {
@@ -83,6 +84,29 @@ func TestReadRejectsTruncated(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("")); err == nil {
 		t.Fatal("empty journal parsed without error")
+	}
+}
+
+// TestReadMapsV1Replay checks a schema-v1 replay object is mapped onto the
+// Scenario keys, its perturbation onto the header, and that a v1 spec the
+// Scenario cannot express is rejected.
+func TestReadMapsV1Replay(t *testing.T) {
+	const final = `{"kind":"final","events":1,"chain":"01"}` + "\n"
+	v1 := `{"kind":"header","schema_version":1,"window_events":64,"replay":{"arch":"daware","workload":"kv",` +
+		`"nodes":4,"hosts_per_node":1,"slice_us":50,"collect_us":500,"reprogram_us":1000,"drain_us":5,` +
+		`"window_events":64,"perturb_a":3,"perturb_b":9}}` + "\n"
+	j, err := Read(strings.NewReader(v1 + final))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"arch":"daware","collect_interval_us":500,"event_digest":true,"nodes":4,` +
+		`"reconfig_drain_us":5,"reconfig_period_us":1000,"slice_duration_ns":50000,"trace":"kv"}`
+	if string(j.Header.Scenario) != want || j.Header.PerturbA != 3 || j.Header.PerturbB != 9 {
+		t.Fatalf("v1 header read as scenario %s, perturb %d:%d", j.Header.Scenario, j.Header.PerturbA, j.Header.PerturbB)
+	}
+	multi := strings.Replace(v1, `"hosts_per_node":1`, `"hosts_per_node":2`, 1)
+	if _, err := Read(strings.NewReader(multi + final)); err == nil {
+		t.Fatal("a v1 spec with two hosts per node read without error")
 	}
 }
 

@@ -20,55 +20,15 @@ import (
 	"openoptics/internal/sim"
 )
 
-// SchemaVersion is the journal and report schema version.
-const SchemaVersion = 1
+// SchemaVersion is the journal and report schema version. Version 2
+// replaced v1's replay spec with the run's Scenario; Read still maps a v1
+// header onto it.
+const SchemaVersion = 2
 
 // Hex renders a 64-bit digest value the way every journal field stores it:
 // fixed-width lowercase hex, so journals and reports are byte-deterministic
 // and trivially diffable.
 func Hex(v uint64) string { return fmt.Sprintf("%016x", v) }
-
-// ReplaySpec records everything needed to re-execute the run that produced
-// a journal — architecture, workload, scale, seed, auditor cadence, and
-// any armed perturbation. Drivers only embed it when the run is actually
-// reproducible in-process (a pure synthetic-workload run with no
-// wall-clock-coupled telemetry events); without it `ooctl diverge` still
-// localizes divergence to a window, just not to an event.
-type ReplaySpec struct {
-	Arch         string  `json:"arch"`
-	Workload     string  `json:"workload"`
-	Nodes        int     `json:"nodes"`
-	Uplink       int     `json:"uplink,omitempty"`
-	HostsPerNode int     `json:"hosts_per_node,omitempty"`
-	SliceUs      int     `json:"slice_us,omitempty"`
-	Load         float64 `json:"load"`
-	Seed         uint64  `json:"seed"`
-	DurationMs   int     `json:"duration_ms"`
-
-	// Demand-aware control-loop knobs (arch "daware" only).
-	Policy      string `json:"policy,omitempty"`
-	Predictor   string `json:"predictor,omitempty"`
-	CollectUs   int64  `json:"collect_us,omitempty"`
-	ReprogramUs int64  `json:"reprogram_us,omitempty"`
-	DrainUs     int64  `json:"drain_us,omitempty"`
-
-	// Traffic shaping (load shapes, hot-pair skew).
-	HotFrac        float64 `json:"hot_frac,omitempty"`
-	HotPairs       int     `json:"hot_pairs,omitempty"`
-	LoadShape      string  `json:"load_shape,omitempty"`
-	ShapePeriodMs  int     `json:"shape_period_ms,omitempty"`
-	ShapeAmplitude float64 `json:"shape_amplitude,omitempty"`
-
-	// Auditor cadence: both alter the event stream (checkpoints are engine
-	// events), so a replay must reproduce them exactly.
-	WindowEvents      uint64 `json:"window_events"`
-	CheckpointEveryNs int64  `json:"checkpoint_every_ns,omitempty"`
-
-	// Armed perturbation (simdebug builds): the sequence-number pair
-	// PerturbSwapSeq swapped during the recorded run.
-	PerturbA uint64 `json:"perturb_a,omitempty"`
-	PerturbB uint64 `json:"perturb_b,omitempty"`
-}
 
 // Header is the journal's first line: run identity plus auditor geometry.
 type Header struct {
@@ -77,7 +37,17 @@ type Header struct {
 	Manifest          *provenance.Manifest `json:"manifest,omitempty"`
 	WindowEvents      uint64               `json:"window_events"`
 	CheckpointEveryNs int64                `json:"checkpoint_every_ns,omitempty"`
-	Replay            *ReplaySpec          `json:"replay,omitempty"`
+	// PerturbA and PerturbB are the sequence-number pair PerturbSwapSeq
+	// swapped during the recorded run (simdebug builds); zero when none.
+	PerturbA uint64 `json:"perturb_a,omitempty"`
+	PerturbB uint64 `json:"perturb_b,omitempty"`
+	// Scenario is the run's runner.Scenario, recorded only when the run
+	// can be re-executed in-process (a trace-replay run with no
+	// wall-clock-coupled telemetry events); without it `ooctl diverge`
+	// still localizes divergence to a window, just not to an event. It
+	// stays raw JSON because the root package, which the runner imports,
+	// writes journals.
+	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
 // WindowRec is one closed digest window.
@@ -218,6 +188,11 @@ func Read(r io.Reader) (*Journal, error) {
 				return nil, fmt.Errorf("journal schema v%d is newer than this build understands (v%d)",
 					j.Header.SchemaVersion, SchemaVersion)
 			}
+			if j.Header.SchemaVersion < 2 {
+				if err := upgradeV1(b, &j.Header); err != nil {
+					return nil, fmt.Errorf("journal line %d: %w", line, err)
+				}
+			}
 			sawHeader = true
 		case "window":
 			var w WindowRec
@@ -254,6 +229,59 @@ func Read(r io.Reader) (*Journal, error) {
 		return nil, fmt.Errorf("truncated digest journal: no final line")
 	}
 	return j, nil
+}
+
+// v1Renames maps the keys of a schema-v1 header's replay object that the
+// Scenario spells differently; slice_us also changes unit.
+var v1Renames = map[string]string{
+	"workload":     "trace",
+	"collect_us":   "collect_interval_us",
+	"reprogram_us": "reconfig_period_us",
+	"drain_us":     "reconfig_drain_us",
+}
+
+// upgradeV1 maps a schema-v1 header's replay object onto the Scenario: the
+// perturbation pair moves up into the header, the auditor geometry it
+// duplicated from the header is dropped, and every v1 journal was recorded
+// with one host per node and the auditor attached.
+func upgradeV1(line []byte, h *Header) error {
+	var v1 struct {
+		Replay map[string]json.RawMessage `json:"replay"`
+	}
+	if err := json.Unmarshal(line, &v1); err != nil || v1.Replay == nil {
+		return err
+	}
+	sc := map[string]any{"event_digest": true}
+	for k, v := range v1.Replay {
+		var err error
+		switch k {
+		case "window_events", "checkpoint_every_ns":
+		case "hosts_per_node":
+			var n int
+			if err = json.Unmarshal(v, &n); err == nil && n > 1 {
+				err = fmt.Errorf("%d hosts per node has no scenario equivalent", n)
+			}
+		case "perturb_a":
+			err = json.Unmarshal(v, &h.PerturbA)
+		case "perturb_b":
+			err = json.Unmarshal(v, &h.PerturbB)
+		case "slice_us":
+			var us int64
+			err = json.Unmarshal(v, &us)
+			sc["slice_duration_ns"] = us * 1000
+		default:
+			if to, ok := v1Renames[k]; ok {
+				k = to
+			}
+			sc[k] = v
+		}
+		if err != nil {
+			return fmt.Errorf("v1 replay spec key %q: %w", k, err)
+		}
+	}
+	raw, err := json.Marshal(sc)
+	h.Scenario = raw
+	return err
 }
 
 // ReadFile parses the journal at path.

@@ -1,22 +1,22 @@
-// Package replay re-executes the run described by a digest journal's
-// ReplaySpec — the determinism auditor's bisection arm. Exploiting the
-// engine's bit-exact reproducibility, it rebuilds the same architecture,
-// workload, and auditor cadence, re-runs with per-event capture armed over
-// one divergent window, and names the exact first dispatch where two runs
-// part ways. It lives under internal/diverge rather than in it because it
-// imports the root openoptics package (it builds networks); the journal
-// format itself must stay importable *from* the root.
+// Package replay re-executes the run a digest journal's header describes —
+// the determinism auditor's bisection arm. Exploiting the engine's
+// bit-exact reproducibility, it starts the journal's runner.Scenario
+// through the same Scenario.Start every caller wires runs with, re-runs it
+// with per-event capture armed over one divergent window, and names the
+// exact first dispatch where two runs part ways. It lives under
+// internal/diverge rather than in it because it builds networks; the
+// journal format itself must stay importable *from* the root package.
 package replay
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"time"
 
 	"openoptics"
-	"openoptics/internal/arch"
 	"openoptics/internal/diverge"
+	"openoptics/internal/runner"
 	"openoptics/internal/sim"
-	"openoptics/internal/traffic"
 )
 
 // Run is one re-execution's evidence: the rebuilt journal (for verifying
@@ -27,99 +27,51 @@ type Run struct {
 	Captured []sim.CapturedEvent
 }
 
-// Execute re-runs the spec with event capture armed over dispatch indexes
-// [capStart, capEnd) (equal bounds disable capture). The wiring order —
-// build architecture, endpoints and sink, attach auditor, arm
-// perturbation, start workload — mirrors the oosim driver exactly; any
-// reordering of event-scheduling calls would shift sequence numbers and
-// make every replay look divergent.
-func Execute(spec *diverge.ReplaySpec, capStart, capEnd uint64) (*Run, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("journal carries no replay spec (config-file, live-telemetry, or non-replay-workload run)")
+// Execute re-runs the journal header's scenario with the header's auditor
+// geometry and perturbation, and with event capture armed over dispatch
+// indexes [capStart, capEnd) (equal bounds disable capture). Like oosim,
+// it seeds the arrivals with the scenario seed and runs for the arrival
+// window plus a quarter.
+func Execute(h *diverge.Header, capStart, capEnd uint64) (*Run, error) {
+	if len(h.Scenario) == 0 {
+		return nil, fmt.Errorf("journal carries no scenario (config-file, live-telemetry, progress-reporting, or non-replay-workload run)")
 	}
-	o := arch.Options{
-		Nodes:           spec.Nodes,
-		Uplink:          spec.Uplink,
-		HostsPerNode:    spec.HostsPerNode,
-		SliceDurationNs: int64(spec.SliceUs) * 1000,
-		Seed:            spec.Seed,
+	var sc runner.Scenario
+	dec := json.NewDecoder(bytes.NewReader(h.Scenario))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return nil, fmt.Errorf("journal scenario: %w", err)
 	}
-	if o.HostsPerNode == 0 {
-		o.HostsPerNode = 1
-	}
-	dc := arch.DemandConfig{
-		Policy:         spec.Policy,
-		Predictor:      spec.Predictor,
-		CollectEvery:   time.Duration(spec.CollectUs) * time.Microsecond,
-		ReprogramEvery: time.Duration(spec.ReprogramUs) * time.Microsecond,
-		DrainNs:        spec.DrainUs * 1000,
-	}
-	in, err := buildArch(spec.Arch, o, dc)
-	if err != nil {
-		return nil, err
-	}
-	eng := in.Net.Engine()
-	eps := in.Net.Endpoints()
-	_ = traffic.NewSink(eps)
-
-	// Arm the perturbation before attaching the auditor, mirroring oosim:
-	// the swap relabels seqs at assignment time, and Net.AttachDigest
-	// itself schedules the checkpoint event.
-	if spec.PerturbA != 0 || spec.PerturbB != 0 {
-		if !eng.PerturbSwapSeq(spec.PerturbA, spec.PerturbB) {
-			return nil, fmt.Errorf("journal was recorded with -perturb-swap %d:%d; replaying it needs a `-tags simdebug` build",
-				spec.PerturbA, spec.PerturbB)
-		}
-	}
-	cadence := spec.CheckpointEveryNs
+	sc.EventDigest = true // a journal exists only for a digested run
+	cadence := h.CheckpointEveryNs
 	if cadence == 0 {
 		cadence = -1 // the recorded run had checkpoints off; 0 would default them on
 	}
-	aud := in.Net.AttachDigest(openoptics.DigestOptions{
-		WindowEvents:      spec.WindowEvents,
-		CheckpointEveryNs: cadence,
+	st, err := sc.Start(runner.Wiring{
+		TrafficSeed: sc.Seed,
+		Digest:      openoptics.DigestOptions{WindowEvents: h.WindowEvents, CheckpointEveryNs: cadence},
+		PerturbA:    h.PerturbA,
+		PerturbB:    h.PerturbB,
 	})
+	if err != nil {
+		return nil, err
+	}
 	if capEnd > capStart {
-		aud.Digest().SetCapture(capStart, capEnd)
+		st.Auditor.Digest().SetCapture(capStart, capEnd)
 	}
-
-	cdf, err := traffic.ByName(spec.Workload)
-	if err != nil {
-		return nil, fmt.Errorf("replay workload %q: %w", spec.Workload, err)
+	if err := st.Run(sc.Duration() + sc.Duration()/4); err != nil {
+		return nil, err
 	}
-	rp, err := traffic.NewReplay(eng, eps, cdf, spec.Load,
-		int64(in.Net.Cfg.LineRateGbps*1e9), spec.Seed)
+	j, err := st.Journal(nil)
 	if err != nil {
 		return nil, err
 	}
-	rp.HotFrac = spec.HotFrac
-	rp.HotPairs = spec.HotPairs
-	if spec.LoadShape != "" && spec.LoadShape != "flat" {
-		shape := &traffic.LoadShape{
-			Kind:      spec.LoadShape,
-			PeriodNs:  int64(spec.ShapePeriodMs) * 1e6,
-			Amplitude: spec.ShapeAmplitude,
-		}
-		if err := shape.Validate(); err != nil {
-			return nil, err
-		}
-		rp.Shape = shape
-	}
-	dur := time.Duration(spec.DurationMs) * time.Millisecond
-	rp.Start(int64(dur))
-	if err := in.Run(dur + dur/4); err != nil {
-		return nil, err
-	}
-	return &Run{
-		Auditor:  aud,
-		Journal:  aud.BuildJournal(nil, spec),
-		Captured: aud.Digest().Captured(),
-	}, nil
+	return &Run{Auditor: st.Auditor, Journal: j, Captured: st.Auditor.Digest().Captured()}, nil
 }
 
 // Bisect narrows a window-level divergence (rep.Window, from
 // diverge.Compare) to the exact first divergent event by re-running both
-// journals' specs with capture armed over the divergent window. Each
+// journals' scenarios with capture armed over the divergent window. Each
 // replay is verified against its journal's final chain before the capture
 // is trusted — a replay that fails to reproduce its own run (different
 // binary, build tags, or environment) is an error, not evidence.
@@ -128,14 +80,14 @@ func Bisect(rep *diverge.Report, a, b *diverge.Journal, contextN int) error {
 		return nil
 	}
 	start, end := rep.Window.StartEvents, rep.Window.EndEvents
-	ra, err := Execute(a.Header.Replay, start, end)
+	ra, err := Execute(&a.Header, start, end)
 	if err != nil {
 		return fmt.Errorf("re-running journal A: %w", err)
 	}
 	if err := verifyReproduced("A", ra.Journal, a); err != nil {
 		return err
 	}
-	rb, err := Execute(b.Header.Replay, start, end)
+	rb, err := Execute(&b.Header, start, end)
 	if err != nil {
 		return fmt.Errorf("re-running journal B: %w", err)
 	}
@@ -180,7 +132,7 @@ func Bisect(rep *diverge.Report, a, b *diverge.Journal, contextN int) error {
 		rep.Event = d
 		return nil
 	}
-	return fmt.Errorf("re-run captures over window [%d, %d) are identical; the journals' divergence is not reproducible from their specs", start, end)
+	return fmt.Errorf("re-run captures over window [%d, %d) are identical; the journals' divergence is not reproducible from their scenarios", start, end)
 }
 
 func verifyReproduced(label string, got, want *diverge.Journal) error {
@@ -207,36 +159,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// buildArch mirrors the oosim driver's architecture dispatch. Keep the two
-// in sync: a replayed journal records the oosim arch name verbatim.
-func buildArch(name string, o arch.Options, dc arch.DemandConfig) (*arch.Instance, error) {
-	switch name {
-	case "daware":
-		return arch.DemandAware(o, dc)
-	case "clos":
-		return arch.Clos(o)
-	case "c-through":
-		return arch.CThrough(o)
-	case "jupiter":
-		return arch.Jupiter(o)
-	case "mordia":
-		return arch.Mordia(o)
-	case "rotornet-vlb":
-		return arch.RotorNet(o, arch.SchemeVLB)
-	case "rotornet-direct":
-		return arch.RotorNet(o, arch.SchemeDirect)
-	case "rotornet-ucmp":
-		return arch.RotorNet(o, arch.SchemeUCMP)
-	case "rotornet-hoho":
-		return arch.RotorNet(o, arch.SchemeHOHO)
-	case "opera":
-		return arch.Opera(o)
-	case "semi-oblivious":
-		return arch.SemiOblivious(o)
-	case "shale":
-		return arch.Shale(o, 2)
-	}
-	return nil, fmt.Errorf("unknown architecture %q", name)
 }

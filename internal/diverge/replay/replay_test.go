@@ -2,21 +2,26 @@ package replay
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"openoptics/internal/diverge"
+	"openoptics/internal/runner"
 )
 
-func tinySpec(seed uint64) *diverge.ReplaySpec {
-	return &diverge.ReplaySpec{
-		Arch: "rotornet-vlb", Workload: "rpc", Nodes: 4, SliceUs: 100,
-		Load: 0.3, Seed: seed, DurationMs: 3,
-		WindowEvents: 256, CheckpointEveryNs: 500_000,
+func tinySpec(seed uint64) *diverge.Header {
+	raw, err := json.Marshal(runner.Scenario{
+		Arch: "rotornet-vlb", Trace: "rpc", Nodes: 4, SliceDurationNs: 100_000,
+		Load: 0.3, Seed: seed, DurationMs: 3, EventDigest: true,
+	})
+	if err != nil {
+		panic(err)
 	}
+	return &diverge.Header{WindowEvents: 256, CheckpointEveryNs: 500_000, Scenario: raw}
 }
 
 // TestExecuteDeterministic is the auditor's differential test: the same
-// spec must produce byte-identical journals on every execution, across a
+// scenario must produce byte-identical journals on every execution, across a
 // few seeds.
 func TestExecuteDeterministic(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
@@ -95,7 +100,12 @@ func TestExecuteCapture(t *testing.T) {
 }
 
 func TestExecuteNilSpec(t *testing.T) {
-	if _, err := Execute(nil, 0, 0); err == nil {
-		t.Fatal("nil replay spec executed without error")
+	if _, err := Execute(&diverge.Header{WindowEvents: 256}, 0, 0); err == nil {
+		t.Fatal("a header without a scenario executed without error")
+	}
+	h := tinySpec(7)
+	h.Scenario = []byte(`{"arch":"rotornet-vlb","warp":9}`)
+	if _, err := Execute(h, 0, 0); err == nil {
+		t.Fatal("a scenario with an unknown key executed without error")
 	}
 }

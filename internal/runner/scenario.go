@@ -1,13 +1,16 @@
 package runner
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"openoptics"
 	"openoptics/internal/arch"
+	"openoptics/internal/diverge"
 	"openoptics/internal/provenance"
 	"openoptics/internal/routing"
 	"openoptics/internal/sim"
@@ -16,8 +19,12 @@ import (
 	"openoptics/internal/traffic"
 )
 
-// Scenario is one fully-instantiated point of the sweep grid: everything a
-// job needs to build its network, drive its workload, and measure.
+// Scenario is the one description of a replayed-trace run: everything
+// needed to build its network, drive its workload, and measure. A sweep
+// grid expands into Scenarios, oosim parses its flags into one, digest
+// journals embed one, and Start wires every one of them the same way.
+// The JSON tags are its identity (ConfigDigest, committed fixtures), so
+// they never change.
 type Scenario struct {
 	ID      string  `json:"id"`
 	Arch    string  `json:"arch"`
@@ -171,41 +178,92 @@ type RunOpts struct {
 	Manifest any
 }
 
-// Run executes the scenario to completion (or timeout) and measures it.
-func (sc Scenario) Run(opt RunOpts) (*Result, error) {
-	in, err := sc.build()
+// Wiring is what a caller adds when it starts a scenario: the values its
+// own fixtures pin, the auditor geometry, and its observers.
+type Wiring struct {
+	// TrafficSeed seeds the arrival process.
+	TrafficSeed uint64
+	// Tune adjusts the generated Config before the scenario's own tuning
+	// applies (oosim's -config file).
+	Tune func(*openoptics.Config)
+	// Digest shapes the auditor attached when the scenario sets
+	// EventDigest.
+	Digest openoptics.DigestOptions
+	// PerturbA and PerturbB, when set, arm Engine.PerturbSwapSeq (simdebug
+	// builds) before the auditor attaches.
+	PerturbA, PerturbB uint64
+	// Observe attaches the caller's observers after the auditor and before
+	// arrivals, so observers that schedule engine events (the live plane,
+	// progress reports) draw the same sequence numbers in every caller.
+	Observe func(*Started) error
+	// Workload, when set, starts the caller's own traffic in place of the
+	// scenario's trace replay (oosim's memcached, allreduce, iperf and
+	// udp-probe workloads).
+	Workload func(*Started) error
+}
+
+// Started is a wired scenario, ready to Run.
+type Started struct {
+	*arch.Instance
+	Sink    *traffic.Sink
+	Auditor *openoptics.Auditor
+	// Replay is the trace replay; nil when Wiring.Workload started the
+	// traffic instead.
+	Replay *traffic.Replay
+
+	scenario Scenario
+	perturb  [2]uint64
+}
+
+// Start is the one wiring path of a scenario, shared by oosim, the journal
+// replayer, the sweep runner and Table 3: build the
+// architecture, attach the flow sink, arm the perturbation, attach the
+// auditor, attach the caller's observers, start the arrivals. Moving a step
+// that schedules engine events would shift every later sequence number,
+// so two callers wiring the same scenario differently could never replay
+// each other's runs.
+func (sc Scenario) Start(w Wiring) (*Started, error) {
+	in, err := arch.Build(sc.archName(), sc.options(w.Tune), arch.DemandConfig{
+		Policy:         sc.Policy,
+		Predictor:      sc.Predictor,
+		CollectEvery:   time.Duration(sc.CollectIntervalUs) * time.Microsecond,
+		ReprogramEvery: time.Duration(sc.ReconfigPeriodUs) * time.Microsecond,
+		DrainNs:        sc.ReconfigDrainUs * 1000,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("runner: build %s: %w", sc.ID, err)
+		return nil, err
 	}
-	var reg *telemetry.Registry
-	if opt.Metrics != nil {
-		reg = in.Net.Metrics() // build before traffic so per-slice counters record
-		if opt.Manifest != nil {
-			reg.SetManifest(opt.Manifest)
+	st := &Started{Instance: in, Sink: traffic.NewSink(in.Net.Endpoints()),
+		scenario: sc, perturb: [2]uint64{w.PerturbA, w.PerturbB}}
+	eng := in.Net.Engine()
+	// The swap relabels sequence numbers as they are assigned, and the
+	// auditor's perturb hint names only seqs assigned after it attaches,
+	// so arming first guarantees a hinted pair is actually swappable.
+	if (w.PerturbA != 0 || w.PerturbB != 0) && !eng.PerturbSwapSeq(w.PerturbA, w.PerturbB) {
+		return nil, fmt.Errorf("perturbation %d:%d needs a `-tags simdebug` build", w.PerturbA, w.PerturbB)
+	}
+	if sc.EventDigest {
+		st.Auditor = in.Net.AttachDigest(w.Digest)
+	}
+	if w.Observe != nil {
+		if err := w.Observe(st); err != nil {
+			return nil, err
 		}
 	}
-	var aud *openoptics.Auditor
-	if sc.EventDigest {
-		aud = in.Net.AttachDigest(openoptics.DigestOptions{})
+	if w.Workload != nil {
+		if err := w.Workload(st); err != nil {
+			return nil, err
+		}
+		return st, nil
 	}
-	var tracer *telemetry.Tracer
-	if sc.TraceSample > 0 {
-		// Sink-less: the tracer only aggregates the per-component latency
-		// attribution the Result reports.
-		tracer = in.Net.Tracer(sc.TraceSample)
-	}
-	eng := in.Net.Engine()
-	eps := in.Net.Endpoints()
-	sink := traffic.NewSink(eps)
 	cdf, err := traffic.ByName(sc.Trace)
 	if err != nil {
-		return nil, fmt.Errorf("runner: %s: %w", sc.ID, err)
+		return nil, err
 	}
-	dur := time.Duration(sc.DurationMs) * time.Millisecond
-	rp, err := traffic.NewReplay(eng, eps, cdf, sc.Load,
-		int64(in.Net.Cfg.LineRateGbps*1e9), sc.Seed^0x7ab1e3)
+	rp, err := traffic.NewReplay(eng, in.Net.Endpoints(), cdf, sc.Load,
+		int64(in.Net.Cfg.LineRateGbps*1e9), w.TrafficSeed)
 	if err != nil {
-		return nil, fmt.Errorf("runner: %s: %w", sc.ID, err)
+		return nil, err
 	}
 	rp.OpenLoop = sc.Profile == ProfileBuffer
 	rp.HotFrac = sc.HotFrac
@@ -216,21 +274,112 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 			PeriodNs:  int64(sc.ShapePeriodMs) * 1e6,
 			Amplitude: sc.ShapeAmplitude,
 		}
+		if err := rp.Shape.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	rp.Start(int64(dur))
+	rp.Start(int64(sc.Duration()))
+	st.Replay = rp
+	return st, nil
+}
 
-	var deadline time.Time
+// Journal assembles the run's digest journal with the scenario and the
+// armed perturbation in its header, so `ooctl diverge` can re-run it. The
+// scenario must have set EventDigest.
+func (st *Started) Journal(m *provenance.Manifest) (*diverge.Journal, error) {
+	raw, err := json.Marshal(st.scenario)
+	if err != nil {
+		return nil, err
+	}
+	j := st.Auditor.BuildJournal(m)
+	j.Header.Scenario = raw
+	j.Header.PerturbA, j.Header.PerturbB = st.perturb[0], st.perturb[1]
+	return j, nil
+}
+
+// Duration is the scenario's arrival window.
+func (sc Scenario) Duration() time.Duration {
+	return time.Duration(sc.DurationMs) * time.Millisecond
+}
+
+// archName is the registry name of the scenario's architecture: the
+// rotornet routing axis names the scheme, and "vlb+offload" is VLB with
+// buffer offloading tuned on (see options).
+func (sc Scenario) archName() string {
+	if sc.Routing == "" {
+		return sc.Arch
+	}
+	return sc.Arch + "-" + strings.TrimSuffix(sc.Routing, "+offload")
+}
+
+// options shapes the architecture instance, with the routing-specific
+// Config tuning the paper experiments apply on top of the caller's own.
+func (sc Scenario) options(tune func(*openoptics.Config)) arch.Options {
+	name := sc.archName()
+	return arch.Options{
+		Nodes:           sc.Nodes,
+		Uplink:          sc.Uplink,
+		HostsPerNode:    1,
+		SliceDurationNs: sc.SliceDurationNs,
+		Seed:            sc.Seed,
+		Routing:         routing.Options{MaxHop: sc.MaxHop},
+		Tune: func(c *openoptics.Config) {
+			if tune != nil {
+				tune(c)
+			}
+			if sc.Routing == "vlb+offload" {
+				c.OffloadRank = 2 // keep two slices of calendars on-switch
+			}
+			if sc.Profile == ProfileBuffer && (name == "rotornet-hoho" || name == "rotornet-ucmp") {
+				// The §7 buffer-study tuning: latency-seeking schemes run
+				// with congestion detection deferring instead of dropping.
+				c.CongestionDetection = true
+				c.Response = "defer"
+			}
+		},
+	}
+}
+
+// Run executes the scenario to completion (or timeout) and measures it.
+func (sc Scenario) Run(opt RunOpts) (*Result, error) {
+	var reg *telemetry.Registry
+	var tracer *telemetry.Tracer
+	st, err := sc.Start(Wiring{
+		TrafficSeed: sc.Seed ^ 0x7ab1e3,
+		Observe: func(st *Started) error {
+			if opt.Metrics != nil {
+				reg = st.Net.Metrics() // before traffic, so per-slice counters record
+				if opt.Manifest != nil {
+					reg.SetManifest(opt.Manifest)
+				}
+			}
+			if sc.TraceSample > 0 {
+				// Sink-less: the tracer only aggregates the per-component
+				// latency attribution the Result reports.
+				tracer = st.Net.Tracer(sc.TraceSample)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("runner: build %s: %w", sc.ID, err)
+	}
+	eng := st.Net.Engine()
 	if opt.Timeout > 0 {
-		deadline = time.Now().Add(opt.Timeout)
+		watchdog := time.AfterFunc(opt.Timeout, eng.Interrupt)
+		defer watchdog.Stop()
 	}
 	// Drain window after the measured arrivals, as the paper drivers use.
-	if err := driveInstance(in, dur+10*time.Millisecond, deadline); err != nil {
+	if err := st.Run(sc.Duration() + 10*time.Millisecond); err != nil {
 		return nil, fmt.Errorf("runner: %s: %w", sc.ID, err)
 	}
+	if eng.Interrupted() {
+		return nil, ErrTimeout
+	}
 
-	res := &Result{FlowsStarted: rp.Started, Events: eng.Processed}
+	res := &Result{FlowsStarted: st.Replay.Started, Events: eng.Processed}
 	if sc.Profile == ProfileFCT {
-		s := sink.FCTSample(traffic.PortReplay)
+		s := st.Sink.FCTSample(traffic.PortReplay)
 		res.FCTCount = s.N()
 		res.FCTMeanNs = s.Mean()
 		res.FCTP50Ns = s.Percentile(50)
@@ -238,22 +387,22 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 		res.FCTP99Ns = s.Percentile(99)
 		res.FCTMaxNs = s.Max()
 	}
-	if sws := in.Net.Switches(); len(sws) > 0 {
+	if sws := st.Net.Switches(); len(sws) > 0 {
 		res.BufP999Bytes = sws[0].BufferPercentile(0.999)
 		res.BufMaxBytes = float64(sws[0].MaxBufferUsage())
 	}
-	for _, h := range in.Net.Hosts() {
+	for _, h := range st.Net.Hosts() {
 		res.Parked += h.Counters.Parked
 	}
-	res.Reconfigs = in.Net.Reconfigs()
-	res.ReconfigDrops = in.Net.OpticalFabric().DropsReconfig
-	if in.Demand != nil {
-		st := in.Demand.Stats()
-		res.DemandEpochs = st.Epochs
-		res.PredErrRatio = st.PredErrRatio
-		res.Coverage = st.Coverage
+	res.Reconfigs = st.Net.Reconfigs()
+	res.ReconfigDrops = st.Net.OpticalFabric().DropsReconfig
+	if st.Demand != nil {
+		ds := st.Demand.Stats()
+		res.DemandEpochs = ds.Epochs
+		res.PredErrRatio = ds.PredErrRatio
+		res.Coverage = ds.Coverage
 	}
-	if aud != nil {
+	if aud := st.Auditor; aud != nil {
 		res.EventDigest = aud.ChainHex()
 		res.Checkpoints = len(aud.Checkpoints())
 		res.InvariantViolations = aud.ViolationCount()
@@ -272,109 +421,6 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// build instantiates the scenario's architecture via internal/arch, with
-// the routing-specific Config tuning the paper drivers apply.
-func (sc Scenario) build() (*arch.Instance, error) {
-	o := arch.Options{
-		Nodes:           sc.Nodes,
-		Uplink:          sc.Uplink,
-		HostsPerNode:    1,
-		SliceDurationNs: sc.SliceDurationNs,
-		Seed:            sc.Seed,
-		Routing:         routing.Options{MaxHop: sc.MaxHop},
-		Tune: func(c *openoptics.Config) {
-			if sc.Routing == "vlb+offload" {
-				c.OffloadRank = 2 // keep two slices of calendars on-switch
-			}
-			if sc.Profile == ProfileBuffer && (sc.Routing == "hoho" || sc.Routing == "ucmp") {
-				// The §7 buffer-study tuning: latency-seeking schemes run
-				// with congestion detection deferring instead of dropping.
-				c.CongestionDetection = true
-				c.Response = "defer"
-			}
-		},
-	}
-	switch sc.Arch {
-	case "clos":
-		return arch.Clos(o)
-	case "cthrough":
-		return arch.CThrough(o)
-	case "jupiter":
-		return arch.Jupiter(o)
-	case "mordia":
-		return arch.Mordia(o)
-	case "opera":
-		return arch.Opera(o)
-	case "semioblivious":
-		return arch.SemiOblivious(o)
-	case "daware":
-		return arch.DemandAware(o, arch.DemandConfig{
-			Policy:         sc.Policy,
-			Predictor:      sc.Predictor,
-			CollectEvery:   time.Duration(sc.CollectIntervalUs) * time.Microsecond,
-			ReprogramEvery: time.Duration(sc.ReconfigPeriodUs) * time.Microsecond,
-			DrainNs:        sc.ReconfigDrainUs * 1000,
-		})
-	case "rotornet":
-		scheme := arch.SchemeVLB
-		switch sc.Routing {
-		case "", "vlb", "vlb+offload":
-		case "direct":
-			scheme = arch.SchemeDirect
-		case "ucmp":
-			scheme = arch.SchemeUCMP
-		case "hoho":
-			scheme = arch.SchemeHOHO
-		default:
-			return nil, fmt.Errorf("runner: rotornet does not support routing %q", sc.Routing)
-		}
-		return arch.RotorNet(o, scheme)
-	}
-	return nil, fmt.Errorf("runner: unknown architecture %q", sc.Arch)
-}
-
-// driveInstance advances the instance by d, preserving arch.Instance.Run's
-// reconfiguration semantics exactly (TA control loops fire on their period)
-// while checking the wall-clock deadline between simulation chunks. Virtual
-// event order is unaffected by chunking, so results match an unchunked run.
-func driveInstance(in *arch.Instance, d time.Duration, deadline time.Time) error {
-	expired := func() bool {
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
-	if in.Reconfigure == nil || in.ReconfigureEvery <= 0 {
-		const chunk = 2 * time.Millisecond // timeout-check granularity (virtual)
-		for left := d; left > 0; {
-			if expired() {
-				return ErrTimeout
-			}
-			step := chunk
-			if step > left {
-				step = left
-			}
-			in.Net.Run(step)
-			left -= step
-		}
-		return nil
-	}
-	for left := d; left > 0; {
-		if expired() {
-			return ErrTimeout
-		}
-		step := in.ReconfigureEvery
-		if step > left {
-			step = left
-		}
-		in.Net.Run(step)
-		left -= step
-		if left > 0 {
-			if err := in.Reconfigure(); err != nil {
-				return fmt.Errorf("arch %s: reconfigure: %w", in.Name, err)
-			}
-		}
-	}
-	return nil
 }
 
 // crossRep summarizes one metric across a scenario's replications.

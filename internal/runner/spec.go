@@ -17,6 +17,7 @@ import (
 	"os"
 	"sort"
 
+	"openoptics/internal/arch"
 	"openoptics/internal/demand"
 	"openoptics/internal/provenance"
 	"openoptics/internal/traffic"
@@ -41,8 +42,9 @@ type Spec struct {
 	// Name labels the sweep in summaries.
 	Name string `json:"name"`
 
-	// Architectures to instantiate: clos, cthrough, jupiter, mordia,
-	// rotornet, opera, semioblivious, daware.
+	// Architectures to instantiate, by any name arch.Build accepts: clos,
+	// cthrough, jupiter, mordia, rotornet, opera, semioblivious, shale,
+	// daware, or a rotornet-<scheme> spelling.
 	Architectures []string `json:"architectures"`
 	// Routings apply to the rotornet architecture only (vlb, vlb+offload,
 	// direct, ucmp, hoho); other architectures use their native routing
@@ -124,15 +126,10 @@ type Spec struct {
 
 	// Retries is the number of re-attempts after a failed attempt.
 	Retries int `json:"retries,omitempty"`
-	// TimeoutMs bounds one job attempt's wall-clock time (0 = none). The
-	// check runs between simulation chunks, so it is best-effort with
-	// chunk granularity.
+	// TimeoutMs bounds one job attempt's wall-clock time (0 = none). A
+	// watchdog interrupts the job's engine, which stops within about a
+	// thousand events.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-}
-
-var knownArchs = map[string]bool{
-	"clos": true, "cthrough": true, "jupiter": true, "mordia": true,
-	"rotornet": true, "opera": true, "semioblivious": true, "daware": true,
 }
 
 var knownRoutings = map[string]bool{
@@ -243,8 +240,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("runner: spec has no architectures")
 	}
 	for _, a := range s.Architectures {
-		if !knownArchs[a] {
-			return axisErr("architectures", a, known(knownArchs))
+		if !arch.Known(a) {
+			return axisErr("architectures", a, arch.Names())
 		}
 	}
 	for _, r := range s.Routings {
@@ -356,22 +353,22 @@ func (s *Spec) Expand() []Job {
 											sc := Scenario{
 												Arch: a, Routing: rt, Nodes: n, Trace: tr,
 												Load: l, Rep: rep,
-												DurationMs:      d.DurationMs,
-												SliceDurationNs: d.SliceDurationNs,
-												Uplink:          d.Uplink,
-												MaxHop:          d.MaxHop,
-												Profile:         d.Profile,
-												TraceSample:     d.TraceSample,
-												EventDigest:     d.EventDigest,
-												Policy:          po,
-												Predictor:       pr,
+												DurationMs:        d.DurationMs,
+												SliceDurationNs:   d.SliceDurationNs,
+												Uplink:            d.Uplink,
+												MaxHop:            d.MaxHop,
+												Profile:           d.Profile,
+												TraceSample:       d.TraceSample,
+												EventDigest:       d.EventDigest,
+												Policy:            po,
+												Predictor:         pr,
 												CollectIntervalUs: ci,
 												ReconfigPeriodUs:  rp,
-												HotFrac:        d.HotFrac,
-												HotPairs:       d.HotPairs,
-												LoadShape:      d.LoadShape,
-												ShapePeriodMs:  d.ShapePeriodMs,
-												ShapeAmplitude: d.ShapeAmplitude,
+												HotFrac:           d.HotFrac,
+												HotPairs:          d.HotPairs,
+												LoadShape:         d.LoadShape,
+												ShapePeriodMs:     d.ShapePeriodMs,
+												ShapeAmplitude:    d.ShapeAmplitude,
 											}
 											if a == "daware" {
 												sc.ReconfigDrainUs = d.ReconfigDrainUs

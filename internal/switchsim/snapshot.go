@@ -45,8 +45,8 @@ type Snapshot struct {
 	Rotations int64 `json:"rotations"`
 	// BufferedBytes is the whole-switch buffer occupancy; by construction
 	// it equals BufferUsage(core.NoPort) at the capture instant.
-	BufferedBytes int64    `json:"buffered_bytes"`
-	Counters      Counters `json:"counters"`
+	BufferedBytes int64          `json:"buffered_bytes"`
+	Counters      Counters       `json:"counters"`
 	Ports         []PortSnapshot `json:"ports"`
 }
 

@@ -56,4 +56,3 @@ func TestNoBarePacketConstruction(t *testing.T) {
 			strings.Join(offenders, "\n  "))
 	}
 }
-

@@ -33,8 +33,8 @@ type NetSnapshot struct {
 	Reconfigs       uint64 `json:"reconfigs"`
 	LastReprogramNs int64  `json:"last_reprogram_ns,omitempty"`
 
-	Switches []switchsim.Snapshot `json:"switches"`
-	Links    []LinkSnapshot       `json:"links"`
+	Switches []switchsim.Snapshot   `json:"switches"`
+	Links    []LinkSnapshot         `json:"links"`
 	Optical  fabric.OpticalSnapshot `json:"optical"`
 	// Electrical is nil when no electrical fabric is configured.
 	Electrical *fabric.ElectricalSnapshot `json:"electrical,omitempty"`
