@@ -127,7 +127,6 @@ func run(args []string) int {
 		}
 		w.Tune = func(c *openoptics.Config) { *c = cfg }
 	}
-	w.TrafficSeed = sc.Seed
 	if *perturbSwap != "" {
 		if _, err := fmt.Sscanf(*perturbSwap, "%d:%d", &w.PerturbA, &w.PerturbB); err != nil || w.PerturbA == 0 || w.PerturbB == 0 {
 			return fail(fmt.Errorf("bad -perturb-swap %q (want two nonzero sequence numbers A:B)", *perturbSwap))
@@ -143,56 +142,6 @@ func run(args []string) int {
 	}), sc.Seed)
 	dur := sc.Duration()
 
-	var report func()
-	switch *workload {
-	case "rpc", "hadoop", "kv":
-		// The scenario's own trace replay.
-	case "memcached":
-		w.Workload = func(st *runner.Started) error {
-			eps := st.Net.Endpoints()
-			traffic.NewMemcached(st.Net.Engine(), eps[0], eps[1:], sc.Seed).Start(int64(dur))
-			report = func() {
-				fmt.Printf("memcached: %s\n", st.Sink.FCTSample(traffic.PortMemcached).Summary())
-			}
-			return nil
-		}
-	case "allreduce":
-		w.Workload = func(st *runner.Started) error {
-			eng := st.Net.Engine()
-			ar := traffic.NewAllReduce(eng, st.Net.Endpoints(), 4_000_000)
-			done := 0
-			ar.OnDone = func(ns int64) {
-				done++
-				fmt.Printf("allreduce #%d: %.3f ms\n", done, float64(ns)/1e6)
-				if eng.Now() < int64(dur) {
-					ar.Restart(4_000_000)
-				}
-			}
-			ar.Start()
-			report = func() { fmt.Printf("allreduce: %d collectives completed\n", done) }
-			return nil
-		}
-	case "iperf":
-		w.Workload = func(st *runner.Started) error {
-			eps := st.Net.Endpoints()
-			ip := traffic.NewIperf(st.Net.Engine(), [][2]traffic.Endpoint{{eps[0], eps[len(eps)/2]}})
-			report = func() {
-				fmt.Printf("iperf: %.2f Gbps goodput, %d retransmissions\n",
-					ip.GoodputBps()/1e9, ip.Retransmissions())
-			}
-			return nil
-		}
-	case "udp-probe":
-		w.Workload = func(st *runner.Started) error {
-			eps := st.Net.Endpoints()
-			traffic.NewUDPProbe(st.Net.Engine(), eps[0], eps[len(eps)-1]).Start(int64(dur))
-			report = func() { fmt.Printf("udp rtt: %s\n", st.Sink.RTT.Summary()) }
-			return nil
-		}
-	default:
-		return fail(fmt.Errorf("unknown workload %q", *workload))
-	}
-
 	// Graceful shutdown: the first SIGINT/SIGTERM interrupts the engine so
 	// the run unwinds through the normal exit path (reports, flushed
 	// telemetry); a second signal kills the process immediately. A signal
@@ -202,101 +151,11 @@ func run(args []string) int {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 
-	// The observers attach between the auditor and the arrivals (the
-	// order Scenario.Start fixes). Their files flush at exit, in reverse.
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	var tracer *telemetry.Tracer
-	var srv *obsv.Server
-	w.Observe = func(st *runner.Started) error {
-		// The registry is built before traffic so per-slice drop counters
-		// record from the first packet.
-		if *metricsOut != "" || *httpAddr != "" {
-			st.Net.Metrics().SetManifest(&manifest)
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			bw := bufio.NewWriter(f)
-			closers = append(closers, func() { bw.Flush(); f.Close() })
-			tracer = st.Net.Tracer(*traceSample)
-			tracer.SetSink(bw)
-			tracer.WriteHeader(&manifest)
-		}
-		if *httpAddr != "" {
-			srv = obsv.NewServer()
-			addr, err := srv.Start(*httpAddr)
-			if err != nil {
-				return err
-			}
-			closers = append(closers, func() { srv.Close() })
-			fmt.Fprintf(os.Stderr, "oosim: live observability on http://%s\n", addr)
-			ri := struct {
-				provenance.Manifest
-				Digest *openoptics.AuditStatus `json:"digest,omitempty"`
-			}{Manifest: manifest}
-			if st.Auditor != nil {
-				as := st.Auditor.Status()
-				ri.Digest = &as
-			}
-			if b, err := json.Marshal(ri); err == nil {
-				srv.RunInfo().Set(b)
-			}
-			st.Net.AttachLive(srv, time.Duration(*httpIntervalUs)*time.Microsecond)
-		}
-		if *flightOut != "" {
-			f, err := os.Create(*flightOut)
-			if err != nil {
-				return err
-			}
-			bw := bufio.NewWriter(f)
-			closers = append(closers, func() { bw.Flush(); f.Close() })
-			rec := obsv.NewFlightRecorder(*flightSize, obsv.TriggerConfig{
-				DropSpike:     *flightDrops,
-				CongestHits:   *flightCongest,
-				CongestSlices: *flightCongestSlices,
-				EQOErrBytes:   *flightEQO,
-			}, bw)
-			rec.SchemaVersion = provenance.SchemaVersion
-			rec.Manifest = &manifest
-			rec.OnDump = func(reason string) {
-				fmt.Fprintln(os.Stderr, "oosim: flight dump:", reason)
-			}
-			st.Net.AttachFlightRecorder(rec, true)
-		}
-		eng := st.Net.Engine()
-		if *profile {
-			eng.EnableProfiling(true)
-		}
-		if *engineLedger {
-			st.Net.AttachEngineLedger(*engineLedgerSample)
-		}
-		if *progressMs > 0 {
-			eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {
-				fmt.Fprintf(os.Stderr, "progress: virtual %.1f ms, %d events, %.3fx real time\n",
-					float64(p.VirtualNs)/1e6, p.Events, p.Ratio)
-				return true
-			})
-		}
-		return nil
-	}
 	st, err := sc.Start(w)
 	if err != nil {
 		return fail(err)
 	}
 	eng := st.Net.Engine()
-	if report == nil {
-		report = func() {
-			fmt.Printf("%s replay: %d flows started, FCT %s\n",
-				*workload, st.Replay.Started, st.Sink.FCTSample(traffic.PortReplay).Summary())
-		}
-	}
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -310,6 +169,121 @@ func run(args []string) int {
 		<-sigs
 		os.Exit(130)
 	}()
+
+	// Telemetry wiring, after the auditor and before the arrivals. The
+	// registry is built before traffic so per-slice drop counters record
+	// from the first packet.
+	if *metricsOut != "" || *httpAddr != "" {
+		st.Net.Metrics().SetManifest(&manifest)
+	}
+	var tracer *telemetry.Tracer
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			return fail(err)
+		}
+		bw := bufio.NewWriter(f)
+		defer func() { bw.Flush(); f.Close() }()
+		tracer = st.Net.Tracer(*traceSample)
+		tracer.SetSink(bw)
+		tracer.WriteHeader(&manifest)
+	}
+	var srv *obsv.Server
+	if *httpAddr != "" {
+		srv = obsv.NewServer()
+		addr, err := srv.Start(*httpAddr)
+		if err != nil {
+			return fail(err)
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "oosim: live observability on http://%s\n", addr)
+		ri := struct {
+			provenance.Manifest
+			Digest *openoptics.AuditStatus `json:"digest,omitempty"`
+		}{Manifest: manifest}
+		if st.Auditor != nil {
+			as := st.Auditor.Status()
+			ri.Digest = &as
+		}
+		if b, err := json.Marshal(ri); err == nil {
+			srv.RunInfo().Set(b)
+		}
+		st.Net.AttachLive(srv, time.Duration(*httpIntervalUs)*time.Microsecond)
+	}
+	if *flightOut != "" {
+		f, err := os.Create(*flightOut)
+		if err != nil {
+			return fail(err)
+		}
+		bw := bufio.NewWriter(f)
+		defer func() { bw.Flush(); f.Close() }()
+		rec := obsv.NewFlightRecorder(*flightSize, obsv.TriggerConfig{
+			DropSpike:     *flightDrops,
+			CongestHits:   *flightCongest,
+			CongestSlices: *flightCongestSlices,
+			EQOErrBytes:   *flightEQO,
+		}, bw)
+		rec.SchemaVersion = provenance.SchemaVersion
+		rec.Manifest = &manifest
+		rec.OnDump = func(reason string) {
+			fmt.Fprintln(os.Stderr, "oosim: flight dump:", reason)
+		}
+		st.Net.AttachFlightRecorder(rec, true)
+	}
+	if *profile {
+		eng.EnableProfiling(true)
+	}
+	if *engineLedger {
+		st.Net.AttachEngineLedger(*engineLedgerSample)
+	}
+	if *progressMs > 0 {
+		eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {
+			fmt.Fprintf(os.Stderr, "progress: virtual %.1f ms, %d events, %.3fx real time\n",
+				float64(p.VirtualNs)/1e6, p.Events, p.Ratio)
+			return true
+		})
+	}
+
+	eps := st.Net.Endpoints()
+	var report func()
+	switch *workload {
+	case "memcached":
+		traffic.NewMemcached(eng, eps[0], eps[1:], sc.Seed).Start(int64(dur))
+		report = func() {
+			fmt.Printf("memcached: %s\n", st.Sink.FCTSample(traffic.PortMemcached).Summary())
+		}
+	case "allreduce":
+		ar := traffic.NewAllReduce(eng, eps, 4_000_000)
+		done := 0
+		ar.OnDone = func(ns int64) {
+			done++
+			fmt.Printf("allreduce #%d: %.3f ms\n", done, float64(ns)/1e6)
+			if eng.Now() < int64(dur) {
+				ar.Restart(4_000_000)
+			}
+		}
+		ar.Start()
+		report = func() { fmt.Printf("allreduce: %d collectives completed\n", done) }
+	case "iperf":
+		ip := traffic.NewIperf(eng, [][2]traffic.Endpoint{{eps[0], eps[len(eps)/2]}})
+		report = func() {
+			fmt.Printf("iperf: %.2f Gbps goodput, %d retransmissions\n",
+				ip.GoodputBps()/1e9, ip.Retransmissions())
+		}
+	case "udp-probe":
+		traffic.NewUDPProbe(eng, eps[0], eps[len(eps)-1]).Start(int64(dur))
+		report = func() { fmt.Printf("udp rtt: %s\n", st.Sink.RTT.Summary()) }
+	case "rpc", "hadoop", "kv":
+		if err := st.StartTrace(sc.Seed); err != nil {
+			return fail(err)
+		}
+		report = func() {
+			fmt.Printf("%s replay: %d flows started, FCT %s\n",
+				*workload, st.Replay.Started, st.Sink.FCTSample(traffic.PortReplay).Summary())
+		}
+	default:
+		return fail(fmt.Errorf("unknown workload %q", *workload))
+	}
 
 	if err := st.Run(dur + dur/4); err != nil {
 		return fail(err)
@@ -364,7 +338,7 @@ func run(args []string) int {
 		if err != nil {
 			return fail(err)
 		}
-		if w.Workload != nil || *cfgPath != "" || *httpAddr != "" || *progressMs != 0 {
+		if st.Replay == nil || *cfgPath != "" || *httpAddr != "" || *progressMs != 0 {
 			j.Header.Scenario = nil
 		}
 		if err := diverge.WriteFile(*digestOut, j); err != nil {

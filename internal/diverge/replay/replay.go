@@ -48,12 +48,14 @@ func Execute(h *diverge.Header, capStart, capEnd uint64) (*Run, error) {
 		cadence = -1 // the recorded run had checkpoints off; 0 would default them on
 	}
 	st, err := sc.Start(runner.Wiring{
-		TrafficSeed: sc.Seed,
-		Digest:      openoptics.DigestOptions{WindowEvents: h.WindowEvents, CheckpointEveryNs: cadence},
-		PerturbA:    h.PerturbA,
-		PerturbB:    h.PerturbB,
+		Digest:   openoptics.DigestOptions{WindowEvents: h.WindowEvents, CheckpointEveryNs: cadence},
+		PerturbA: h.PerturbA,
+		PerturbB: h.PerturbB,
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := st.StartTrace(sc.Seed); err != nil {
 		return nil, err
 	}
 	if capEnd > capStart {

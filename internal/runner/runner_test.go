@@ -277,14 +277,23 @@ func TestSpecValidation(t *testing.T) {
 		{Architectures: []string{"rotornet"}, Nodes: []int{1}},
 		{Architectures: []string{"rotornet"}, Loads: []float64{1.5}},
 		{Architectures: []string{"rotornet"}, Profile: "speed"},
+		// Specs naming one job twice: the ledger would keep only one.
+		{Architectures: []string{"rotornet"}, Loads: []float64{0.3, 0.3}},
+		{Architectures: []string{"rotornet", "rotornet-vlb"}},
+		{Architectures: []string{"rotornet", "rotornet-hoho"}, Routings: []string{"vlb", "hoho"}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %d should not validate", i)
 		}
 	}
-	if err := (&Spec{Architectures: []string{"rotornet"}}).Validate(); err != nil {
-		t.Errorf("minimal spec rejected: %v", err)
+	for _, s := range []Spec{
+		{Architectures: []string{"rotornet"}},
+		{Architectures: []string{"rotornet", "rotornet-hoho"}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %v rejected: %v", s.Architectures, err)
+		}
 	}
 }
 

@@ -178,11 +178,9 @@ type RunOpts struct {
 	Manifest any
 }
 
-// Wiring is what a caller adds when it starts a scenario: the values its
-// own fixtures pin, the auditor geometry, and its observers.
+// Wiring is what a caller adds when it starts a scenario: its own Config
+// tuning, the auditor geometry and the perturbation.
 type Wiring struct {
-	// TrafficSeed seeds the arrival process.
-	TrafficSeed uint64
 	// Tune adjusts the generated Config before the scenario's own tuning
 	// applies (oosim's -config file).
 	Tune func(*openoptics.Config)
@@ -192,36 +190,29 @@ type Wiring struct {
 	// PerturbA and PerturbB, when set, arm Engine.PerturbSwapSeq (simdebug
 	// builds) before the auditor attaches.
 	PerturbA, PerturbB uint64
-	// Observe attaches the caller's observers after the auditor and before
-	// arrivals, so observers that schedule engine events (the live plane,
-	// progress reports) draw the same sequence numbers in every caller.
-	Observe func(*Started) error
-	// Workload, when set, starts the caller's own traffic in place of the
-	// scenario's trace replay (oosim's memcached, allreduce, iperf and
-	// udp-probe workloads).
-	Workload func(*Started) error
 }
 
-// Started is a wired scenario, ready to Run.
+// Started is a wired scenario. The caller attaches its observers, starts
+// the arrivals (StartTrace, or a workload of its own), then Runs.
 type Started struct {
 	*arch.Instance
 	Sink    *traffic.Sink
 	Auditor *openoptics.Auditor
-	// Replay is the trace replay; nil when Wiring.Workload started the
-	// traffic instead.
+	// Replay is the trace replay StartTrace started; nil before that.
 	Replay *traffic.Replay
 
 	scenario Scenario
 	perturb  [2]uint64
 }
 
-// Start is the one wiring path of a scenario, shared by oosim, the journal
-// replayer, the sweep runner and Table 3: build the
+// Start is the first half of the one wiring path of a scenario, shared by
+// oosim, the journal replayer, the sweep runner and Table 3: build the
 // architecture, attach the flow sink, arm the perturbation, attach the
-// auditor, attach the caller's observers, start the arrivals. Moving a step
-// that schedules engine events would shift every later sequence number,
-// so two callers wiring the same scenario differently could never replay
-// each other's runs.
+// auditor. The caller then attaches its observers and starts the arrivals.
+// A step that schedules engine events shifts the sequence numbers of every
+// later one, so callers wiring one scenario in different orders could never
+// replay each other's runs: observers that schedule events (the live plane,
+// progress reports) attach between Start and StartTrace in every caller.
 func (sc Scenario) Start(w Wiring) (*Started, error) {
 	in, err := arch.Build(sc.archName(), sc.options(w.Tune), arch.DemandConfig{
 		Policy:         sc.Policy,
@@ -235,35 +226,30 @@ func (sc Scenario) Start(w Wiring) (*Started, error) {
 	}
 	st := &Started{Instance: in, Sink: traffic.NewSink(in.Net.Endpoints()),
 		scenario: sc, perturb: [2]uint64{w.PerturbA, w.PerturbB}}
-	eng := in.Net.Engine()
 	// The swap relabels sequence numbers as they are assigned, and the
 	// auditor's perturb hint names only seqs assigned after it attaches,
 	// so arming first guarantees a hinted pair is actually swappable.
-	if (w.PerturbA != 0 || w.PerturbB != 0) && !eng.PerturbSwapSeq(w.PerturbA, w.PerturbB) {
+	if (w.PerturbA != 0 || w.PerturbB != 0) && !in.Net.Engine().PerturbSwapSeq(w.PerturbA, w.PerturbB) {
 		return nil, fmt.Errorf("perturbation %d:%d needs a `-tags simdebug` build", w.PerturbA, w.PerturbB)
 	}
 	if sc.EventDigest {
 		st.Auditor = in.Net.AttachDigest(w.Digest)
 	}
-	if w.Observe != nil {
-		if err := w.Observe(st); err != nil {
-			return nil, err
-		}
-	}
-	if w.Workload != nil {
-		if err := w.Workload(st); err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
+	return st, nil
+}
+
+// StartTrace starts the scenario's trace replay over its duration, the
+// arrivals seeded with trafficSeed.
+func (st *Started) StartTrace(trafficSeed uint64) error {
+	sc := st.scenario
 	cdf, err := traffic.ByName(sc.Trace)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rp, err := traffic.NewReplay(eng, in.Net.Endpoints(), cdf, sc.Load,
-		int64(in.Net.Cfg.LineRateGbps*1e9), w.TrafficSeed)
+	rp, err := traffic.NewReplay(st.Net.Engine(), st.Net.Endpoints(), cdf, sc.Load,
+		int64(st.Net.Cfg.LineRateGbps*1e9), trafficSeed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rp.OpenLoop = sc.Profile == ProfileBuffer
 	rp.HotFrac = sc.HotFrac
@@ -275,12 +261,12 @@ func (sc Scenario) Start(w Wiring) (*Started, error) {
 			Amplitude: sc.ShapeAmplitude,
 		}
 		if err := rp.Shape.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	rp.Start(int64(sc.Duration()))
 	st.Replay = rp
-	return st, nil
+	return nil
 }
 
 // Journal assembles the run's digest journal with the scenario and the
@@ -342,26 +328,24 @@ func (sc Scenario) options(tune func(*openoptics.Config)) arch.Options {
 
 // Run executes the scenario to completion (or timeout) and measures it.
 func (sc Scenario) Run(opt RunOpts) (*Result, error) {
-	var reg *telemetry.Registry
-	var tracer *telemetry.Tracer
-	st, err := sc.Start(Wiring{
-		TrafficSeed: sc.Seed ^ 0x7ab1e3,
-		Observe: func(st *Started) error {
-			if opt.Metrics != nil {
-				reg = st.Net.Metrics() // before traffic, so per-slice counters record
-				if opt.Manifest != nil {
-					reg.SetManifest(opt.Manifest)
-				}
-			}
-			if sc.TraceSample > 0 {
-				// Sink-less: the tracer only aggregates the per-component
-				// latency attribution the Result reports.
-				tracer = st.Net.Tracer(sc.TraceSample)
-			}
-			return nil
-		},
-	})
+	st, err := sc.Start(Wiring{})
 	if err != nil {
+		return nil, fmt.Errorf("runner: build %s: %w", sc.ID, err)
+	}
+	var reg *telemetry.Registry
+	if opt.Metrics != nil {
+		reg = st.Net.Metrics() // before traffic, so per-slice counters record
+		if opt.Manifest != nil {
+			reg.SetManifest(opt.Manifest)
+		}
+	}
+	var tracer *telemetry.Tracer
+	if sc.TraceSample > 0 {
+		// Sink-less: the tracer only aggregates the per-component latency
+		// attribution the Result reports.
+		tracer = st.Net.Tracer(sc.TraceSample)
+	}
+	if err := st.StartTrace(sc.Seed ^ 0x7ab1e3); err != nil {
 		return nil, fmt.Errorf("runner: build %s: %w", sc.ID, err)
 	}
 	eng := st.Net.Engine()

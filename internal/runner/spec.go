@@ -44,7 +44,9 @@ type Spec struct {
 
 	// Architectures to instantiate, by any name arch.Build accepts: clos,
 	// cthrough, jupiter, mordia, rotornet, opera, semioblivious, shale,
-	// daware, or a rotornet-<scheme> spelling.
+	// daware, or oosim's spellings (c-through, rotornet-hoho, ...). The
+	// spelling is part of the job ID, so a spec that names one job twice —
+	// rotornet with routing vlb next to rotornet-vlb — is rejected.
 	Architectures []string `json:"architectures"`
 	// Routings apply to the rotornet architecture only (vlb, vlb+offload,
 	// direct, ucmp, hoho); other architectures use their native routing
@@ -232,9 +234,9 @@ func (s Spec) hasArch(name string) bool {
 	return false
 }
 
-// Validate rejects specs that would expand into unrunnable jobs. Unknown
-// axis values fail with an error naming the spec key and the offending
-// value.
+// Validate rejects specs that would expand into unrunnable or colliding
+// jobs. Unknown axis values fail with an error naming the spec key and the
+// offending value.
 func (s *Spec) Validate() error {
 	if len(s.Architectures) == 0 {
 		return fmt.Errorf("runner: spec has no architectures")
@@ -302,6 +304,15 @@ func (s *Spec) Validate() error {
 	}
 	if s.TraceSample < 0 || s.TraceSample > 1 {
 		return fmt.Errorf("runner: trace_sample %g out of [0,1]", s.TraceSample)
+	}
+	// The ledger, resume and the aggregate all key on the job ID, so two
+	// jobs sharing one would overwrite each other.
+	seen := make(map[string]bool)
+	for _, j := range s.Expand() {
+		if seen[j.ID] {
+			return fmt.Errorf("runner: spec expands to job %s twice (a repeated axis value, or rotornet with a routing next to its rotornet-<scheme> spelling)", j.ID)
+		}
+		seen[j.ID] = true
 	}
 	return nil
 }
