@@ -1,5 +1,5 @@
 # Tier-1: what every change must keep green.
-.PHONY: build test check bench bench-smoke sweep-smoke obsv-smoke trace-smoke
+.PHONY: build test check bench bench-smoke sweep-smoke simbench-smoke
 
 build:
 	go build ./...
@@ -45,14 +45,18 @@ sweep-smoke:
 	go run -race ./cmd/oosweep run -spec testdata/sweep_smoke.json -out /tmp/oosweep-smoke -jobs 4
 	go run -race ./cmd/oosweep resume -spec testdata/sweep_smoke.json -out /tmp/oosweep-smoke -jobs 4
 
-# Live-observability smoke: oosim -http serving mid-run, /metrics and
-# /snapshot well-formed, ooctl watch renders a frame, SIGINT exits 130.
-# The obsv package itself runs under -race as part of `make check`.
-obsv-smoke:
-	bash scripts/obsv_smoke.sh
-
-# Trace-analytics smoke: oosim -trace-out through every `ooctl trace` view,
-# attribution identity clean, Perfetto export valid and deterministic,
-# corrupt-line tolerance surfaced. CI runs this.
-trace-smoke:
-	bash scripts/trace_smoke.sh
+# The frozen benchmark (simbench/, a Go module of its own that the root
+# `go build ./...` does not reach): vet and test it, then run every
+# workload for one second at seed 7 and require the last stdout line of
+# each run to report "correct":true. CI runs this.
+SIMBENCH_WORKLOADS := vlb-rpc clos-hadoop daware-hotswap
+simbench-smoke:
+	cd simbench && go vet ./... && go test ./...
+	@for w in $(SIMBENCH_WORKLOADS); do \
+		out="$$(bash simbench/run.sh --workload $$w --seed 7 --seconds 1 --trace 0)" || exit 1; \
+		last="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		case "$$last" in \
+		*'"correct":true'*) echo "simbench $$w: correct" ;; \
+		*) echo "FAIL: simbench $$w: $$last"; exit 1 ;; \
+		esac; \
+	done

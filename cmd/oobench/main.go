@@ -94,7 +94,6 @@ func run() (code int) {
 	httpAddr := flag.String("http", "", "serve live observability for the currently running network on this address")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark report (per-experiment wall time + allocator deltas) to this file")
 	reps := flag.Int("reps", 1, "repetitions per experiment for -json (>= 2 enables significance testing in ooctl compare)")
-	engineLedger := flag.Bool("engine-ledger", false, "attach the event-causality ledger to every built network (measures ledger overhead via -json wall time)")
 	digest := flag.Bool("digest", false, "attach the determinism auditor to every built network (measures digest overhead via -json wall time)")
 	version := flag.Bool("version", false, "print build provenance and exit")
 	flag.Parse()
@@ -232,9 +231,6 @@ func run() (code int) {
 	openoptics.Observe = func(n *openoptics.Net) {
 		track(n)
 		lastNet = n
-		if *engineLedger {
-			n.AttachEngineLedger(64)
-		}
 		if *digest {
 			n.AttachDigest(openoptics.DigestOptions{})
 		}

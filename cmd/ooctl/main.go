@@ -18,11 +18,6 @@
 // entry point, exiting 3 when a candidate regresses against a committed
 // baseline (compare.go).
 //
-// It also fronts the engine observatory: `ooctl engine <chains|pressure>`
-// reads the report written by `oosim -engine-out` and renders the
-// event-causality ledger with its merge analysis or the scheduler-pressure
-// counters (engine.go).
-//
 // It also fronts the determinism auditor: `ooctl diverge` compares two
 // digest journals written by `oosim -digest-out`, finds the first
 // mismatched hash window, and — when the journals carry their scenarios —
@@ -39,8 +34,6 @@
 //	ooctl trace export -o run.perfetto.json run.trace.jsonl
 //	ooctl compare before/summary.json after/summary.json
 //	ooctl regress -baseline testdata/baselines/regress_base.summary.json run/summary.json
-//	ooctl engine chains run.engine.json
-//	ooctl engine pressure run.engine.json
 //	ooctl diverge a.digest.jsonl b.digest.jsonl
 package main
 
@@ -64,7 +57,6 @@ var subcommands = map[string]func([]string) int{
 	"trace":     runTrace,
 	"compare":   func(args []string) int { return runCompare(args, false) },
 	"regress":   runRegress,
-	"engine":    runEngine,
 	"diverge":   runDiverge,
 	"version":   runVersion,
 	"-version":  runVersion,

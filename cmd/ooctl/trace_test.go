@@ -41,15 +41,22 @@ func TestTraceSummaryRendering(t *testing.T) {
 	}
 }
 
+// TestTraceSummarySurfacesCorruptLines renders a damaged trace whose
+// stream led with a provenance header: the summary must show both the
+// header and the skipped lines.
 func TestTraceSummarySurfacesCorruptLines(t *testing.T) {
 	a, err := traceanalysis.AnalyzeFile(mangledFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Read.Header = &traceanalysis.Header{Kind: "header", SchemaVersion: 1,
+		Manifest: []byte(`{"config_digest":"sha256:feed"}`)}
 	var buf bytes.Buffer
 	renderSummary(&buf, "mangled", a)
-	if !strings.Contains(buf.String(), "corrupt lines skipped: 2") {
-		t.Fatalf("summary hides trace damage:\n%s", buf.String())
+	for _, want := range []string{"\nprovenance: schema v1, config sha256:feed\n", "corrupt lines skipped: 2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("summary lacks %q:\n%s", strings.TrimSpace(want), buf.String())
+		}
 	}
 }
 

@@ -62,9 +62,6 @@ func run(args []string) int {
 	traceOut := fs.String("trace-out", "", "write sampled in-band packet traces as JSONL")
 	traceSample := fs.Float64("trace-sample", 0.01, "fraction of flows traced (with -trace-out)")
 	profile := fs.Bool("profile", false, "collect per-handler-class wall-clock profiling")
-	engineLedger := fs.Bool("engine-ledger", false, "record the event-causality ledger (see ooctl engine chains)")
-	engineLedgerSample := fs.Uint64("engine-ledger-sample", 64, "capture one full chain per this many root events (power of two)")
-	engineOut := fs.String("engine-out", "", "write the engine-observatory report (JSON) at exit")
 	digestOut := fs.String("digest-out", "", "attach the determinism auditor; write its digest journal (JSONL) at exit")
 	digestWindow := fs.Uint64("digest-window", 0, "events per digest window (power of two; 0 = 65536)")
 	digestCheckpointUs := fs.Int64("digest-checkpoint-us", 1000, "virtual µs between state checkpoints (<0 disables; checkpoints are engine events, so compared runs must match)")
@@ -233,9 +230,6 @@ func run(args []string) int {
 	if *profile {
 		eng.EnableProfiling(true)
 	}
-	if *engineLedger {
-		st.Net.AttachEngineLedger(*engineLedgerSample)
-	}
 	if *progressMs > 0 {
 		eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {
 			fmt.Fprintf(os.Stderr, "progress: virtual %.1f ms, %d events, %.3fx real time\n",
@@ -322,11 +316,6 @@ func run(args []string) int {
 			return fail(err)
 		}
 	}
-	if *engineOut != "" {
-		if err := writeEngineReport(st.Net, &manifest, *engineOut); err != nil {
-			return fail(err)
-		}
-	}
 	if st.Auditor != nil {
 		// Flushed before the interrupted-run check so a SIGINT-drained run
 		// still leaves a (marked-interrupted) journal behind. The scenario
@@ -366,19 +355,6 @@ func writeMetrics(n *openoptics.Net, path string) error {
 		return n.Metrics().WriteJSON(w)
 	}
 	return n.Metrics().WritePrometheus(w)
-}
-
-// writeEngineReport writes the engine-observatory report for `ooctl
-// engine`. The report body is deterministic for identical runs; only the
-// manifest carries wall-clock identity.
-func writeEngineReport(n *openoptics.Net, m *provenance.Manifest, path string) error {
-	r := n.EngineReport()
-	r.Manifest = m
-	body, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(body, '\n'), 0o644)
 }
 
 func fail(err error) int {

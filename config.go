@@ -149,6 +149,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LineRateGbps <= 0 {
 		c.LineRateGbps = 100
 	}
+	if err := checkRateGbps("line_rate_gbps", c.LineRateGbps); err != nil {
+		return c, err
+	}
+	if c.ElectricalGbps > 0 {
+		if err := checkRateGbps("electrical_gbps", c.ElectricalGbps); err != nil {
+			return c, err
+		}
+	}
 	if c.PropDelayNs <= 0 {
 		c.PropDelayNs = 100
 	}
@@ -179,6 +187,16 @@ func (c Config) withDefaults() (Config, error) {
 		c.Seed = 1
 	}
 	return c, nil
+}
+
+// checkRateGbps rejects a link rate the fabric's int64 bits/s cannot
+// carry: under 1 bit/s it truncates to 0, and at 2^63 bits/s or more it
+// overflows.
+func checkRateGbps(key string, gbps float64) error {
+	if bps := gbps * 1e9; !(bps >= 1 && bps < 1<<63) {
+		return fmt.Errorf("openoptics: %s %g is not a representable link rate (want 1e-09 to 9.2e+09 Gbps)", key, gbps)
+	}
+	return nil
 }
 
 // guard returns the effective per-slice guardband.

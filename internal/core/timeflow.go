@@ -151,21 +151,6 @@ type Table struct {
 	anyDst []*Entry            // entries with wildcard Dst
 	n      int
 	seq    int
-
-	// Lookup memoization for the stable-table fast path: the resolved
-	// best entry per (dst, arrival slice), filled lazily by Lookup and
-	// invalidated wholesale by Add/Clear. A nil value records a definite
-	// miss. The cache is bypassed whenever any entry matches on Src,
-	// because the resolved entry would then depend on a third key
-	// dimension.
-	cache        map[lookupKey]*Entry
-	srcSensitive bool
-}
-
-// lookupKey indexes the resolved-entry cache.
-type lookupKey struct {
-	dst NodeID
-	arr Slice
 }
 
 // NewTable returns an empty time-flow table.
@@ -207,10 +192,6 @@ func (t *Table) Add(e Entry) error {
 	} else {
 		t.byDst[e.Match.Dst] = insertSorted(t.byDst[e.Match.Dst], ep)
 	}
-	if e.Match.Src != NoNode {
-		t.srcSensitive = true
-	}
-	t.cache = nil
 	return nil
 }
 
@@ -251,8 +232,6 @@ func (t *Table) Clear() {
 	t.byDst = make(map[NodeID][]*Entry)
 	t.anyDst = nil
 	t.n = 0
-	t.cache = nil
-	t.srcSensitive = false
 }
 
 // insertSorted keeps the slice ordered best-first.
@@ -288,30 +267,12 @@ type LookupResult struct {
 // using pktHash (per-packet multipath) or flowHash (per-flow multipath).
 // ok is false if no entry matches — the packet has no route.
 func (t *Table) Lookup(arr Slice, src, dst NodeID, pktHash, flowHash uint64) (LookupResult, bool) {
-	var best *Entry
-	cacheable := !t.srcSensitive
-	if cacheable {
-		if e, hit := t.cache[lookupKey{dst, arr}]; hit {
-			if e == nil {
-				return LookupResult{}, false
-			}
-			best = e
-		}
+	best := t.match(t.byDst[dst], arr, src, dst)
+	if alt := t.match(t.anyDst, arr, src, dst); alt != nil && (best == nil || entryLess(alt, best)) {
+		best = alt
 	}
 	if best == nil {
-		best = t.match(t.byDst[dst], arr, src, dst)
-		if alt := t.match(t.anyDst, arr, src, dst); alt != nil && (best == nil || entryLess(alt, best)) {
-			best = alt
-		}
-		if cacheable {
-			if t.cache == nil {
-				t.cache = make(map[lookupKey]*Entry)
-			}
-			t.cache[lookupKey{dst, arr}] = best
-		}
-		if best == nil {
-			return LookupResult{}, false
-		}
+		return LookupResult{}, false
 	}
 	a := selectAction(best, pktHash, flowHash)
 	return LookupResult{Egress: a.Egress, DepSlice: a.DepSlice, SourceRoute: a.SourceRoute, Entry: best}, true

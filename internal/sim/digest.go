@@ -124,13 +124,11 @@ func (e *Engine) AttachDigest(d *EventDigest) {
 	if d != nil {
 		d.attachSeq = e.seq
 	}
-	e.setObservers(d, e.Ledger(), observed[*profiler](e))
+	e.setObservers(d, observed[*profiler](e))
 }
 
 // Digest returns the attached event digest, or nil.
 func (e *Engine) Digest() *EventDigest { return observed[*EventDigest](e) }
-
-func (d *EventDigest) scheduled(*Engine, int64, uint64, Class) {}
 
 // beginDispatch folds the dispatched event into the digest before its
 // handler runs — the payload is still live then (the pool may recycle it

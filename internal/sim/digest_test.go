@@ -62,8 +62,8 @@ func TestDigestDeterministic(t *testing.T) {
 			t.Fatalf("window %d differs between identical runs", i)
 		}
 	}
-	// With the profiler and the ledger attached too, the digest chain is
-	// the one the digest records alone (and so are theirs).
+	// With the profiler attached too, the digest chain is the one the
+	// digest records alone (and so are the profiler's class counts).
 	checkObserversCompose(t, func(e *Engine) { digestScript(e, somePayloads(10)) })
 }
 

@@ -36,8 +36,8 @@ type Engine struct {
 	classCount [NumClasses]uint64
 
 	// obs is the one instrumentation seam (observer.go): the wall-clock
-	// profiler, the causality ledger and the event digest attach here.
-	// Nil when none is attached — one branch per schedule and per dispatch.
+	// profiler and the event digest attach here. Nil when neither is
+	// attached — one branch per dispatch.
 	obs observer
 
 	// Perturbation harness (digest.go, simdebug builds only): when armed,
@@ -79,17 +79,13 @@ func (e *Engine) schedule(t int64, rec eventRec) {
 		}
 		t = e.now
 	}
-	seq := e.nextSeq()
-	e.sched.push(t, seq, rec)
-	if e.obs != nil {
-		e.obs.scheduled(e, t, seq, rec.class)
-	}
+	e.sched.push(t, e.nextSeq(), rec)
 }
 
 // nextSeq allocates the next scheduling sequence number, applying the
 // simdebug perturbation swap (PerturbSwapSeq) when armed. e.seq itself
 // always advances monotonically — only the number handed to the scheduler
-// is swapped — so ledger sampling and digest bookkeeping stay untouched.
+// is swapped — so the digest's bookkeeping stays untouched.
 func (e *Engine) nextSeq() uint64 {
 	e.seq++
 	s := e.seq

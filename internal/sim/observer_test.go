@@ -5,14 +5,9 @@ import (
 	"testing"
 )
 
-// instrumentReport is everything the three observers report about one
-// run; the sections of instruments that were not attached stay zero.
+// instrumentReport is everything the two observers report about one run;
+// the sections of instruments that were not attached stay zero.
 type instrumentReport struct {
-	edges   []LedgerEdge
-	chains  []LedgerChain
-	fanouts []LedgerFanout
-	adj     []LedgerAdj
-
 	chain   uint64
 	windows []DigestWindow
 
@@ -20,17 +15,13 @@ type instrumentReport struct {
 }
 
 // observe runs script on a fresh engine with the chosen instruments
-// attached in the given order ("ledger", "digest", "profile").
+// attached in the given order ("digest", "profile").
 func observe(t *testing.T, script func(*Engine), attach ...string) instrumentReport {
 	t.Helper()
 	e := New()
-	var l *Ledger
 	var d *EventDigest
 	for _, name := range attach {
 		switch name {
-		case "ledger":
-			l = NewLedger(2)
-			e.AttachLedger(l)
 		case "digest":
 			d = NewEventDigest(4)
 			e.AttachDigest(d)
@@ -47,10 +38,6 @@ func observe(t *testing.T, script func(*Engine), attach ...string) instrumentRep
 	}
 	script(e)
 	var r instrumentReport
-	if l != nil {
-		l.Flush()
-		r.edges, r.chains, r.fanouts, r.adj = l.Edges(), l.Chains(), l.Fanouts(), l.AdjacentSameInstant()
-	}
 	if d != nil {
 		r.chain, r.windows = d.Chain(), d.Windows()
 	}
@@ -62,47 +49,42 @@ func observe(t *testing.T, script func(*Engine), attach ...string) instrumentRep
 }
 
 // checkObserversCompose runs script under each instrument alone and under
-// all three at once (in two attach orders), and fails unless every
-// instrument reports exactly the same in both settings: observers must
-// neither perturb the dispatch order nor each other's bookkeeping.
+// both at once (in both attach orders), and fails unless every instrument
+// reports exactly the same in both settings: observers must neither
+// perturb the dispatch order nor each other's bookkeeping.
 func checkObserversCompose(t *testing.T, script func(*Engine)) {
 	t.Helper()
-	ledger := observe(t, script, "ledger")
 	digest := observe(t, script, "digest")
 	profile := observe(t, script, "profile")
-	if len(ledger.fanouts) == 0 || len(digest.windows) == 0 || len(profile.counts) == 0 {
+	if len(digest.windows) == 0 || len(profile.counts) == 0 {
 		t.Fatal("workload left an instrument empty")
 	}
 	for _, order := range [][]string{
-		{"profile", "ledger", "digest"},
-		{"digest", "ledger", "profile"},
+		{"profile", "digest"},
+		{"digest", "profile"},
 	} {
-		all := observe(t, script, order...)
-		if !reflect.DeepEqual(all.edges, ledger.edges) || !reflect.DeepEqual(all.chains, ledger.chains) ||
-			!reflect.DeepEqual(all.fanouts, ledger.fanouts) || !reflect.DeepEqual(all.adj, ledger.adj) {
-			t.Fatalf("attach order %v: ledger differs from the ledger alone", order)
+		both := observe(t, script, order...)
+		if both.chain != digest.chain || !reflect.DeepEqual(both.windows, digest.windows) {
+			t.Fatalf("attach order %v: digest chain %x differs from the digest alone (%x)", order, both.chain, digest.chain)
 		}
-		if all.chain != digest.chain || !reflect.DeepEqual(all.windows, digest.windows) {
-			t.Fatalf("attach order %v: digest chain %x differs from the digest alone (%x)", order, all.chain, digest.chain)
-		}
-		if !reflect.DeepEqual(all.counts, profile.counts) {
-			t.Fatalf("attach order %v: class counts %+v differ from the profiler alone (%+v)", order, all.counts, profile.counts)
+		if !reflect.DeepEqual(both.counts, profile.counts) {
+			t.Fatalf("attach order %v: class counts %+v differ from the profiler alone (%+v)", order, both.counts, profile.counts)
 		}
 	}
 }
 
 // TestObserversDetachIndependently: detaching one instrument leaves the
-// others attached, and detaching all of them empties the seam.
+// other attached, and detaching both empties the seam.
 func TestObserversDetachIndependently(t *testing.T) {
 	e := New()
-	l, d := NewLedger(1), NewEventDigest(0)
-	e.AttachLedger(l)
+	d := NewEventDigest(0)
 	e.AttachDigest(d)
 	e.EnableProfiling(true)
-	e.AttachLedger(nil)
-	if e.Ledger() != nil || e.Digest() != d || !e.Profiling() {
-		t.Fatalf("after detaching the ledger: ledger=%v digest=%v profiling=%v", e.Ledger(), e.Digest(), e.Profiling())
+	e.AttachDigest(nil)
+	if e.Digest() != nil || !e.Profiling() {
+		t.Fatalf("after detaching the digest: digest=%v profiling=%v", e.Digest(), e.Profiling())
 	}
+	e.AttachDigest(d)
 	e.EnableProfiling(false)
 	if e.Digest() != d || e.Profiling() {
 		t.Fatal("disabling profiling detached the digest or kept the profiler")

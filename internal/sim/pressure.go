@@ -3,8 +3,8 @@ package sim
 // Scheduler-pressure telemetry: a cheap, always-on view of how hard the
 // calendar queue is working. The counters live in scheduler (sched.go) and
 // cost a few integer operations per push; this file is the read side — a
-// plain-value snapshot embeddable in Net.Snapshot(), the telemetry
-// registry, and `ooctl engine pressure`.
+// plain-value snapshot embeddable in Net.Snapshot() and the telemetry
+// registry.
 
 // SchedPressure is a point-in-time snapshot of scheduler pressure. All
 // fields are plain values so the struct marshals deterministically.

@@ -60,8 +60,6 @@ type profiler struct {
 	start time.Time
 }
 
-func (p *profiler) scheduled(*Engine, int64, uint64, Class) {}
-
 func (p *profiler) beginDispatch(*Engine, uint64, Class, any, int64) { p.start = time.Now() }
 
 func (p *profiler) endDispatch(_ *Engine, class Class) {
@@ -78,7 +76,7 @@ func (e *Engine) EnableProfiling(on bool) {
 	} else if p == nil {
 		p = &profiler{}
 	}
-	e.setObservers(e.Digest(), e.Ledger(), p)
+	e.setObservers(e.Digest(), p)
 }
 
 // Profiling reports whether wall-clock accounting is on.

@@ -93,8 +93,8 @@ type scheduler struct {
 
 	// Pressure telemetry (pressure.go): always collected — a few integer
 	// operations per push keep the cost in the noise, and having the
-	// counters unconditionally live means `ooctl engine pressure` and
-	// /snapshot never need a flag flip to explain a slow run.
+	// counters unconditionally live means /snapshot and the oo_sched_*
+	// metrics never need a flag flip to explain a slow run.
 	inlinePushes   uint64 // appends to an unopened bucket
 	spillPushes    uint64 // pushes into the open bucket's heap
 	overflowPushes uint64 // pushes into the overflow heap

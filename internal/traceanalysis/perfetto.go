@@ -194,8 +194,8 @@ func emitArrows(evs *[]chromeEvent, tr *core.PktTrace) {
 	}
 }
 
-// ValidateChromeTrace decodes b and reports the event count — the smoke
-// check `make trace-smoke` runs over an export.
+// ValidateChromeTrace decodes b and reports the event count — the check
+// the export tests run over a fixture's and a fresh oosim run's export.
 func ValidateChromeTrace(b []byte) (int, error) {
 	var ct chromeTrace
 	if err := json.Unmarshal(b, &ct); err != nil {

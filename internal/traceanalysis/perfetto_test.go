@@ -42,10 +42,14 @@ func TestExportValidChromeTrace(t *testing.T) {
 		t.Fatal("export has zero events")
 	}
 	var ct struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents     []map[string]any `json:"traceEvents"`
+		DisplayTimeUnit string           `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(raw, &ct); err != nil {
 		t.Fatal(err)
+	}
+	if ct.DisplayTimeUnit != "ns" {
+		t.Fatalf("displayTimeUnit = %q, want ns", ct.DisplayTimeUnit)
 	}
 	byPh := map[string]int{}
 	names := map[string]bool{}

@@ -335,3 +335,38 @@ func TestInterruptWithLiveAttached(t *testing.T) {
 		t.Fatalf("engine ran to t=%d after interrupt at 2ms", now)
 	}
 }
+
+func TestSnapshotCarriesEngineAndPool(t *testing.T) {
+	n := rotorNet4(t, nil)
+	probeTraffic(t, n, int64(time.Millisecond))
+	n.Run(time.Millisecond)
+	snap := n.Snapshot()
+	if snap.Engine.InlinePushes+snap.Engine.SpillPushes == 0 {
+		t.Fatalf("snapshot engine section empty: %+v", snap.Engine)
+	}
+	if snap.Pool.Gets == 0 || snap.Pool.HighWater == 0 {
+		t.Fatalf("snapshot pool section empty: %+v", snap.Pool)
+	}
+}
+
+func TestRegistryExportsPoolAndSchedMetrics(t *testing.T) {
+	n := rotorNet4(t, nil)
+	probeTraffic(t, n, int64(time.Millisecond))
+	n.Run(time.Millisecond)
+	var b bytes.Buffer
+	if err := n.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"oo_pool_gets_total",
+		"oo_pool_high_water",
+		"oo_sched_inline_pushes_total",
+		"oo_sched_pending_events",
+		"oo_sched_resorts_total",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("metrics export missing %s", want)
+		}
+	}
+}

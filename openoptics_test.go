@@ -1,6 +1,8 @@
 package openoptics
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,6 +269,27 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	}
 	if len(n.Hosts()) != 4 || len(n.Switches()) != 4 {
 		t.Fatal("wrong device counts")
+	}
+}
+
+// TestConfigRejectsUnrepresentableRates feeds New Config JSON whose line
+// rates truncate to 0 bits/s or overflow int64 once converted: each must
+// be an error naming its JSON key, never a panic in the link constructor.
+func TestConfigRejectsUnrepresentableRates(t *testing.T) {
+	for _, tc := range []struct{ json, key string }{
+		{`{"node_num":4,"line_rate_gbps":1e-10}`, "line_rate_gbps"},
+		{`{"node_num":4,"line_rate_gbps":1e300}`, "line_rate_gbps"},
+		{`{"node_num":4,"electrical_gbps":1e-12}`, "electrical_gbps"},
+		{`{"node_num":4,"electrical_gbps":1e300}`, "electrical_gbps"},
+	} {
+		var cfg Config
+		if err := json.Unmarshal([]byte(tc.json), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("New(%s) = %v, want an error naming %s", tc.json, err, tc.key)
+		}
 	}
 }
 

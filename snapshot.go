@@ -125,3 +125,7 @@ func (n *Net) Snapshot() NetSnapshot {
 	}
 	return snap
 }
+
+// PoolStats returns the packet pool's counters (cheap; no copy of network
+// state, unlike Snapshot).
+func (n *Net) PoolStats() core.PoolStats { return n.pool.Stats() }
