@@ -41,9 +41,11 @@ func TestTraceSummaryRendering(t *testing.T) {
 	}
 }
 
-// TestTraceSummarySurfacesCorruptLines renders a damaged trace whose
-// stream led with a provenance header: the summary must show both the
-// header and the skipped lines.
+// TestTraceSummarySurfacesCorruptLines renders the mangled fixture's
+// analysis with a provenance header set on it (the fixture file has no
+// header line): the summary must print both the provenance line and the
+// skipped-line count. That a real damaged trace keeps its header while
+// counting corrupt lines is checked by oosim's TestTraceRunIsAnalyzable.
 func TestTraceSummarySurfacesCorruptLines(t *testing.T) {
 	a, err := traceanalysis.AnalyzeFile(mangledFixture)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"openoptics"
 	"openoptics/internal/core"
 	"openoptics/internal/traceanalysis"
 )
@@ -25,8 +26,10 @@ import (
 // histograms and tracer counters reach the metrics file, and the trace
 // file carries a provenance header and records that decode cleanly, whose
 // latency decomposition holds on every delivered packet, and whose
-// Perfetto export is valid and byte-identical across two exports. The
-// ooctl views over a trace file are covered on the golden fixtures.
+// Perfetto export is valid and byte-identical across two exports. Garbage
+// appended to the file must then read as corrupt lines next to the
+// intact header. The ooctl views over a trace file are covered on the
+// golden fixtures.
 func TestTraceRunIsAnalyzable(t *testing.T) {
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "run.trace.jsonl")
@@ -80,6 +83,27 @@ func TestTraceRunIsAnalyzable(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("two exports of the same trace differ")
 	}
+
+	// Damage the file's tail: a rescan must count both bad lines, keep
+	// every record, and still report the header it started with.
+	f, err := os.OpenFile(traceFile, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("not json at all\n{\"pkt_id\":12,\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := traceanalysis.ScanFile(traceFile, func(*core.PktTrace) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if damaged.Corrupt != 2 || damaged.Records != rs.Records || damaged.Header == nil || damaged.Header.SchemaVersion != rs.Header.SchemaVersion {
+		t.Fatalf("damaged trace read stats %+v, header %+v: want 2 corrupt lines, %d records and the original header",
+			damaged, damaged.Header, rs.Records)
+	}
 }
 
 // promLine is the Prometheus text exposition a /metrics line must match: a
@@ -87,8 +111,9 @@ func TestTraceRunIsAnalyzable(t *testing.T) {
 var promLine = regexp.MustCompile(`^(# (HELP|TYPE) )|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+-]+$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \+Inf$`)
 
 // TestLiveServeAndInterrupt runs the built oosim binary with a live
-// observability server, scrapes it mid-run, renders one frame with the
-// built ooctl, then interrupts the run: the first SIGINT must drain it
+// observability server, scrapes it mid-run (including the per-switch state
+// in /snapshot), renders one frame with the built ooctl, then interrupts
+// the run: the first SIGINT must drain it
 // through the normal exit path and exit 130. It needs real processes,
 // since the signal contract is the process's exit code.
 func TestLiveServeAndInterrupt(t *testing.T) {
@@ -166,11 +191,29 @@ func TestLiveServeAndInterrupt(t *testing.T) {
 		}
 	}
 
+	// /snapshot must carry per-switch state under its wire keys, one entry
+	// per node of the run.
+	snapBody := get("/snapshot")
+	for _, key := range []string{`"switches":`, `"buffered_bytes":`} {
+		if !bytes.Contains(snapBody, []byte(key)) {
+			t.Errorf("/snapshot lacks %s", key)
+		}
+	}
+	var snap openoptics.NetSnapshot
+	if err := json.Unmarshal(snapBody, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Switches) != 8 {
+		t.Fatalf("/snapshot has %d switches, want 8", len(snap.Switches))
+	}
+
+	// The frame's per-switch rows start with the node ID, after the
+	// table header that is printed even for a snapshot with no switches.
 	frame, err := exec.Command(filepath.Join(bin, "ooctl"), "watch", "-once", addr).Output()
 	if err != nil {
 		t.Fatalf("ooctl watch -once: %v", err)
 	}
-	for _, prefix := range []string{"totals:", "node "} {
+	for _, prefix := range []string{"totals:", "node ", "N0 "} {
 		if !regexp.MustCompile(`(?m)^` + prefix).Match(frame) {
 			t.Errorf("watch frame has no %q line:\n%s", prefix, frame)
 		}
