@@ -27,16 +27,26 @@ check: build
 bench:
 	go test -run xxx -bench . -benchtime 3x .
 
+# allocs_gate runs benchmark $(1) of package $(2) for $(3) iterations and
+# fails if its allocs/op exceed $(4). Allocation counts are exact at fixed
+# inputs, so the gate holds work, not wall time, and does not flake.
+allocs_gate = go test -run '^$$' -bench '^$(1)$$' -benchtime $(3) -benchmem $(2) | tee /tmp/openoptics-allocs.txt; \
+	awk '/^$(1)/ { seen=1; a=$$(NF-1)+0; if (a > $(4)) { printf "FAIL: $(1): %d allocs/op exceeds the $(4) ceiling\n", a; exit 1 } printf "$(1) allocs/op gate: %d <= $(4)\n", a } END { if (!seen) { print "FAIL: $(1) did not run"; exit 1 } }' /tmp/openoptics-allocs.txt
+
 # One iteration of every benchmark in the repo: catches benchmarks that no
-# longer compile or crash without paying for stable timings, then holds the
-# end-to-end hot path to its allocation budget — the pooled packet
-# lifecycle runs ~24 allocs/op at steady state, so anything above 150
-# means a leaked per-packet or per-event allocation crept back in. CI runs
-# this.
+# longer compile or crash without paying for stable timings, then holds two
+# paths to their allocation budgets:
+#   - the end-to-end hot path: the pooled packet lifecycle runs ~24
+#     allocs/op at steady state, so anything above 150 means a leaked
+#     per-packet or per-event allocation crept back in;
+#   - the HOHO compile of the 12-node round robin: ~12k allocs/op with one
+#     reused search per (source, slice); per-destination searches or
+#     unreused search buffers take it past 30k.
+# CI runs this.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
-	go test -run '^$$' -bench 'BenchmarkEndToEndPacketRate$$' -benchtime 100x -benchmem . | tee /tmp/openoptics-allocs.txt
-	awk '/^BenchmarkEndToEndPacketRate/ { seen=1; a=$$(NF-1)+0; if (a > 150) { printf "FAIL: %d allocs/op exceeds the 150 ceiling\n", a; exit 1 } printf "allocs/op gate: %d <= 150\n", a } END { if (!seen) { print "FAIL: benchmark did not run"; exit 1 } }' /tmp/openoptics-allocs.txt
+	$(call allocs_gate,BenchmarkEndToEndPacketRate,.,100x,150)
+	$(call allocs_gate,BenchmarkHOHO,./internal/routing,3x,30000)
 
 # Race-detector smoke of the sweep orchestrator: a tiny grid on 4 workers,
 # run fresh then resumed (the resume must skip everything). CI runs this.

@@ -37,16 +37,21 @@ func Table2(p Params) (*Table2Result, error) {
 	sched := &core.Schedule{NumSlices: numSlices, SliceDuration: 100_000, Circuits: circuits}
 	ix := core.NewConnIndex(sched)
 	// Only the observed ToR's entries matter, exactly as the paper
-	// populates one representative ToR.
+	// populates one representative ToR; one search per arrival slice
+	// answers every destination.
 	observed := core.NodeID(0)
+	searches := make([]*routing.Search, numSlices)
+	for ts := range searches {
+		searches[ts] = routing.EarliestFrom(ix, observed, core.Slice(ts),
+			routing.Options{MaxHop: 2, MaxPaths: 4})
+	}
 	var paths []core.Path
 	for dst := core.NodeID(0); int(dst) < nodes; dst++ {
 		if dst == observed {
 			continue
 		}
-		for ts := 0; ts < numSlices; ts++ {
-			ps := routing.EarliestPaths(ix, observed, dst, core.Slice(ts),
-				routing.Options{MaxHop: 2, MaxPaths: 4})
+		for _, s := range searches {
+			ps := s.Paths(dst)
 			w := 1.0 / float64(len(ps))
 			for i := range ps {
 				ps[i].Weight = w

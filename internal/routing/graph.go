@@ -6,15 +6,16 @@
 //
 // TO algorithms search a time-expanded graph: states are (node, absolute
 // slice) pairs; a packet either waits at a node for the next slice or
-// traverses a circuit available in the current slice. Paths come back as
-// core.Path values ready for the controller to compile into time-flow
-// table entries.
+// traverses a circuit available in the current slice. One search from
+// (src, slice) serves every destination. Paths come back as core.Path
+// values ready for the controller to compile into time-flow table entries.
 package routing
 
 import (
-	"container/heap"
-	"fmt"
+	"bytes"
+	"slices"
 	"sort"
+	"strconv"
 
 	"openoptics/internal/core"
 )
@@ -66,15 +67,11 @@ func (o Options) maxHopsPerSlice() int {
 	return o.MaxHopsPerSlice
 }
 
-// teState is a node at an absolute slice offset from the packet's arrival.
-type teState struct {
-	node core.NodeID
-	off  int32 // slices waited since arrival (absolute, not modulo)
-}
-
+// teCost orders states of the time-expanded graph: delivery offset first
+// (waiting is the dominant delay), then circuit traversals.
 type teCost struct {
-	off  int32 // delivery offset — primary cost (waiting is the dominant delay)
-	hops int32 // circuit traversals — secondary cost
+	off  int32 // slices waited since arrival (absolute, not modulo)
+	hops int32 // circuit traversals
 }
 
 func (c teCost) less(d teCost) bool {
@@ -84,135 +81,201 @@ func (c teCost) less(d teCost) bool {
 	return c.hops < d.hops
 }
 
+// teItem is a queued state with the cost it was queued at.
 type teItem struct {
-	st   teState
+	st   int32
 	cost teCost
-	idx  int
 }
 
-type teQueue []*teItem
+// teQueue is a binary min-heap on cost that sifts exactly as container/heap
+// does: the order in which equal-cost states settle orders their
+// predecessors, and so decides which path a MaxPaths-bounded
+// reconstruction returns.
+type teQueue []teItem
 
-func (q teQueue) Len() int           { return len(q) }
-func (q teQueue) Less(i, j int) bool { return q[i].cost.less(q[j].cost) }
-func (q teQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].idx = i; q[j].idx = j }
-func (q *teQueue) Push(x any)        { it := x.(*teItem); it.idx = len(*q); *q = append(*q, it) }
-func (q *teQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+func (q *teQueue) push(it teItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0 && h[j].cost.less(h[(j-1)/2].cost); j = (j - 1) / 2 {
+		h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+	}
+	*q = h
 }
-func (q teQueue) top() *teItem { return q[0] }
 
-var _ heap.Interface = (*teQueue)(nil)
+func (q *teQueue) pop() teItem {
+	h, n := *q, len(*q)-1
+	top := h[0]
+	h[0], h = h[n], h[:n]
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && h[j+1].cost.less(h[j].cost) {
+			j++
+		}
+		if !h[j].cost.less(h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+	}
+	*q = h
+	return top
+}
 
 // pred records how a state was reached, for path reconstruction. A state
 // may keep several equal-cost predecessors (UCMP needs them all).
 type pred struct {
-	from   teState
+	from   int32       // state index
 	egress core.PortID // valid for hop edges; NoPort for wait edges
 }
 
-// teSearch runs a Dijkstra over the time-expanded graph from (src, ts)
-// and returns, for every reachable state, its best cost and the equal-cost
-// predecessor set.
-func teSearch(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) (map[teState]teCost, map[teState][]pred) {
-	numSlices := ix.NumSlices()
-	horizon := int32(opt.horizon(numSlices))
+// teNode is one state's best cost and how it was reached.
+type teNode struct {
+	hops    int32 // circuit traversals of the best cost; -1 = unreached
+	inSlice int32 // traversals within the state's slice on that path
+	preds   []pred
+}
+
+// Search is the earliest-path tree of the time-expanded graph from a packet
+// arriving at src in slice ts: every reachable state's best cost and its
+// equal-cost predecessors. The tree does not depend on the destination, so
+// one search answers earliest_path() for every dst.
+//
+// States are dense: the node at row r of ix.Nodes() at offset off is state
+// r*horizon + off. A state's cost.off always equals its off, so a teNode
+// stores only the hop count.
+type Search struct {
+	nodes              []core.NodeID
+	src                core.NodeID
+	ts                 core.Slice
+	numSlices, horizon int32
+	start              int32 // src at off 0; -1 if src is on no circuit
+	maxPaths           int
+	states             []teNode
+	queue              teQueue
+}
+
+// EarliestFrom runs the Dijkstra over the time-expanded graph from (src,
+// ts): a packet either waits at a node for the next slice or traverses a
+// circuit live in the current slice.
+func EarliestFrom(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) *Search {
+	s := new(Search)
+	s.run(ix, src, ts, opt)
+	return s
+}
+
+// run (re)computes s for (src, ts), reusing its buffers.
+func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) {
+	s.nodes, s.src, s.ts, s.maxPaths = ix.Nodes(), src, ts, opt.maxPaths()
+	s.numSlices = int32(ix.NumSlices())
+	s.horizon = int32(opt.horizon(ix.NumSlices()))
 	maxHop := int32(opt.maxHop())
 	maxPerSlice := opt.maxHopsPerSlice()
-
-	dist := make(map[teState]teCost)
-	preds := make(map[teState][]pred)
-	hopsInSlice := make(map[teState]int)
-
-	start := teState{node: src, off: 0}
-	dist[start] = teCost{}
-	pq := &teQueue{}
-	heap.Push(pq, &teItem{st: start, cost: teCost{}})
-	done := make(map[teState]bool)
-
-	relax := func(to teState, c teCost, p pred, inSlice int) {
-		cur, seen := dist[to]
-		switch {
-		case !seen || c.less(cur):
-			dist[to] = c
-			preds[to] = []pred{p}
-			hopsInSlice[to] = inSlice
-			heap.Push(pq, &teItem{st: to, cost: c})
-		case !cur.less(c): // equal cost: extra predecessor
-			preds[to] = append(preds[to], p)
-		}
+	n := len(s.nodes) * int(s.horizon)
+	s.states = slices.Grow(s.states[:0], n)[:n]
+	for i := range s.states {
+		s.states[i].hops = -1
 	}
-
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*teItem)
+	r, ok := s.row(src)
+	if !ok {
+		s.start = -1
+		return
+	}
+	s.start = r * s.horizon
+	s.states[s.start].hops, s.states[s.start].inSlice = 0, 0
+	s.queue = append(s.queue[:0], teItem{st: s.start})
+	for len(s.queue) > 0 {
+		it := s.queue.pop()
 		st, c := it.st, it.cost
-		if done[st] || c != dist[st] {
-			continue
+		if c.hops != s.states[st].hops {
+			continue // superseded: a push needs a strict improvement, so each state settles once
 		}
-		done[st] = true
 		// Wait edge: stay put until the next slice.
-		if st.off+1 < horizon {
-			relax(teState{node: st.node, off: st.off + 1},
-				teCost{off: c.off + 1, hops: c.hops},
-				pred{from: st, egress: core.NoPort}, 0)
+		if c.off+1 < s.horizon {
+			s.relax(st+1, teCost{off: c.off + 1, hops: c.hops}, pred{from: st, egress: core.NoPort}, 0)
 		}
 		// Hop edges: traverse a circuit live in the current slice.
-		if c.hops >= maxHop || hopsInSlice[st] >= maxPerSlice {
+		inSlice := s.states[st].inSlice
+		if c.hops >= maxHop || int(inSlice) >= maxPerSlice {
 			continue
 		}
-		cur := core.Slice((int32(ts) + st.off) % int32(numSlices))
-		for _, cc := range ix.Circuits(st.node, cur) {
-			peer, _, ok := cc.Other(st.node)
+		node := s.nodes[st/s.horizon]
+		cur := core.Slice((int32(ts) + c.off) % s.numSlices)
+		for _, cc := range ix.Circuits(node, cur) {
+			peer, _, ok := cc.Other(node)
 			if !ok {
 				continue
 			}
-			egress, _ := cc.LocalPort(st.node)
-			relax(teState{node: peer, off: st.off},
-				teCost{off: c.off, hops: c.hops + 1},
-				pred{from: st, egress: egress}, hopsInSlice[st]+1)
+			pr, _ := s.row(peer)
+			egress, _ := cc.LocalPort(node)
+			s.relax(pr*s.horizon+c.off, teCost{off: c.off, hops: c.hops + 1},
+				pred{from: st, egress: egress}, inSlice+1)
 		}
 	}
-	return dist, preds
 }
 
-// reconstruct enumerates up to maxPaths equal-cost paths from the search
-// predecessor structure, ending at any state (dst, off) whose cost equals
-// best. Paths are returned with hop departure slices in schedule-modulo
-// form, ready for table compilation.
-func reconstruct(ix *core.ConnIndex, src, dst core.NodeID, ts core.Slice,
-	dist map[teState]teCost, preds map[teState][]pred, goal teState, maxPaths int) []core.Path {
+func (s *Search) relax(to int32, c teCost, p pred, inSlice int32) {
+	switch n := &s.states[to]; {
+	case n.hops < 0 || c.hops < n.hops:
+		n.hops, n.inSlice, n.preds = c.hops, inSlice, append(n.preds[:0], p)
+		s.queue.push(teItem{st: to, cost: c})
+	case c.hops == n.hops: // equal cost: extra predecessor
+		n.preds = append(n.preds, p)
+	}
+}
 
-	numSlices := int32(ix.NumSlices())
+// row returns n's row in the state array; ok is false for a node on no
+// circuit, core.NoNode included.
+func (s *Search) row(n core.NodeID) (int32, bool) {
+	r, ok := slices.BinarySearch(s.nodes, n)
+	return int32(r), ok
+}
+
+// Paths returns up to MaxPaths minimal-delivery-time paths to dst, sorted;
+// nil if dst is src, is on no circuit, or is unreachable in the horizon.
+// The first reached state in dst's row has the smallest offset, which is
+// the best cost.
+func (s *Search) Paths(dst core.NodeID) []core.Path {
+	r, ok := s.row(dst)
+	if !ok || dst == s.src {
+		return nil
+	}
+	for goal := r * s.horizon; goal < (r+1)*s.horizon; goal++ {
+		if s.states[goal].hops >= 0 {
+			paths := s.reconstruct(dst, goal)
+			sortPaths(paths)
+			return paths
+		}
+	}
+	return nil
+}
+
+// reconstruct enumerates up to maxPaths equal-cost paths from the
+// predecessor structure, ending at goal. Paths are returned with hop
+// departure slices in schedule-modulo form, ready for table compilation.
+func (s *Search) reconstruct(dst core.NodeID, goal int32) []core.Path {
 	var out []core.Path
 	type frame struct {
-		st   teState
+		st   int32
 		hops []core.Hop // reversed (dst-side first)
 	}
 	stack := []frame{{st: goal}}
-	for len(stack) > 0 && len(out) < maxPaths {
+	for len(stack) > 0 && len(out) < s.maxPaths {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if f.st == (teState{node: src, off: 0}) {
+		if f.st == s.start {
 			// Materialize: reverse hops.
 			hops := make([]core.Hop, len(f.hops))
 			for i := range f.hops {
 				hops[i] = f.hops[len(f.hops)-1-i]
 			}
-			out = append(out, core.Path{Src: src, Dst: dst, TS: ts, Hops: hops, Weight: 1})
+			out = append(out, core.Path{Src: s.src, Dst: dst, TS: s.ts, Hops: hops, Weight: 1})
 			continue
 		}
-		for _, p := range preds[f.st] {
+		for _, p := range s.states[f.st].preds {
 			if p.egress == core.NoPort {
 				// wait edge: no hop recorded
 				stack = append(stack, frame{st: p.from, hops: f.hops})
 				continue
 			}
-			dep := core.Slice((int32(ts) + p.from.off) % numSlices)
-			h := core.Hop{Node: p.from.node, Egress: p.egress, DepSlice: dep}
+			dep := core.Slice((int32(s.ts) + p.from%s.horizon) % s.numSlices)
+			h := core.Hop{Node: s.nodes[p.from/s.horizon], Egress: p.egress, DepSlice: dep}
 			nh := make([]core.Hop, len(f.hops)+1)
 			copy(nh, f.hops)
 			nh[len(f.hops)] = h
@@ -227,28 +290,7 @@ func reconstruct(ix *core.ConnIndex, src, dst core.NodeID, ts core.Slice,
 // in slice ts, within maxHop circuit traversals. It returns up to
 // opt.MaxPaths equal-cost paths; nil if dst is unreachable in the horizon.
 func EarliestPaths(ix *core.ConnIndex, src, dst core.NodeID, ts core.Slice, opt Options) []core.Path {
-	if src == dst {
-		return nil
-	}
-	dist, preds := teSearch(ix, src, ts, opt)
-	// Find the best (dst, off) state.
-	best := teCost{off: 1 << 30}
-	var goal teState
-	found := false
-	for st, c := range dist {
-		if st.node != dst {
-			continue
-		}
-		if !found || c.less(best) {
-			best, goal, found = c, st, true
-		}
-	}
-	if !found {
-		return nil
-	}
-	paths := reconstruct(ix, src, dst, ts, dist, preds, goal, opt.maxPaths())
-	sortPaths(paths)
-	return paths
+	return EarliestFrom(ix, src, ts, opt).Paths(dst)
 }
 
 // Neighbors re-exports the neighbors() helper for API symmetry.
@@ -256,18 +298,29 @@ func Neighbors(ix *core.ConnIndex, n core.NodeID, ts core.Slice) []core.NodeID {
 	return ix.Neighbors(n, ts)
 }
 
-// sortPaths orders paths deterministically (by hop sequence) so compiled
-// tables are stable across runs.
+// sortPaths orders paths deterministically so compiled tables are stable
+// across runs: lexicographically by the decimal text appendPathKey builds,
+// so slice 10 sorts before slice 9 and the wildcard slice (-1) before both.
 func sortPaths(paths []core.Path) {
-	sort.Slice(paths, func(i, j int) bool { return pathKey(&paths[i]) < pathKey(&paths[j]) })
+	var ki, kj []byte
+	sort.Slice(paths, func(i, j int) bool {
+		ki, kj = appendPathKey(ki[:0], &paths[i]), appendPathKey(kj[:0], &paths[j])
+		return bytes.Compare(ki, kj) < 0
+	})
 }
 
-func pathKey(p *core.Path) string {
-	s := fmt.Sprintf("%d|%d|%d|", p.Src, p.Dst, p.TS)
-	for _, h := range p.Hops {
-		s += fmt.Sprintf("%d,%d,%d;", h.Node, h.Egress, h.DepSlice)
+// appendPathKey appends "src|dst|ts|" and then "node,egress,dep;" per hop,
+// in decimal.
+func appendPathKey(k []byte, p *core.Path) []byte {
+	for _, v := range [...]int32{int32(p.Src), int32(p.Dst), int32(p.TS)} {
+		k = append(strconv.AppendInt(k, int64(v), 10), '|')
 	}
-	return s
+	for _, h := range p.Hops {
+		k = append(strconv.AppendInt(k, int64(h.Node), 10), ',')
+		k = append(strconv.AppendInt(k, int64(h.Egress), 10), ',')
+		k = append(strconv.AppendInt(k, int64(h.DepSlice), 10), ';')
+	}
+	return k
 }
 
 // AllPairs invokes gen for every ordered node pair in ix and collects the

@@ -70,14 +70,22 @@ func earliestDirect(ix *core.ConnIndex, a, b core.NodeID, ts core.Slice) (core.S
 // is the fallback so deployment still covers every pair.
 func Opera(ix *core.ConnIndex, opt Options) []core.Path {
 	numSlices := ix.NumSlices()
+	fallback := make([]*Search, numSlices) // per arrival slice, from source `from`
+	var from core.NodeID
 	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
+		if s != from {
+			fallback, from = make([]*Search, numSlices), s
+		}
 		var out []core.Path
 		for ts := 0; ts < numSlices; ts++ {
 			arr := core.Slice(ts)
 			g := staticGraph{ix: ix, ts: arr}
 			seqs := g.shortestPaths(s, d, opt.maxPaths())
 			if len(seqs) == 0 {
-				out = append(out, EarliestPaths(ix, s, d, arr, opt)...)
+				if fallback[ts] == nil {
+					fallback[ts] = EarliestFrom(ix, s, arr, opt)
+				}
+				out = append(out, fallback[ts].Paths(d)...)
 				continue
 			}
 			for _, seq := range seqs {
@@ -94,40 +102,37 @@ func Opera(ix *core.ConnIndex, opt Options) []core.Path {
 // UCMP materializes uniform-cost multipath: all minimal-delivery-time paths
 // (up to MaxPaths) per (src, dst, arrival slice), each weighted uniformly.
 // Spreading over every minimum-cost path is what reduces RotorNet's
-// sensitivity to slice duration in the Fig. 10 study.
+// sensitivity to slice duration in the Fig. 10 study. It runs one search
+// per (src, arrival slice) and reads every destination off it, emitting
+// paths in AllPairs order.
 func UCMP(ix *core.ConnIndex, opt Options) []core.Path {
-	numSlices := ix.NumSlices()
-	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		var out []core.Path
-		for ts := 0; ts < numSlices; ts++ {
-			paths := EarliestPaths(ix, s, d, core.Slice(ts), opt)
-			if len(paths) == 0 {
-				continue
-			}
-			w := 1.0 / float64(len(paths))
-			for i := range paths {
-				paths[i].Weight = w
-			}
-			out = append(out, paths...)
+	nodes := ix.Nodes()
+	searches := make([]Search, ix.NumSlices())
+	var out []core.Path
+	for _, s := range nodes {
+		for ts := range searches {
+			searches[ts].run(ix, s, core.Slice(ts), opt)
 		}
-		return out
-	})
+		for _, d := range nodes {
+			for ts := range searches {
+				paths := searches[ts].Paths(d)
+				w := 1.0 / float64(len(paths))
+				for i := range paths {
+					paths[i].Weight = w
+				}
+				out = append(out, paths...)
+			}
+		}
+	}
+	return out
 }
 
 // HOHO materializes hop-on hop-off routing: the single latency-optimal path
 // per (src, dst, arrival slice) — minimal delivery slice, then minimal hop
 // count. Packets "hop on" the earliest useful circuit and "hop off" at the
-// node from which the destination is soonest reachable.
+// node from which the destination is soonest reachable. It is UCMP with one
+// path per tuple, whose weight is then 1.
 func HOHO(ix *core.ConnIndex, opt Options) []core.Path {
-	numSlices := ix.NumSlices()
-	o := opt
-	o.MaxPaths = 1
-	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		var out []core.Path
-		for ts := 0; ts < numSlices; ts++ {
-			paths := EarliestPaths(ix, s, d, core.Slice(ts), o)
-			out = append(out, paths...)
-		}
-		return out
-	})
+	opt.MaxPaths = 1
+	return UCMP(ix, opt)
 }
