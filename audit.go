@@ -2,7 +2,6 @@ package openoptics
 
 import (
 	"fmt"
-	"time"
 
 	"openoptics/internal/core"
 	"openoptics/internal/diverge"
@@ -11,26 +10,24 @@ import (
 )
 
 // This file is the determinism auditor's Net-level half: the wiring that
-// attaches the engine's event digest (internal/sim/digest.go), takes
-// periodic state checkpoints, and evaluates runtime invariant probes —
-// conservation laws that must hold in any correct run regardless of seed
-// or topology. Violations fire the attached flight recorder, so the slices
-// leading up to a broken invariant are preserved for replay. Cost
-// discipline: a Net that never calls AttachDigest pays one nil check per
-// dispatch (the engine's digest branch) and nothing else.
+// attaches the engine's event digest (internal/sim/digest.go) and, as each
+// digest window closes, sweeps the runtime invariant probes — conservation
+// laws that must hold in any correct run regardless of seed or topology —
+// and records a hash of the network's state as the window's state hash.
+// The sweep runs between two handlers, as no event, so an audited run
+// dispatches exactly the events of an unaudited one. Violations fire the
+// attached flight recorder, so the slices leading up to a broken invariant
+// are preserved for replay. Cost discipline: a Net that never calls
+// AttachDigest pays one nil check per dispatch (the engine's digest
+// branch) and nothing else.
 
 // DigestOptions configures the determinism auditor.
 type DigestOptions struct {
 	// WindowEvents is the digest window granularity in dispatches
 	// (rounded up to a power of two; 0 = 64k). Smaller windows localize
-	// divergence tighter at the price of a longer journal.
+	// divergence tighter, and sweep the probes more often, at the price
+	// of a longer journal.
 	WindowEvents uint64
-	// CheckpointEveryNs is the virtual-time cadence of state checkpoints
-	// and invariant-probe sweeps. 0 defaults to 1ms; negative disables
-	// checkpoints entirely (the event digest still runs). Checkpoints are
-	// engine events, so two runs are stream-comparable only when their
-	// cadences match.
-	CheckpointEveryNs int64
 }
 
 // Probe is one registered runtime invariant: Check returns "" while the
@@ -41,20 +38,18 @@ type Probe struct {
 }
 
 // Auditor is a Net's attached determinism auditor: the engine event
-// digest plus the checkpoint/probe machinery.
+// digest plus the invariant probes swept at every window close.
 type Auditor struct {
-	net       *Net
-	dig       *sim.EventDigest
-	cadenceNs int64 // resolved; <=0 means checkpoints disabled
+	net *Net
+	dig *sim.EventDigest
 
 	probes []Probe
 
-	checkpoints    []diverge.CheckpointRec
 	violations     []diverge.ViolationRec
 	violationCount uint64
 	lastCheckT     int64
 
-	// linkBytes holds the previous checkpoint's per-link cumulative byte
+	// linkBytes holds the previous sweep's per-link cumulative byte
 	// counters (AB, BA interleaved) for the byte-conservation probe.
 	linkBytes []uint64
 }
@@ -64,34 +59,21 @@ type Auditor struct {
 const maxRecordedViolations = 64
 
 // AttachDigest attaches the determinism auditor: every dispatch folds
-// into the windowed event digest, and (unless disabled) state checkpoints
-// with invariant probes run at the configured virtual cadence. Attach
-// before Run — the digest only covers dispatches after attachment, and
-// the checkpoint event stream is part of the run's identity. Idempotent:
-// a second call returns the existing auditor unchanged.
+// into the windowed event digest, and every window close sweeps the
+// invariant probes and records the state hash. Attach before Run — the
+// digest only covers dispatches after attachment. Idempotent: a second
+// call returns the existing auditor unchanged.
 func (n *Net) AttachDigest(opts DigestOptions) *Auditor {
 	if n.audit != nil {
 		return n.audit
 	}
-	a := &Auditor{
-		net:       n,
-		dig:       sim.NewEventDigest(opts.WindowEvents),
-		cadenceNs: opts.CheckpointEveryNs,
-	}
-	if a.cadenceNs == 0 {
-		a.cadenceNs = int64(time.Millisecond)
-	}
+	a := &Auditor{net: n, dig: sim.NewEventDigest(opts.WindowEvents)}
+	a.dig.OnWindowClose(a.sweep)
 	n.eng.AttachDigest(a.dig)
 	n.audit = a
 	a.RegisterProbe("packet-conservation", a.checkPacketConservation)
 	a.RegisterProbe("vtime-monotonic", a.checkTimeMonotonic)
 	a.RegisterProbe("link-byte-conservation", a.checkLinkBytes)
-	if a.cadenceNs > 0 {
-		n.eng.EveryClass(a.cadenceNs, a.cadenceNs, sim.ClassTelemetry, func() bool {
-			a.Checkpoint()
-			return true
-		})
-	}
 	return a
 }
 
@@ -101,16 +83,7 @@ func (n *Net) Auditor() *Auditor { return n.audit }
 // Digest exposes the underlying engine event digest.
 func (a *Auditor) Digest() *sim.EventDigest { return a.dig }
 
-// CheckpointEveryNs returns the resolved checkpoint cadence (0 when
-// checkpoints are disabled).
-func (a *Auditor) CheckpointEveryNs() int64 {
-	if a.cadenceNs <= 0 {
-		return 0
-	}
-	return a.cadenceNs
-}
-
-// RegisterProbe adds a runtime invariant to the per-checkpoint sweep.
+// RegisterProbe adds a runtime invariant to the per-window sweep.
 func (a *Auditor) RegisterProbe(name string, check func() string) {
 	a.probes = append(a.probes, Probe{Name: name, Check: check})
 }
@@ -122,32 +95,21 @@ func (a *Auditor) ChainHex() string { return diverge.Hex(a.dig.Chain()) }
 // ViolationCount returns the cumulative invariant violations observed.
 func (a *Auditor) ViolationCount() uint64 { return a.violationCount }
 
-// Checkpoints returns the recorded state checkpoints.
-func (a *Auditor) Checkpoints() []diverge.CheckpointRec { return a.checkpoints }
-
 // Violations returns the recorded violations (capped; see ViolationCount).
 func (a *Auditor) Violations() []diverge.ViolationRec { return a.violations }
 
-// Checkpoint sweeps the invariant probes and records a state checkpoint
-// now. Runs automatically at the configured cadence; callers may force
-// extra checkpoints (e.g. a final one after the run).
-func (a *Auditor) Checkpoint() {
+// sweep evaluates the invariant probes now and returns the state hash.
+// The digest runs it at every window close; BuildJournal runs it once
+// more for the end-of-run state.
+func (a *Auditor) sweep() uint64 {
 	now := a.net.eng.Now()
 	for _, p := range a.probes {
 		if d := p.Check(); d != "" {
 			a.violate(p.Name, d, now)
 		}
 	}
-	ps := a.net.pool.Stats()
-	a.checkpoints = append(a.checkpoints, diverge.CheckpointRec{
-		TNs:             now,
-		Events:          a.net.eng.Processed,
-		StateHash:       diverge.Hex(a.stateHash(now)),
-		PoolGets:        ps.Gets,
-		PoolPuts:        ps.Puts,
-		PoolOutstanding: int64(ps.Outstanding),
-	})
 	a.lastCheckT = now
+	return a.stateHash(now)
 }
 
 // violate records one invariant violation and fires the flight recorder
@@ -212,11 +174,11 @@ func (a *Auditor) checkPacketConservation() string {
 }
 
 // checkTimeMonotonic asserts virtual time never runs backwards between
-// checkpoints.
+// sweeps.
 func (a *Auditor) checkTimeMonotonic() string {
 	now := a.net.eng.Now()
 	if now < a.lastCheckT {
-		return fmt.Sprintf("virtual time moved backwards: %dns after checkpoint at %dns", now, a.lastCheckT)
+		return fmt.Sprintf("virtual time moved backwards: %dns after a sweep at %dns", now, a.lastCheckT)
 	}
 	return ""
 }
@@ -247,42 +209,38 @@ func (a *Auditor) checkLinkBytes() string {
 // AuditStatus is the auditor's live view, published on /snapshot and
 // /runinfo and rendered by `ooctl watch`.
 type AuditStatus struct {
-	WindowEvents      uint64 `json:"window_events"`
-	CheckpointEveryNs int64  `json:"checkpoint_every_ns,omitempty"`
-	Events            uint64 `json:"events"`
-	Windows           int    `json:"windows"`
-	Chain             string `json:"chain"`
-	Checkpoints       int    `json:"checkpoints"`
-	Violations        uint64 `json:"violations"`
+	WindowEvents uint64 `json:"window_events"`
+	Events       uint64 `json:"events"`
+	Windows      int    `json:"windows"`
+	Chain        string `json:"chain"`
+	Violations   uint64 `json:"violations"`
 }
 
-// Status captures the auditor's current digest/checkpoint/violation state.
+// Status captures the auditor's current digest and violation state.
 func (a *Auditor) Status() AuditStatus {
 	return AuditStatus{
-		WindowEvents:      a.dig.WindowEvents(),
-		CheckpointEveryNs: a.CheckpointEveryNs(),
-		Events:            a.dig.Events(),
-		Windows:           len(a.dig.Windows()),
-		Chain:             a.ChainHex(),
-		Checkpoints:       len(a.checkpoints),
-		Violations:        a.violationCount,
+		WindowEvents: a.dig.WindowEvents(),
+		Events:       a.dig.Events(),
+		Windows:      len(a.dig.Windows()),
+		Chain:        a.ChainHex(),
+		Violations:   a.violationCount,
 	}
 }
 
 // BuildJournal assembles the run's digest journal for writing. Call after
 // the run (or after an interrupt's graceful drain — the engine's
 // interrupted flag is recorded so comparison tooling knows the journal is
-// truncated).
+// truncated). It sweeps the probes once more, so the final record carries
+// the end-of-run state.
 func (a *Auditor) BuildJournal(m *provenance.Manifest) *diverge.Journal {
+	final := a.sweep()
 	j := &diverge.Journal{
 		Header: diverge.Header{
-			SchemaVersion:     diverge.SchemaVersion,
-			Manifest:          m,
-			WindowEvents:      a.dig.WindowEvents(),
-			CheckpointEveryNs: a.CheckpointEveryNs(),
+			SchemaVersion: diverge.SchemaVersion,
+			Manifest:      m,
+			WindowEvents:  a.dig.WindowEvents(),
 		},
-		Checkpoints: a.checkpoints,
-		Violations:  a.violations,
+		Violations: a.violations,
 	}
 	for _, w := range a.dig.Windows() {
 		j.Windows = append(j.Windows, diverge.WindowRec{
@@ -291,14 +249,15 @@ func (a *Auditor) BuildJournal(m *provenance.Manifest) *diverge.Journal {
 			EndTNs:    w.EndTNs,
 			Hash:      diverge.Hex(w.Hash),
 			Chain:     diverge.Hex(w.Chain),
+			StateHash: diverge.Hex(w.State),
 		})
 	}
 	j.Final = diverge.FinalRec{
 		Events:      a.dig.Events(),
 		LastTNs:     a.dig.LastTNs(),
 		Chain:       a.ChainHex(),
+		StateHash:   diverge.Hex(final),
 		Windows:     len(j.Windows),
-		Checkpoints: len(a.checkpoints),
 		Violations:  a.violationCount,
 		Interrupted: a.net.eng.Interrupted(),
 	}

@@ -29,7 +29,7 @@ func TestDivergeBisectsPerturbedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := &diverge.Header{WindowEvents: 256, CheckpointEveryNs: 500_000, Scenario: raw}
+	header := &diverge.Header{WindowEvents: 256, Scenario: raw}
 	clean, err := replay.Execute(header, 0, 0)
 	if err != nil {
 		t.Fatal(err)

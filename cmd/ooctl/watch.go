@@ -164,8 +164,8 @@ func renderSnapshot(s *openoptics.NetSnapshot, rateSuffix string) string {
 		e.PendingEvents, e.MaxWheelEvents, spillPct, e.Resorts,
 		s.Pool.Outstanding, s.Pool.HighWater, s.Pool.Slabs, rateSuffix)
 	if d := s.Digest; d != nil {
-		fmt.Fprintf(&b, "auditor: events %d  windows %d  chain %s  checkpoints %d  violations %d\n",
-			d.Events, d.Windows, d.Chain, d.Checkpoints, d.Violations)
+		fmt.Fprintf(&b, "auditor: events %d  windows %d  chain %s  violations %d\n",
+			d.Events, d.Windows, d.Chain, d.Violations)
 	}
 
 	// Per-switch uplink occupancy summed per calendar-queue index.

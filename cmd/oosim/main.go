@@ -64,7 +64,6 @@ func run(args []string) int {
 	profile := fs.Bool("profile", false, "collect per-handler-class wall-clock profiling")
 	digestOut := fs.String("digest-out", "", "attach the determinism auditor; write its digest journal (JSONL) at exit")
 	digestWindow := fs.Uint64("digest-window", 0, "events per digest window (power of two; 0 = 65536)")
-	digestCheckpointUs := fs.Int64("digest-checkpoint-us", 1000, "virtual µs between state checkpoints (<0 disables; checkpoints are engine events, so compared runs must match)")
 	perturbSwap := fs.String("perturb-swap", "", "swap scheduling sequence numbers A:B (simdebug builds; see a clean journal's perturb_hint)")
 	progressMs := fs.Int("progress-ms", 0, "print a virtual/real speed report every N virtual ms")
 	httpAddr := fs.String("http", "", "serve live observability (metrics, snapshot, pprof) on this address")
@@ -105,10 +104,7 @@ func run(args []string) int {
 		sc.ReconfigPeriodUs = *reprogramUs
 		sc.ReconfigDrainUs = *drainUs
 	}
-	w := runner.Wiring{Digest: openoptics.DigestOptions{
-		WindowEvents:      *digestWindow,
-		CheckpointEveryNs: *digestCheckpointUs * 1000,
-	}}
+	w := runner.Wiring{Digest: openoptics.DigestOptions{WindowEvents: *digestWindow}}
 	if *cfgPath != "" {
 		cfg, err := openoptics.LoadConfig(*cfgPath)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -519,7 +518,3 @@ func verdict(md MetricDelta) string {
 func g6(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
-
-// SortWarnings orders warnings deterministically (alignment iterates maps
-// nowhere, but callers may merge warning sources).
-func (r *Report) SortWarnings() { sort.Strings(r.Warnings) }

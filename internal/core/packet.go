@@ -245,7 +245,7 @@ func (p *Packet) IsCtrl() bool { return p.Flow.Proto == ProtoCtrl }
 // Mix64 is the splitmix64 finalizer: a cheap full-avalanche 64-bit
 // bijection. It is the shared folding primitive of the determinism
 // auditor — packet fingerprints here, dispatch digests in internal/sim,
-// and state-checkpoint hashes at the Net level all chain through it.
+// and the window state hashes at the Net level all chain through it.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -6,24 +6,16 @@ import (
 	"io"
 )
 
-// WindowDiff names the first digest window where two journals disagree.
+// WindowDiff names the first digest window where two journals disagree,
+// with each side's event hash and the state hash recorded as it closed.
 type WindowDiff struct {
 	Index       int    `json:"index"`
 	StartEvents uint64 `json:"start_events"` // first dispatch index the window covers
 	EndEvents   uint64 `json:"end_events"`   // exclusive
 	HashA       string `json:"hash_a"`
 	HashB       string `json:"hash_b"`
-}
-
-// CheckpointDiff names the first state checkpoint where the journals'
-// state hashes disagree — often earlier context than the window diff when
-// checkpoints are denser than windows.
-type CheckpointDiff struct {
-	Index      int    `json:"index"`
-	TNsA       int64  `json:"t_ns_a"`
-	TNsB       int64  `json:"t_ns_b"`
-	StateHashA string `json:"state_hash_a"`
-	StateHashB string `json:"state_hash_b"`
+	StateHashA  string `json:"state_hash_a,omitempty"`
+	StateHashB  string `json:"state_hash_b,omitempty"`
 }
 
 // EventDiff is the re-run bisection's verdict: the exact first dispatch at
@@ -57,18 +49,17 @@ type Report struct {
 	ViolationsA uint64 `json:"violations_a,omitempty"`
 	ViolationsB uint64 `json:"violations_b,omitempty"`
 
-	Window     *WindowDiff     `json:"divergent_window,omitempty"`
-	Checkpoint *CheckpointDiff `json:"divergent_checkpoint,omitempty"`
-	Event      *EventDiff      `json:"divergent_event,omitempty"`
+	Window *WindowDiff `json:"divergent_window,omitempty"`
+	Event  *EventDiff  `json:"divergent_event,omitempty"`
 
 	// Note carries non-fatal caveats: missing scenarios, interrupted
-	// journals, cadence mismatches.
+	// journals.
 	Note string `json:"note,omitempty"`
 }
 
 // Compare finds where two journals first disagree. It never re-runs
-// anything — window and checkpoint localization come from the journals
-// alone; the replay subpackage narrows the divergent window to an event.
+// anything — window localization comes from the journals alone; the
+// replay subpackage narrows the divergent window to an event.
 func Compare(a, b *Journal) (*Report, error) {
 	if a.Header.WindowEvents != b.Header.WindowEvents {
 		return nil, fmt.Errorf("window granularity differs (%d vs %d events): journals are not comparable",
@@ -85,11 +76,6 @@ func Compare(a, b *Journal) (*Report, error) {
 		ViolationsA:   a.Final.Violations,
 		ViolationsB:   b.Final.Violations,
 	}
-	if a.Header.CheckpointEveryNs != b.Header.CheckpointEveryNs {
-		r.Note = appendNote(r.Note, fmt.Sprintf(
-			"checkpoint cadence differs (%d vs %d ns); streams diverge by construction",
-			a.Header.CheckpointEveryNs, b.Header.CheckpointEveryNs))
-	}
 	if a.Final.Interrupted || b.Final.Interrupted {
 		r.Note = appendNote(r.Note, "at least one journal was flushed on interrupt (truncated run)")
 	}
@@ -103,13 +89,15 @@ func Compare(a, b *Journal) (*Report, error) {
 		n = len(b.Windows)
 	}
 	for i := 0; i < n; i++ {
-		if a.Windows[i].Hash != b.Windows[i].Hash {
+		if wa, wb := a.Windows[i], b.Windows[i]; wa.Hash != wb.Hash {
 			r.Window = &WindowDiff{
 				Index:       i,
 				StartEvents: uint64(i) * w,
 				EndEvents:   uint64(i+1) * w,
-				HashA:       a.Windows[i].Hash,
-				HashB:       b.Windows[i].Hash,
+				HashA:       wa.Hash,
+				HashB:       wb.Hash,
+				StateHashA:  wa.StateHash,
+				StateHashB:  wb.StateHash,
 			}
 			break
 		}
@@ -125,26 +113,10 @@ func Compare(a, b *Journal) (*Report, error) {
 		end++ // cover the length-divergence boundary itself
 		r.Window = &WindowDiff{Index: n, StartEvents: start, EndEvents: end}
 		if n < len(a.Windows) {
-			r.Window.HashA = a.Windows[n].Hash
+			r.Window.HashA, r.Window.StateHashA = a.Windows[n].Hash, a.Windows[n].StateHash
 		}
 		if n < len(b.Windows) {
-			r.Window.HashB = b.Windows[n].Hash
-		}
-	}
-	nc := len(a.Checkpoints)
-	if len(b.Checkpoints) < nc {
-		nc = len(b.Checkpoints)
-	}
-	for i := 0; i < nc; i++ {
-		if a.Checkpoints[i].StateHash != b.Checkpoints[i].StateHash {
-			r.Checkpoint = &CheckpointDiff{
-				Index:      i,
-				TNsA:       a.Checkpoints[i].TNs,
-				TNsB:       b.Checkpoints[i].TNs,
-				StateHashA: a.Checkpoints[i].StateHash,
-				StateHashB: b.Checkpoints[i].StateHash,
-			}
-			break
+			r.Window.HashB, r.Window.StateHashB = b.Windows[n].Hash, b.Windows[n].StateHash
 		}
 	}
 	return r, nil
@@ -192,11 +164,10 @@ func (r *Report) Render(w io.Writer) {
 		if d.HashA != "" || d.HashB != "" {
 			fmt.Fprintf(w, "  hash A=%s B=%s", orDash(d.HashA), orDash(d.HashB))
 		}
+		if d.StateHashA != "" || d.StateHashB != "" {
+			fmt.Fprintf(w, "  state A=%s B=%s", orDash(d.StateHashA), orDash(d.StateHashB))
+		}
 		fmt.Fprintln(w)
-	}
-	if c := r.Checkpoint; c != nil {
-		fmt.Fprintf(w, "first divergent checkpoint: #%d  t A=%dns B=%dns  state A=%s B=%s\n",
-			c.Index, c.TNsA, c.TNsB, c.StateHashA, c.StateHashB)
 	}
 	if e := r.Event; e != nil {
 		switch e.Kind {

@@ -32,7 +32,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	j := testJournal(64, []string{Hex(1), Hex(2)}, 130, Hex(99))
 	j.Header.Scenario = []byte(`{"arch":"rotornet-vlb","trace":"rpc","nodes":4,"seed":7,"duration_ms":5}`)
 	j.Header.PerturbA, j.Header.PerturbB = 5, 6
-	j.Checkpoints = append(j.Checkpoints, CheckpointRec{TNs: 1000, Events: 80, StateHash: Hex(3), PoolGets: 10, PoolPuts: 10})
+	j.Windows[1].StateHash = Hex(3)
+	j.Final.StateHash = Hex(4)
 	j.Violations = append(j.Violations, ViolationRec{TNs: 2000, Events: 100, Probe: "packet-conservation", Detail: "x"})
 	j.Final.Violations = 1
 	j.Final.PerturbHint = "5:6"
@@ -48,16 +49,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if got.Header.WindowEvents != 64 || !bytes.Equal(got.Header.Scenario, j.Header.Scenario) || got.Header.PerturbB != 6 {
 		t.Fatalf("header mangled: %+v", got.Header)
 	}
-	if len(got.Windows) != 2 || got.Windows[1].Hash != Hex(2) {
+	if len(got.Windows) != 2 || got.Windows[1].Hash != Hex(2) || got.Windows[1].StateHash != Hex(3) {
 		t.Fatalf("windows mangled: %+v", got.Windows)
-	}
-	if len(got.Checkpoints) != 1 || got.Checkpoints[0].StateHash != Hex(3) {
-		t.Fatalf("checkpoints mangled: %+v", got.Checkpoints)
 	}
 	if len(got.Violations) != 1 || got.Violations[0].Probe != "packet-conservation" {
 		t.Fatalf("violations mangled: %+v", got.Violations)
 	}
-	if got.Final.Chain != Hex(99) || got.Final.PerturbHint != "5:6" {
+	if got.Final.Chain != Hex(99) || got.Final.StateHash != Hex(4) || got.Final.PerturbHint != "5:6" {
 		t.Fatalf("final mangled: %+v", got.Final)
 	}
 
@@ -171,17 +169,39 @@ func TestCompareTailDivergence(t *testing.T) {
 	}
 }
 
-func TestCompareCheckpointMismatch(t *testing.T) {
-	a := testJournal(64, []string{Hex(1)}, 70, Hex(9))
-	b := testJournal(64, []string{Hex(1)}, 70, Hex(8))
-	a.Checkpoints = []CheckpointRec{{TNs: 1000, Events: 30, StateHash: Hex(11)}, {TNs: 2000, Events: 60, StateHash: Hex(12)}}
-	b.Checkpoints = []CheckpointRec{{TNs: 1000, Events: 30, StateHash: Hex(11)}, {TNs: 2000, Events: 60, StateHash: Hex(13)}}
+// TestCompareWindowStateHashes checks the divergent window carries each
+// side's state hash, in the report and its render, and that a v2 journal's
+// checkpoint records are skipped on read.
+func TestCompareWindowStateHashes(t *testing.T) {
+	a := testJournal(64, []string{Hex(1), Hex(2)}, 130, Hex(9))
+	b := testJournal(64, []string{Hex(1), Hex(5)}, 130, Hex(8))
+	for i := range a.Windows {
+		a.Windows[i].StateHash, b.Windows[i].StateHash = Hex(uint64(11+i)), Hex(uint64(11+2*i))
+	}
 	r, err := Compare(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Checkpoint == nil || r.Checkpoint.Index != 1 {
-		t.Fatalf("checkpoint diff = %+v, want index 1", r.Checkpoint)
+	if d := r.Window; d == nil || d.Index != 1 || d.StateHashA != Hex(12) || d.StateHashB != Hex(13) {
+		t.Fatalf("window diff = %+v, want index 1 with state hashes %s and %s", r.Window, Hex(12), Hex(13))
+	}
+	var out bytes.Buffer
+	r.Render(&out)
+	if want := "state A=" + Hex(12) + " B=" + Hex(13); !strings.Contains(out.String(), want) {
+		t.Fatalf("render lacks %q:\n%s", want, out.String())
+	}
+
+	v2 := `{"kind":"header","schema_version":2,"window_events":64,"checkpoint_every_ns":1000000}
+{"kind":"window","index":0,"end_events":64,"end_t_ns":0,"hash":"` + Hex(1) + `","chain":"` + Hex(1) + `"}
+{"kind":"checkpoint","t_ns":1000000,"events":80,"state_hash":"` + Hex(3) + `","pool_gets":10,"pool_puts":10,"pool_outstanding":0}
+{"kind":"final","events":80,"last_t_ns":1000000,"chain":"` + Hex(9) + `","windows":1,"checkpoints":1,"violations":0}
+`
+	j, err := Read(strings.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Windows) != 1 || j.Windows[0].StateHash != "" || j.Final.Events != 80 {
+		t.Fatalf("v2 journal read as %+v", j)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package diverge defines the determinism auditor's on-disk journal — the
-// windowed event-digest hash-chain, state checkpoints, and invariant
-// violations one run emits (`oosim -digest-out`) — and the comparison that
-// finds where two journals first disagree. The package is pure data: it
-// imports only the sim types and the provenance manifest, so both the root
-// openoptics package (which writes journals) and ooctl (which compares
-// them) can use it. The re-run bisection that narrows a divergent window
-// to an exact event lives in the replay subpackage, which rebuilds
-// networks and therefore cannot be imported from the root.
+// windowed event-digest hash-chain, each window's state hash, and the
+// invariant violations one run emits (`oosim -digest-out`) — and the
+// comparison that finds where two journals first disagree. The package is
+// pure data: it imports only the sim types and the provenance manifest, so
+// both the root openoptics package (which writes journals) and ooctl
+// (which compares them) can use it. The re-run bisection that narrows a
+// divergent window to an exact event lives in the replay subpackage, which
+// rebuilds networks and therefore cannot be imported from the root.
 package diverge
 
 import (
@@ -22,8 +22,10 @@ import (
 
 // SchemaVersion is the journal and report schema version. Version 2
 // replaced v1's replay spec with the run's Scenario; Read still maps a v1
-// header onto it.
-const SchemaVersion = 2
+// header onto it. Version 3 dropped the checkpoint records, which were
+// engine events, for a state hash on every window and on the final record;
+// v1 and v2 journals still read and compare window by window.
+const SchemaVersion = 3
 
 // Hex renders a 64-bit digest value the way every journal field stores it:
 // fixed-width lowercase hex, so journals and reports are byte-deterministic
@@ -32,11 +34,10 @@ func Hex(v uint64) string { return fmt.Sprintf("%016x", v) }
 
 // Header is the journal's first line: run identity plus auditor geometry.
 type Header struct {
-	Kind              string               `json:"kind"` // "header"
-	SchemaVersion     int                  `json:"schema_version"`
-	Manifest          *provenance.Manifest `json:"manifest,omitempty"`
-	WindowEvents      uint64               `json:"window_events"`
-	CheckpointEveryNs int64                `json:"checkpoint_every_ns,omitempty"`
+	Kind          string               `json:"kind"` // "header"
+	SchemaVersion int                  `json:"schema_version"`
+	Manifest      *provenance.Manifest `json:"manifest,omitempty"`
+	WindowEvents  uint64               `json:"window_events"`
 	// PerturbA and PerturbB are the sequence-number pair PerturbSwapSeq
 	// swapped during the recorded run (simdebug builds); zero when none.
 	PerturbA uint64 `json:"perturb_a,omitempty"`
@@ -50,7 +51,8 @@ type Header struct {
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
-// WindowRec is one closed digest window.
+// WindowRec is one closed digest window. StateHash hashes the network and
+// pool state as the window closed (absent before schema v3).
 type WindowRec struct {
 	Kind      string `json:"kind"` // "window"
 	Index     int    `json:"index"`
@@ -58,19 +60,7 @@ type WindowRec struct {
 	EndTNs    int64  `json:"end_t_ns"`
 	Hash      string `json:"hash"`
 	Chain     string `json:"chain"`
-}
-
-// CheckpointRec is one periodic state checkpoint: a hash over the network
-// and pool state at a virtual instant, plus the raw pool conservation
-// terms so a mismatched checkpoint is readable without re-running.
-type CheckpointRec struct {
-	Kind            string `json:"kind"` // "checkpoint"
-	TNs             int64  `json:"t_ns"`
-	Events          uint64 `json:"events"`
-	StateHash       string `json:"state_hash"`
-	PoolGets        uint64 `json:"pool_gets"`
-	PoolPuts        uint64 `json:"pool_puts"`
-	PoolOutstanding int64  `json:"pool_outstanding"`
+	StateHash string `json:"state_hash,omitempty"`
 }
 
 // ViolationRec is one invariant-probe violation.
@@ -84,15 +74,15 @@ type ViolationRec struct {
 
 // FinalRec is the journal's last line: stream totals and the running chain
 // including the open partial window, so two complete runs compare equal
-// iff their full dispatch streams matched.
+// iff their full dispatch streams matched, plus the end-of-run state hash.
 type FinalRec struct {
-	Kind        string `json:"kind"` // "final"
-	Events      uint64 `json:"events"`
-	LastTNs     int64  `json:"last_t_ns"`
-	Chain       string `json:"chain"`
-	Windows     int    `json:"windows"`
-	Checkpoints int    `json:"checkpoints"`
-	Violations  uint64 `json:"violations"`
+	Kind       string `json:"kind"` // "final"
+	Events     uint64 `json:"events"`
+	LastTNs    int64  `json:"last_t_ns"`
+	Chain      string `json:"chain"`
+	StateHash  string `json:"state_hash,omitempty"`
+	Windows    int    `json:"windows"`
+	Violations uint64 `json:"violations"`
 	// PerturbHint is the first same-instant adjacent dispatch pair whose
 	// order a sequence swap would invert ("a:b") — the operand a later
 	// `oosim -perturb-swap` run can use to inject a minimal fault.
@@ -105,15 +95,14 @@ type FinalRec struct {
 
 // Journal is one run's parsed digest journal.
 type Journal struct {
-	Header      Header
-	Windows     []WindowRec
-	Checkpoints []CheckpointRec
-	Violations  []ViolationRec
-	Final       FinalRec
+	Header     Header
+	Windows    []WindowRec
+	Violations []ViolationRec
+	Final      FinalRec
 }
 
-// Write emits the journal as JSONL: header, windows, checkpoints,
-// violations, final — each a self-describing object with a "kind" field.
+// Write emits the journal as JSONL: header, windows, violations, final —
+// each a self-describing object with a "kind" field.
 func Write(w io.Writer, j *Journal) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -124,12 +113,6 @@ func Write(w io.Writer, j *Journal) error {
 	for i := range j.Windows {
 		j.Windows[i].Kind = "window"
 		if err := enc.Encode(&j.Windows[i]); err != nil {
-			return err
-		}
-	}
-	for i := range j.Checkpoints {
-		j.Checkpoints[i].Kind = "checkpoint"
-		if err := enc.Encode(&j.Checkpoints[i]); err != nil {
 			return err
 		}
 	}
@@ -160,7 +143,8 @@ func WriteFile(path string, j *Journal) error {
 }
 
 // Read parses a JSONL journal. Unknown kinds are skipped (forward
-// compatibility); a missing header or final line is an error.
+// compatibility, and the checkpoint records of v1 and v2 journals); a
+// missing header or final line is an error.
 func Read(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -200,12 +184,6 @@ func Read(r io.Reader) (*Journal, error) {
 				return nil, fmt.Errorf("journal line %d: %w", line, err)
 			}
 			j.Windows = append(j.Windows, w)
-		case "checkpoint":
-			var c CheckpointRec
-			if err := json.Unmarshal(b, &c); err != nil {
-				return nil, fmt.Errorf("journal line %d: %w", line, err)
-			}
-			j.Checkpoints = append(j.Checkpoints, c)
 		case "violation":
 			var v ViolationRec
 			if err := json.Unmarshal(b, &v); err != nil {

@@ -43,12 +43,8 @@ func Execute(h *diverge.Header, capStart, capEnd uint64) (*Run, error) {
 		return nil, fmt.Errorf("journal scenario: %w", err)
 	}
 	sc.EventDigest = true // a journal exists only for a digested run
-	cadence := h.CheckpointEveryNs
-	if cadence == 0 {
-		cadence = -1 // the recorded run had checkpoints off; 0 would default them on
-	}
 	st, err := sc.Start(runner.Wiring{
-		Digest:   openoptics.DigestOptions{WindowEvents: h.WindowEvents, CheckpointEveryNs: cadence},
+		Digest:   openoptics.DigestOptions{WindowEvents: h.WindowEvents},
 		PerturbA: h.PerturbA,
 		PerturbB: h.PerturbB,
 	})

@@ -17,7 +17,7 @@ func tinySpec(seed uint64) *diverge.Header {
 	if err != nil {
 		panic(err)
 	}
-	return &diverge.Header{WindowEvents: 256, CheckpointEveryNs: 500_000, Scenario: raw}
+	return &diverge.Header{WindowEvents: 256, Scenario: raw}
 }
 
 // TestExecuteDeterministic is the auditor's differential test: the same
@@ -65,15 +65,26 @@ func TestExecuteSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestExecuteCheckpointsRecorded checks the cadence produced state
-// checkpoints and the conservation probes stayed silent on a healthy run.
-func TestExecuteCheckpointsRecorded(t *testing.T) {
+// TestExecuteStateHashesRecorded checks every window and the final record
+// carry a state hash, that the state moves between windows, and that the
+// conservation probes stayed silent on a healthy run.
+func TestExecuteStateHashesRecorded(t *testing.T) {
 	r, err := Execute(tinySpec(7), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Journal.Checkpoints) == 0 {
-		t.Fatal("no checkpoints at a 500µs cadence over 3ms")
+	ws := r.Journal.Windows
+	if len(ws) < 2 {
+		t.Fatalf("%d windows of 256 events over 3ms", len(ws))
+	}
+	for _, w := range ws {
+		if w.StateHash == "" {
+			t.Fatalf("window %d has no state hash", w.Index)
+		}
+	}
+	if ws[0].StateHash == ws[1].StateHash || r.Journal.Final.StateHash == "" {
+		t.Fatalf("state hashes do not track the run: windows %s, %s; final %q",
+			ws[0].StateHash, ws[1].StateHash, r.Journal.Final.StateHash)
 	}
 	if r.Journal.Final.Violations != 0 {
 		t.Fatalf("healthy run reported %d invariant violations: %+v",

@@ -2,9 +2,7 @@ package fabric
 
 import (
 	"fmt"
-	"time"
 
-	"openoptics/internal/controller"
 	"openoptics/internal/core"
 	"openoptics/internal/sim"
 	"openoptics/internal/telemetry"
@@ -74,7 +72,7 @@ type attachKey struct {
 }
 
 // NewOpticalFabric creates an unattached fabric. Attach endpoints, then
-// ApplySchedule (or ApplyProgram) before traffic flows.
+// ApplySchedule before traffic flows.
 func NewOpticalFabric(eng *sim.Engine) *OpticalFabric {
 	return &OpticalFabric{eng: eng, attached: make(map[attachKey]int), staticConn: make(map[int]int)}
 }
@@ -133,33 +131,6 @@ func (f *OpticalFabric) ApplySchedule(sched *core.Schedule) error {
 	f.conn = conn
 	f.staticConn = static
 	return nil
-}
-
-// ApplyProgram programs the fabric from a compiled OCS program, flattening
-// the per-OCS connections onto the logical fabric using the inverse of
-// controller.CompileTopo's wiring convention (OCS port = node × uplinks-
-// per-OCS + local slot).
-func (f *OpticalFabric) ApplyProgram(prog *controller.OCSProgram, sliceDur, guard int64, numSlices int) error {
-	st := prog.Structure
-	per := st.UplinksPerNode
-	if per <= 0 {
-		per = st.Count
-	}
-	per = (per + st.Count - 1) / st.Count
-	back := func(ocs, port int) (core.NodeID, core.PortID) {
-		return core.NodeID(port / per), core.PortID((port%per)*st.Count + ocs)
-	}
-	circuits := make([]core.Circuit, 0, len(prog.Connections))
-	for _, cn := range prog.Connections {
-		na, pa := back(cn.OCS, cn.InPort)
-		nb, pb := back(cn.OCS, cn.OutPort)
-		circuits = append(circuits, core.Circuit{
-			A: na, PortA: pa, B: nb, PortB: pb, Slice: cn.Slice,
-		})
-	}
-	sched := &core.Schedule{NumSlices: numSlices, SliceDuration: time.Duration(sliceDur),
-		Guard: time.Duration(guard), Circuits: circuits}
-	return f.ApplySchedule(sched)
 }
 
 // SetDark marks the given fabric ports dark until the given virtual time:

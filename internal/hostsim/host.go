@@ -195,9 +195,6 @@ func (h *Host) Send(pkt *core.Packet) bool {
 // space frees up (application resume).
 func (h *Host) NotifySpace(fn func()) { h.waiters.PushBack(fn) }
 
-// QueuedBytes returns the current segment-queue occupancy.
-func (h *Host) QueuedBytes() int64 { return h.queuedB }
-
 // mustHold decides whether a packet waits in the vma segment queue: paused
 // destinations (push-back) always hold; with flow pausing on, elephant
 // flows hold unless a circuit to the destination is signaled open.

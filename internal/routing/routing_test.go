@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -382,4 +383,28 @@ func indexPaths(paths []core.Path) map[key][]core.Path {
 		m[k] = append(m[k], p)
 	}
 	return m
+}
+
+// TestUCMPIsHOHOAtOneUplink pins where UCMP's multipath exists on a round
+// robin: at one uplink every (src, dst, slice) has exactly one earliest
+// path, so UCMP returns HOHO's paths; at two uplinks it spreads over more.
+// arch.RotorNet defaults to one uplink, so its UCMP routes as HOHO.
+func TestUCMPIsHOHOAtOneUplink(t *testing.T) {
+	index := func(nodes, uplink int) *core.ConnIndex {
+		circuits, numSlices, err := topo.RoundRobin(nodes, uplink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.NewConnIndex(&core.Schedule{NumSlices: numSlices, Circuits: circuits})
+	}
+	for _, nodes := range []int{4, 8, 12, 16} {
+		ix := index(nodes, 1)
+		if u, h := UCMP(ix, Options{}), HOHO(ix, Options{}); !reflect.DeepEqual(u, h) {
+			t.Fatalf("%d nodes, one uplink: UCMP gave %d paths, HOHO %d, and they differ", nodes, len(u), len(h))
+		}
+	}
+	ix := index(16, 2)
+	if u, h := len(UCMP(ix, Options{})), len(HOHO(ix, Options{})); u != 2482 || h != 1920 {
+		t.Fatalf("16 nodes, two uplinks: UCMP gave %d paths and HOHO %d, want 2482 and 1920", u, h)
+	}
 }

@@ -101,7 +101,6 @@ type RepMetrics struct {
 
 	// Determinism-auditor metrics, present when the sweep set event_digest.
 	EventDigest         string `json:"event_digest,omitempty"`
-	Checkpoints         int    `json:"checkpoints,omitempty"`
 	InvariantViolations uint64 `json:"invariant_violations,omitempty"`
 }
 
@@ -167,7 +166,6 @@ func NewAggregate(name string, recs []Record) *Aggregate {
 			Coverage:      res.Coverage,
 
 			EventDigest:         res.EventDigest,
-			Checkpoints:         res.Checkpoints,
 			InvariantViolations: res.InvariantViolations,
 		}
 		if r.Scenario != nil {
@@ -200,7 +198,7 @@ var csvHeader = []string{
 	"buf_p999_bytes", "buf_max_bytes", "parked",
 	"policy", "predictor", "reconfigs", "reconfig_drops", "demand_epochs",
 	"pred_err_ratio", "coverage",
-	"event_digest", "checkpoints", "invariant_violations",
+	"event_digest", "invariant_violations",
 }
 
 // WriteCSV renders the per-job table. Floats use the shortest exact
@@ -235,7 +233,6 @@ func (a *Aggregate) WriteCSV(w io.Writer) error {
 			strconv.FormatUint(res.DemandEpochs, 10),
 			g(res.PredErrRatio), g(res.Coverage),
 			res.EventDigest,
-			strconv.Itoa(res.Checkpoints),
 			strconv.FormatUint(res.InvariantViolations, 10),
 		}
 		b.WriteString(strings.Join(row, ","))

@@ -9,7 +9,8 @@ import (
 // TestSweepEventDigestDeterminism pins the determinism auditor into the
 // sweep path: with event_digest set, every job's Result carries a final
 // digest chain, and the chains — like the aggregates — are identical at
-// -jobs 1 and -jobs 4.
+// -jobs 1 and -jobs 4. The auditor is passive: each job dispatches the
+// events, and measures the FCTs, of the same job with event_digest off.
 func TestSweepEventDigestDeterminism(t *testing.T) {
 	spec := &Spec{
 		Name:          "tiny-digest",
@@ -22,7 +23,7 @@ func TestSweepEventDigestDeterminism(t *testing.T) {
 		Replications:  2,
 		EventDigest:   true,
 	}
-	run := func(jobs int) (map[string]*Result, []byte) {
+	run := func(spec *Spec, jobs int) (map[string]*Result, []byte) {
 		t.Helper()
 		ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 		sr, err := Sweep(spec, SweepOptions{Jobs: jobs, LedgerPath: ledger, Retries: -1})
@@ -47,8 +48,11 @@ func TestSweepEventDigestDeterminism(t *testing.T) {
 		}
 		return byID, js.Bytes()
 	}
-	r1, js1 := run(1)
-	r4, js4 := run(4)
+	r1, js1 := run(spec, 1)
+	r4, js4 := run(spec, 4)
+	off := *spec
+	off.EventDigest = false
+	r0, _ := run(&off, 1)
 	if len(r1) == 0 {
 		t.Fatal("sweep produced no results")
 	}
@@ -56,11 +60,12 @@ func TestSweepEventDigestDeterminism(t *testing.T) {
 		if res.EventDigest == "" {
 			t.Fatalf("%s: no event digest despite event_digest spec", id)
 		}
-		if res.Checkpoints == 0 {
-			t.Fatalf("%s: no checkpoints at the default cadence", id)
-		}
 		if res.InvariantViolations != 0 {
 			t.Fatalf("%s: %d invariant violations on a healthy run", id, res.InvariantViolations)
+		}
+		if u := r0[id]; u == nil || u.Events != res.Events || u.FCTMeanNs != res.FCTMeanNs {
+			t.Fatalf("%s: the auditor moved the run: %d events, FCT mean %g; without it %+v",
+				id, res.Events, res.FCTMeanNs, u)
 		}
 		other := r4[id]
 		if other == nil || other.EventDigest != res.EventDigest {

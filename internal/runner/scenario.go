@@ -155,9 +155,8 @@ type Result struct {
 
 	// Determinism-auditor measurement, present when the spec sets
 	// event_digest: the final digest chain over the job's whole dispatch
-	// stream, the state-checkpoint count, and invariant violations.
+	// stream and the invariant violations.
 	EventDigest         string `json:"event_digest,omitempty"`
-	Checkpoints         int    `json:"checkpoints,omitempty"`
 	InvariantViolations uint64 `json:"invariant_violations,omitempty"`
 }
 
@@ -388,7 +387,6 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 	}
 	if aud := st.Auditor; aud != nil {
 		res.EventDigest = aud.ChainHex()
-		res.Checkpoints = len(aud.Checkpoints())
 		res.InvariantViolations = aud.ViolationCount()
 	}
 	if tracer != nil {

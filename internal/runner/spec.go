@@ -110,10 +110,9 @@ type Spec struct {
 	// serialization/propagation totals) for cross-run comparison.
 	TraceSample float64 `json:"trace_sample,omitempty"`
 	// EventDigest attaches the determinism auditor to every job, so results
-	// carry the run's event-stream digest chain, checkpoint count, and
-	// invariant-violation count. The auditor's checkpoints are engine
-	// events, so a digest-on sweep is a (deliberately) different resolved
-	// config than a digest-off one; omitempty keeps pre-existing specs'
+	// carry the run's event-stream digest chain and invariant-violation
+	// count. The auditor schedules no events, so the jobs simulate exactly
+	// what they would without it; omitempty keeps pre-existing specs'
 	// digests unchanged.
 	EventDigest bool `json:"event_digest,omitempty"`
 

@@ -5,7 +5,10 @@ package sim
 // (t, seq, class, node, payload fingerprint, scalar operand) — into a
 // rolling 64-bit hash; every windowEvents dispatches the window hash is
 // chained into a running hash-chain and recorded, so two runs can be
-// compared window by window without storing the streams themselves. The
+// compared window by window without storing the streams themselves. A
+// window may also record a state hash: the OnWindowClose hook runs as the
+// window closes, after its last handler and before the next, as no event
+// and with no sequence number, so it observes the run without moving it. The
 // window granularity is what makes divergence *bisection* cheap: once two
 // journals disagree at window k, re-running [window k start, window k end)
 // with per-event capture (SetCapture) names the exact first divergent
@@ -50,6 +53,7 @@ type DigestWindow struct {
 	EndTNs    int64  // virtual time of the window's last dispatch
 	Hash      uint64 // rolling hash over the window's events
 	Chain     uint64 // running chain including this window
+	State     uint64 // the OnWindowClose hook's value; 0 without a hook
 }
 
 // CapturedEvent is one dispatch recorded verbatim while a capture range
@@ -75,6 +79,7 @@ type EventDigest struct {
 	lastT int64  // virtual time of the last dispatch
 
 	windows []DigestWindow
+	onClose func() uint64
 
 	// Capture range [capStart, capEnd) in dispatch indexes; equal bounds
 	// mean capture is off.
@@ -142,11 +147,22 @@ func (d *EventDigest) beginDispatch(e *Engine, seq uint64, class Class, arg any,
 	d.record(e.now, seq, class, node, fp, v, e.seq)
 }
 
-func (d *EventDigest) endDispatch(*Engine, Class) {}
+// endDispatch closes a full window once its last handler has returned, so
+// the close hook sees the state after exactly the window's dispatches.
+func (d *EventDigest) endDispatch(*Engine, Class) {
+	if d.count&d.mask == 0 {
+		d.closeWindow()
+	}
+}
 
-// record folds one dispatch into the rolling window hash, closing the
-// window at the granularity boundary. pushSeq is the engine's scheduling
-// counter at this dispatch (used for the perturbation hint only).
+// OnWindowClose installs f to run as each window closes; its return value
+// is recorded as the window's State. f runs between two handlers, outside
+// any event: it must only read simulation state, never schedule.
+func (d *EventDigest) OnWindowClose(f func() uint64) { d.onClose = f }
+
+// record folds one dispatch into the rolling window hash. pushSeq is the
+// engine's scheduling counter at this dispatch (used for the perturbation
+// hint only).
 func (d *EventDigest) record(t int64, seq uint64, class Class, node int32, fp uint64, v int64, pushSeq uint64) {
 	idx := d.count
 	h := d.hash
@@ -171,21 +187,23 @@ func (d *EventDigest) record(t int64, seq uint64, class Class, node int32, fp ui
 	d.prevT, d.prevSeq, d.prevPushSeq, d.havePrev = t, seq, pushSeq, true
 	d.lastT = t
 	d.count++
-	if d.count&d.mask == 0 {
-		d.closeWindow()
-	}
 }
 
-// closeWindow chains the open window's hash and records it.
+// closeWindow chains the open window's hash and records it with the close
+// hook's state.
 func (d *EventDigest) closeWindow() {
 	d.chain = mix64(d.chain ^ d.hash ^ d.count)
-	d.windows = append(d.windows, DigestWindow{
+	w := DigestWindow{
 		Index:     len(d.windows),
 		EndEvents: d.count,
 		EndTNs:    d.lastT,
 		Hash:      d.hash,
 		Chain:     d.chain,
-	})
+	}
+	if d.onClose != nil {
+		w.State = d.onClose()
+	}
+	d.windows = append(d.windows, w)
 	d.hash = 0
 }
 
@@ -203,9 +221,10 @@ func (d *EventDigest) Windows() []DigestWindow { return d.windows }
 
 // Chain returns the running hash-chain including the open partial window
 // (so two complete runs compare equal iff their full streams matched, even
-// when the stream length is not a window multiple).
+// when the stream length is not a window multiple). Inside the handler
+// that fills a window, that window is still open.
 func (d *EventDigest) Chain() uint64 {
-	if d.count&d.mask == 0 {
+	if d.count == uint64(len(d.windows))*(d.mask+1) {
 		return d.chain
 	}
 	return mix64(d.chain ^ d.hash ^ d.count)

@@ -102,6 +102,29 @@ func TestDigestChainCoversPartialWindow(t *testing.T) {
 	}
 }
 
+// TestDigestWindowCloseHook checks the close hook runs once per closed
+// window, after the handler of the window's last event, records its value
+// as the window's State, and leaves the dispatch stream as it is.
+func TestDigestWindowCloseHook(t *testing.T) {
+	e := New()
+	d := NewEventDigest(4)
+	act := &digNopAction{}
+	d.OnWindowClose(func() uint64 { return uint64(act.fired) })
+	e.AttachDigest(d)
+	for i, p := range somePayloads(10) {
+		e.AtEvent(int64(100*(i/2)), ClassLinkDeliver, act, p, int64(i))
+	}
+	e.RunUntil(1 << 20)
+	ws := d.Windows()
+	if len(ws) != 2 || ws[0].State != 4 || ws[1].State != 8 {
+		t.Fatalf("windows %+v, want states 4 and 8 (handlers run before the close)", ws)
+	}
+	plain := runScript(4, somePayloads(10))
+	if e.Processed != 10 || d.Chain() != plain.Chain() || ws[1].Chain != plain.Windows()[1].Chain {
+		t.Fatalf("the hook moved the run: %d events, chain %x vs %x", e.Processed, d.Chain(), plain.Chain())
+	}
+}
+
 func TestDigestCapture(t *testing.T) {
 	d := NewEventDigest(8)
 	d.SetCapture(2, 5)

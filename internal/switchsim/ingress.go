@@ -342,8 +342,3 @@ func (s *Switch) handleCtrl(pkt *core.Packet, inPort core.PortID) {
 		pkt.Free()
 	}
 }
-
-func (s *Switch) isDownlink(id core.PortID) bool {
-	p := s.portAt(id)
-	return p != nil && p.kind == portDownlink
-}

@@ -15,7 +15,6 @@ package switchsim
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"openoptics/internal/core"
 	"openoptics/internal/fabric"
@@ -678,14 +677,14 @@ func (s *Switch) eqoSettle(p *outPort, qi int) {
 	// The ended slice is the one containing local-1.
 	sliceStart := ((local - 1) / sd) * sd
 	off := local - s.eng.Now()
-	from := sliceStart + int64(s.Cfg.Schedule.Guard) - off
-	if p.lastDecay > from {
-		from = p.lastDecay
-	}
-	until := sliceStart + sd - s.Cfg.txTail() - off
-	if until <= from {
-		return
-	}
+	from := max(sliceStart+int64(s.Cfg.Schedule.Guard)-off, p.lastDecay)
+	p.eqoDecay(qi, from, sliceStart+sd-s.Cfg.txTail()-off, iv)
+}
+
+// eqoDecay applies the generator ticks of interval iv (> 0) that fit in
+// [from, until) to queue qi's estimate: one tick's line-rate bytes each,
+// clamped at zero. lastDecay advances to the last tick applied.
+func (p *outPort) eqoDecay(qi int, from, until, iv int64) {
 	steps := (until - from) / iv
 	if steps <= 0 {
 		return
@@ -744,18 +743,7 @@ func (s *Switch) eqoRead(p *outPort, qi int) int64 {
 			until = tEnd
 		}
 	}
-	if until > from {
-		steps := (until - from) / iv
-		if steps > 0 {
-			dec := p.link.BandwidthBps * iv / 8 / 1e9 * steps
-			if p.estOcc[qi] > dec {
-				p.estOcc[qi] -= dec
-			} else {
-				p.estOcc[qi] = 0
-			}
-			p.lastDecay = from + steps*iv
-		}
-	}
+	p.eqoDecay(qi, from, until, iv)
 	return p.estOcc[qi]
 }
 
@@ -901,9 +889,3 @@ func (s *Switch) EstimatedQueueBytes(id core.PortID, qi int) int64 {
 }
 
 var _ fabric.Device = (*Switch)(nil)
-
-// ScheduleOf is a helper for tests: builds a schedule with the given slice
-// count and duration.
-func ScheduleOf(numSlices int, sliceDur, guard time.Duration, circuits []core.Circuit) *core.Schedule {
-	return &core.Schedule{NumSlices: numSlices, SliceDuration: sliceDur, Guard: guard, Circuits: circuits}
-}

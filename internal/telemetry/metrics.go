@@ -73,17 +73,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the observation sum.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// ExpBuckets returns n exponentially growing bucket bounds from start.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // metric is one labelled instance inside a family. Exactly one of the
 // value sources is set.
 type metric struct {

@@ -5,11 +5,14 @@ package openoptics
 // testing/quick.
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"openoptics/internal/core"
+	"openoptics/internal/stats"
+	"openoptics/internal/switchsim"
 	"openoptics/internal/traffic"
 )
 
@@ -48,11 +51,13 @@ func TestInvariants(t *testing.T) {
 	t.Run("Determinism", TestDeterminism)
 	t.Run("CircuitExclusivity", TestCircuitExclusivity)
 	t.Run("SliceAlignment", TestSliceAlignment)
+	t.Run("AuditorIsPassive", TestAuditorIsPassive)
 }
 
 // TestPacketConservation: every packet a host sent is either delivered to
 // a host, dropped with an accounted reason, still buffered in the network,
-// or parked on a host — nothing vanishes.
+// or parked on a host — nothing vanishes. The auditor's probes sweep at
+// every window close and once after the run, and must stay silent.
 func TestPacketConservation(t *testing.T) {
 	f := func(nodesRaw, uplinkRaw uint8, seed uint64) bool {
 		n, nodes, err := buildRandomRotor(nodesRaw, uplinkRaw, seed)
@@ -60,6 +65,7 @@ func TestPacketConservation(t *testing.T) {
 			t.Log(err)
 			return false
 		}
+		aud := n.AttachDigest(DigestOptions{WindowEvents: 256})
 		eps := n.Endpoints()
 		// UDP-only traffic so no retransmissions blur the count.
 		var sent uint64
@@ -75,6 +81,11 @@ func TestPacketConservation(t *testing.T) {
 			}
 		}
 		n.Run(20 * time.Millisecond) // several cycles: everything settles
+		aud.sweep()
+		if aud.ViolationCount() != 0 {
+			t.Logf("invariant violations: %+v", aud.Violations())
+			return false
+		}
 		c := n.Counters()
 		fab := n.OpticalFabric()
 		var hostRx, parked uint64
@@ -98,6 +109,52 @@ func TestPacketConservation(t *testing.T) {
 		return c.Delivered <= sent
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAuditorIsPassive: attaching the determinism auditor leaves the run
+// as it is — the same events dispatched, the same switch counters and the
+// same FCTs — while its probes sweep at every window close and stay silent.
+func TestAuditorIsPassive(t *testing.T) {
+	type outcome struct {
+		events   uint64
+		counters []switchsim.Counters
+		fct      *stats.Sample
+	}
+	run := func(nodesRaw, uplinkRaw uint8, seed uint64, audit bool) (outcome, *Auditor) {
+		n, _, err := buildRandomRotor(nodesRaw, uplinkRaw, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var aud *Auditor
+		if audit {
+			aud = n.AttachDigest(DigestOptions{WindowEvents: 1024})
+		}
+		eps := n.Endpoints()
+		sink := traffic.NewSink(eps)
+		traffic.NewMemcached(n.Engine(), eps[0], eps[1:], seed).Start(int64(8 * time.Millisecond))
+		n.Run(8 * time.Millisecond)
+		o := outcome{events: n.Engine().Processed, fct: sink.FCTSample(traffic.PortMemcached)}
+		for _, sw := range n.Switches() {
+			o.counters = append(o.counters, sw.Counters)
+		}
+		return o, aud
+	}
+	f := func(nodesRaw, uplinkRaw uint8, seed uint64) bool {
+		plain, _ := run(nodesRaw, uplinkRaw, seed, false)
+		audited, aud := run(nodesRaw, uplinkRaw, seed, true)
+		if len(aud.Digest().Windows()) == 0 || aud.ViolationCount() != 0 {
+			t.Logf("%d windows swept, violations: %+v", len(aud.Digest().Windows()), aud.Violations())
+			return false
+		}
+		if !reflect.DeepEqual(plain, audited) {
+			t.Logf("the auditor moved the run: %d events audited, %d without", audited.events, plain.events)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Fatal(err)
 	}
 }
