@@ -27,26 +27,37 @@ check: build
 bench:
 	go test -run xxx -bench . -benchtime 3x .
 
-# allocs_gate runs benchmark $(1) of package $(2) for $(3) iterations and
-# fails if its allocs/op exceed $(4). Allocation counts are exact at fixed
-# inputs, so the gate holds work, not wall time, and does not flake.
-allocs_gate = go test -run '^$$' -bench '^$(1)$$' -benchtime $(3) -benchmem $(2) | tee /tmp/openoptics-allocs.txt; \
-	awk '/^$(1)/ { seen=1; a=$$(NF-1)+0; if (a > $(4)) { printf "FAIL: $(1): %d allocs/op exceeds the $(4) ceiling\n", a; exit 1 } printf "$(1) allocs/op gate: %d <= $(4)\n", a } END { if (!seen) { print "FAIL: $(1) did not run"; exit 1 } }' /tmp/openoptics-allocs.txt
+# bench_run runs benchmark $(1) of package $(2) for $(3) iterations and
+# keeps its output; unit_gate then fails if the value that run reported in
+# unit $(2) for benchmark $(1) (allocs/op, events/op) exceeds $(3). These
+# counts are exact at fixed inputs, so the gates hold work, not wall time,
+# and do not flake.
+bench_run = go test -run '^$$' -bench '^$(1)$$' -benchtime $(3) -benchmem $(2) | tee /tmp/openoptics-bench.txt
+unit_gate = awk '/^$(1)/ { for (i = 3; i <= NF; i++) if ($$i == "$(2)") { seen=1; v=$$(i-1)+0 } } \
+	END { if (!seen) { print "FAIL: $(1) reported no $(2)"; exit 1 } \
+	if (v > $(3)) { printf "FAIL: $(1): %d $(2) exceeds the $(3) ceiling\n", v; exit 1 } \
+	printf "$(1) $(2) gate: %d <= $(3)\n", v }' /tmp/openoptics-bench.txt
 
 # One iteration of every benchmark in the repo: catches benchmarks that no
-# longer compile or crash without paying for stable timings, then holds two
-# paths to their allocation budgets:
-#   - the end-to-end hot path: the pooled packet lifecycle runs ~24
-#     allocs/op at steady state, so anything above 150 means a leaked
-#     per-packet or per-event allocation crept back in;
+# longer compile or crash without paying for stable timings, then holds
+# two paths to their budgets:
+#   - the end-to-end hot path (100 iterations of 1 virtual ms): the pooled
+#     packet lifecycle runs ~60 allocs/op at steady state, so anything
+#     above 150 means a leaked per-packet or per-event allocation crept
+#     back in; and one event per hop makes 19,228 events/op, so one more
+#     event per packet (~1,000 packets/op) or an unfused hop (27,900)
+#     trips the 19,500 ceiling;
 #   - the HOHO compile of the 12-node round robin: ~12k allocs/op with one
 #     reused search per (source, slice); per-destination searches or
 #     unreused search buffers take it past 30k.
 # CI runs this.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
-	$(call allocs_gate,BenchmarkEndToEndPacketRate,.,100x,150)
-	$(call allocs_gate,BenchmarkHOHO,./internal/routing,3x,30000)
+	$(call bench_run,BenchmarkEndToEndPacketRate,.,100x)
+	$(call unit_gate,BenchmarkEndToEndPacketRate,allocs/op,150)
+	$(call unit_gate,BenchmarkEndToEndPacketRate,events/op,19500)
+	$(call bench_run,BenchmarkHOHO,./internal/routing,3x)
+	$(call unit_gate,BenchmarkHOHO,allocs/op,30000)
 
 # Race-detector smoke of the sweep orchestrator: a tiny grid on 4 workers,
 # run fresh then resumed (the resume must skip everything). CI runs this.

@@ -248,12 +248,14 @@ func BenchmarkTimeFlowLookup(b *testing.B) {
 
 func BenchmarkEndToEndPacketRate(b *testing.B) {
 	// Measures simulator throughput: packets pushed through a RotorNet
-	// from one host to another per wall second.
+	// from one host to another per wall second. events/op is exact at a
+	// given b.N, so `make bench-smoke` gates it.
 	n := benchRotorNet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Run(1_000_000) // 1 ms of virtual time per iteration
 	}
+	b.ReportMetric(float64(n.Engine().Processed)/float64(b.N), "events/op")
 }
 
 // benchRotorNet builds the 4-node RotorNet used by the end-to-end hot-path

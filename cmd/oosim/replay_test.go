@@ -61,9 +61,10 @@ func TestJournalsReplay(t *testing.T) {
 // v1Flags and v1Journal are one run recorded by an oosim that wrote
 // schema-v1 journals (header and final line; the windows are not needed
 // to replay). Its replay object spells five keys differently from the
-// Scenario and duplicates the header's auditor geometry. That oosim
-// dispatched the auditor's checkpoints as events — 2 in this run — so its
-// chain is not today's; today's auditor dispatches none.
+// Scenario and duplicates the header's auditor geometry. Its chain is not
+// today's: that oosim dispatched the auditor's 2 checkpoints as events
+// (385,673 events, so 385,671 without them), and today's fuses each hop's
+// link delivery into the receiver's pipeline stage (todayEvents).
 var v1Flags = []string{"-arch", "daware", "-nodes", "4", "-uplink", "1", "-slice-us", "50",
 	"-workload", "rpc", "-load", "0.3", "-duration-ms", "2", "-seed", "7",
 	"-policy", "reqgrant", "-predictor", "ewma", "-collect-us", "500", "-reprogram-us", "1000", "-drain-us", "5",
@@ -83,10 +84,12 @@ func decodeScenario(t *testing.T, h *diverge.Header) runner.Scenario {
 	return sc
 }
 
+// todayEvents is the number of events today's oosim dispatches for v1Flags.
+const todayEvents = 268_717
+
 // TestV1JournalReadsAsScenario checks a schema-v1 header decodes to the
-// Scenario today's oosim records for the same flags, that today's run is
-// the v1 run less its 2 checkpoint events, and that the v1 header replays
-// to today's chain.
+// Scenario today's oosim records for the same flags, that today's run
+// dispatches todayEvents, and that the v1 header replays to today's chain.
 func TestV1JournalReadsAsScenario(t *testing.T) {
 	v1, err := diverge.Read(strings.NewReader(v1Journal))
 	if err != nil {
@@ -103,10 +106,8 @@ func TestV1JournalReadsAsScenario(t *testing.T) {
 	if got, want := decodeScenario(t, &v1.Header), decodeScenario(t, &today.Header); got != want {
 		t.Fatalf("v1 header decodes to\n%+v\nthe same flags record\n%+v", got, want)
 	}
-	const v1Checkpoints = 2
-	if today.Final.Events != v1.Final.Events-v1Checkpoints {
-		t.Fatalf("today's oosim dispatches %d events; the v1 run less its %d checkpoints is %d",
-			today.Final.Events, v1Checkpoints, v1.Final.Events-v1Checkpoints)
+	if today.Final.Events != todayEvents {
+		t.Fatalf("today's oosim dispatches %d events, want %d", today.Final.Events, todayEvents)
 	}
 	r, err := replay.Execute(&v1.Header, 0, 0)
 	if err != nil {

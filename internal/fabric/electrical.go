@@ -61,8 +61,28 @@ func (f *ElectricalFabric) queueCap() int64 {
 	return 16 << 20
 }
 
-// Receive implements Device: route by destination node, enqueue, drain.
+// Receive implements Device: the packet enters the ingress pipeline; its
+// enqueue stage routes, enqueues and drains. Links wired to the fabric
+// schedule that stage themselves (Pipeline).
 func (f *ElectricalFabric) Receive(pkt *core.Packet, port core.PortID) {
+	f.eng.AfterEvent(f.PipelineDelay, sim.ClassFabricElec, (*elecEnqueue)(f), pkt, int64(port))
+}
+
+// Pipeline implements Pipelined: a link delivers straight into the
+// enqueue stage, PipelineDelay after the packet's arrival.
+func (f *ElectricalFabric) Pipeline() (int64, sim.Class, sim.Action) {
+	return f.PipelineDelay, sim.ClassFabricElec, (*elecEnqueue)(f)
+}
+
+// elecEnqueue is the post-pipeline stage as a sim.Action: arg is the
+// packet (v, its ingress port, is unused). It routes by destination node —
+// the table is static, so routing here decides as routing at arrival
+// would — and makes the drop-tail decision at enqueue time.
+type elecEnqueue ElectricalFabric
+
+func (a *elecEnqueue) RunEvent(arg any, _ int64) {
+	f := (*ElectricalFabric)(a)
+	pkt := arg.(*core.Packet)
 	fp, ok := f.byNode[pkt.DstNode]
 	if !ok {
 		f.DropsNoRoute++
@@ -70,18 +90,7 @@ func (f *ElectricalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		pkt.Free()
 		return
 	}
-	f.eng.AfterEvent(f.PipelineDelay, sim.ClassFabricElec, (*elecEnqueue)(f), pkt, int64(fp))
-}
-
-// elecEnqueue is the post-pipeline enqueue step as a sim.Action: arg is the
-// packet, v the fabric port index. The drop-tail decision happens here, at
-// enqueue time after the pipeline delay.
-type elecEnqueue ElectricalFabric
-
-func (a *elecEnqueue) RunEvent(arg any, v int64) {
-	f := (*ElectricalFabric)(a)
-	pkt := arg.(*core.Packet)
-	p := f.ports[int(v)]
+	p := f.ports[fp]
 	if p.bytes+int64(pkt.Size) > f.queueCap() {
 		f.DropsQueue++
 		f.traceDrop(pkt, core.DropElecQueue)
@@ -95,7 +104,7 @@ func (a *elecEnqueue) RunEvent(arg any, v int64) {
 			TimeNs:     f.eng.Now(),
 			Node:       core.NoNode,
 			InPort:     core.NoPort,
-			Egress:     core.PortID(v),
+			Egress:     core.PortID(fp),
 			ArrSlice:   core.WildcardSlice,
 			DepSlice:   core.WildcardSlice,
 			QueueBytes: p.bytes,
@@ -121,7 +130,7 @@ func (f *ElectricalFabric) drain(p *elecPort) {
 	if pkt.Trace != nil {
 		pkt.Trace.MarkDequeued(core.NoNode, f.eng.Now(), f.eng.Now()+ser)
 	}
-	p.link.Send(f, pkt)
+	p.link.Send(f, pkt, ser)
 	f.Forwarded++
 	f.eng.AfterEvent(ser, sim.ClassFabricElec, (*elecTxDone)(f), p, 0)
 }

@@ -31,8 +31,8 @@ func TestLinkDelayAndFIFO(t *testing.T) {
 	l := NewLink(eng, Endpoint{Dev: a, Port: 0}, Endpoint{Dev: b, Port: 3}, 100e9, 500)
 	// 1500 B at 100 Gbps = 120 ns serialization + 500 ns propagation.
 	eng.At(0, func() {
-		l.Send(a, pkt(1500, 1))
-		l.Send(a, pkt(1500, 1)) // queued behind the first
+		l.Send(a, pkt(1500, 1), 120)
+		l.Send(a, pkt(1500, 1), 120) // queued behind the first
 	})
 	eng.Run()
 	if len(b.pkts) != 2 {
@@ -54,8 +54,8 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, Endpoint{Dev: a, Port: 0}, Endpoint{Dev: b, Port: 0}, 100e9, 100)
 	eng.At(0, func() {
-		l.Send(a, pkt(1500, 1))
-		l.Send(b, pkt(1500, 0)) // reverse direction: no head-of-line wait
+		l.Send(a, pkt(1500, 1), 120)
+		l.Send(b, pkt(1500, 0), 120) // reverse direction: no head-of-line wait
 	})
 	eng.Run()
 	if a.times[0] != b.times[0] {
@@ -63,11 +63,47 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 	}
 }
 
+// stageSink is a Pipelined device: links run its stage directly, so its
+// Receive must never be called.
+type stageSink struct {
+	sink
+	ports []int64
+}
+
+func (s *stageSink) Receive(*core.Packet, core.PortID) { panic("link delivered past the pipeline") }
+
+func (s *stageSink) Pipeline() (int64, sim.Class, sim.Action) {
+	return 600, sim.ClassSwitchIngress, s
+}
+
+func (s *stageSink) RunEvent(arg any, v int64) {
+	s.sink.Receive(arg.(*core.Packet), core.PortID(v))
+	s.ports = append(s.ports, v)
+}
+
+func TestLinkSchedulesPipelineStage(t *testing.T) {
+	eng := sim.New()
+	a, b := &sink{eng: eng}, &stageSink{sink: sink{eng: eng}}
+	l := NewLink(eng, Endpoint{Dev: a, Port: 0}, Endpoint{Dev: b, Port: 3}, 100e9, 500)
+	eng.At(0, func() { l.Send(a, pkt(1500, 1), 120) })
+	eng.Run()
+	// 120 ns serialization + 500 ns propagation + 600 ns pipeline, in one
+	// event under the stage's class, with the receiving port as the scalar.
+	if len(b.times) != 1 || b.times[0] != 1220 || b.ports[0] != 3 {
+		t.Fatalf("stage ran at %v on ports %v, want [1220] on [3]", b.times, b.ports)
+	}
+	for _, cs := range eng.ProfileStats() {
+		if cs.Class == sim.ClassLinkDeliver && cs.Count != 0 {
+			t.Fatalf("%d link.deliver events, want 0", cs.Count)
+		}
+	}
+}
+
 func TestLinkCutThrough(t *testing.T) {
 	eng := sim.New()
 	a, b := &sink{eng: eng}, &sink{eng: eng}
 	l := NewLink(eng, Endpoint{Dev: a, Port: 0}, Endpoint{Dev: b, Port: 0}, 100e9, 500)
-	eng.At(0, func() { l.SendCutThrough(a, pkt(1500, 1)) })
+	eng.At(0, func() { l.sendCutThrough(a, pkt(1500, 1), 0) })
 	eng.Run()
 	if b.times[0] != 500 { // no serialization in the arrival time
 		t.Fatalf("cut-through arrival at %d, want 500", b.times[0])

@@ -21,6 +21,17 @@ type Device interface {
 	Receive(pkt *core.Packet, port core.PortID)
 }
 
+// Pipelined is implemented by a device whose Receive only starts a fixed
+// ingress pipeline: stage runs delay ns after the packet's arrival, under
+// class, with the packet as its operand and the receiving port as its
+// scalar. A link wired to such a device schedules the stage itself, at
+// arrival + delay, so a hop costs one event instead of a delivery event
+// whose only job is to schedule the stage. Devices whose drop decisions
+// must see arrival-time state (the optical fabric) do not implement it.
+type Pipelined interface {
+	Pipeline() (delay int64, class sim.Class, stage sim.Action)
+}
+
 // Endpoint names one side of a link: a device and its local port number.
 type Endpoint struct {
 	Dev  Device
@@ -28,9 +39,9 @@ type Endpoint struct {
 }
 
 // RunEvent implements sim.Action: deliver an in-flight packet (arg) to the
-// endpoint's device. Links schedule delivery through this instead of a
-// closure — one event per packet per hop makes this the hottest scheduling
-// site in the simulator, and the pre-bound form allocates nothing.
+// endpoint's device. Links schedule delivery through this, at arrival,
+// for devices that are not Pipelined (hosts, the optical fabric); the
+// pre-bound form allocates nothing.
 func (ep *Endpoint) RunEvent(arg any, _ int64) {
 	ep.Dev.Receive(arg.(*core.Packet), ep.Port)
 }
@@ -43,6 +54,9 @@ func (ep *Endpoint) RunEvent(arg any, _ int64) {
 type Link struct {
 	eng  *sim.Engine
 	a, b Endpoint
+	// pa and pb are the ingress pipelines of a's and b's devices, resolved
+	// when the link is wired; nil for a device that is not Pipelined.
+	pa, pb Pipelined
 
 	// BandwidthBps is the line rate in bits per second.
 	BandwidthBps int64
@@ -63,62 +77,59 @@ func NewLink(eng *sim.Engine, a, b Endpoint, bandwidthBps int64, propDelayNs int
 	if bandwidthBps <= 0 {
 		panic(fmt.Sprintf("fabric: non-positive bandwidth %d", bandwidthBps))
 	}
-	return &Link{eng: eng, a: a, b: b, BandwidthBps: bandwidthBps, PropDelay: propDelayNs}
+	pa, _ := a.Dev.(Pipelined)
+	pb, _ := b.Dev.(Pipelined)
+	return &Link{eng: eng, a: a, b: b, pa: pa, pb: pb, BandwidthBps: bandwidthBps, PropDelay: propDelayNs}
 }
 
 // SerializationDelay returns the time to put size bytes on this wire.
 func (l *Link) SerializationDelay(size int32) int64 {
-	return serDelay(size, l.BandwidthBps)
+	return int64(size) * 8 * 1e9 / l.BandwidthBps
 }
 
-func serDelay(size int32, bps int64) int64 {
-	return int64(size) * 8 * 1e9 / bps
+// Send transmits pkt from the `from` device toward the other side; ser is
+// its SerializationDelay, which the sender already computed to time its
+// own transmit completion. The wire enforces FIFO line-rate serialization
+// per direction, so senders that overrun the line rate are naturally
+// queued on the wire clock.
+func (l *Link) Send(from Device, pkt *core.Packet, ser int64) {
+	l.send(from, pkt, l.eng.Now(), ser, false)
 }
 
-// Send transmits pkt from the `from` device toward the other side. The
-// wire enforces FIFO line-rate serialization per direction, so senders
-// that overrun the line rate are naturally queued on the wire clock.
-func (l *Link) Send(from Device, pkt *core.Packet) { l.send(from, pkt, false) }
+// sendCutThrough transmits a packet a bufferless waveguide relays from
+// time at (>= now) on: the bits are already streaming, so the arrival time
+// adds no serialization delay, but the wire is still reserved for the
+// full serialization time so line rate is never exceeded.
+func (l *Link) sendCutThrough(from Device, pkt *core.Packet, at int64) {
+	l.send(from, pkt, at, l.SerializationDelay(pkt.Size), true)
+}
 
-// SendCutThrough transmits without adding a serialization delay to the
-// arrival time (the bits are already streaming — the sender is a bufferless
-// waveguide relaying an in-flight packet). The wire is still reserved for
-// the full serialization time so line rate is never exceeded.
-func (l *Link) SendCutThrough(from Device, pkt *core.Packet) { l.send(from, pkt, true) }
-
-func (l *Link) send(from Device, pkt *core.Packet, cutThrough bool) {
-	ser := l.SerializationDelay(pkt.Size)
-	now := l.eng.Now()
+func (l *Link) send(from Device, pkt *core.Packet, at, ser int64, cutThrough bool) {
 	var to *Endpoint
+	var pipe Pipelined
 	var free *int64
 	switch from {
 	case l.a.Dev:
-		to, free = &l.b, &l.freeAB
+		to, pipe, free = &l.b, l.pb, &l.freeAB
 		l.SentAB++
 		l.BytesAB += uint64(pkt.Size)
 	case l.b.Dev:
-		to, free = &l.a, &l.freeBA
+		to, pipe, free = &l.a, l.pa, &l.freeBA
 		l.SentBA++
 		l.BytesBA += uint64(pkt.Size)
 	default:
 		panic("fabric: Send from a device not on this link")
 	}
-	start := now
-	if *free > start {
-		start = *free
-	}
+	start := max(at, *free)
 	*free = start + ser
 	arrive := start + ser + l.PropDelay
 	if cutThrough {
 		arrive = start + l.PropDelay
 	}
-	l.eng.AtEvent(arrive, sim.ClassLinkDeliver, to, pkt, 0)
-}
-
-// Other returns the endpoint opposite to the given device.
-func (l *Link) Other(d Device) Endpoint {
-	if d == l.a.Dev {
-		return l.b
+	if pipe != nil {
+		d, class, stage := pipe.Pipeline()
+		l.eng.AtEvent(arrive+d, class, stage, pkt, int64(to.Port))
+		return
 	}
-	return l.a
+	l.eng.AtEvent(arrive, sim.ClassLinkDeliver, to, pkt, 0)
 }

@@ -204,18 +204,10 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		return
 	}
 	f.Forwarded++
-	f.eng.AfterEvent(f.CutThroughDelay, sim.ClassFabricOptical, (*opticalRelay)(f), pkt, int64(out))
-}
-
-// opticalRelay is the fabric's sim.Action for the cut-through hop: arg is
-// the in-flight packet, v the fabric-side output port index resolved at
-// Receive time. A defined-type cast of the fabric itself, so scheduling it
-// carries no per-event state beyond the two operands.
-type opticalRelay OpticalFabric
-
-func (a *opticalRelay) RunEvent(arg any, v int64) {
-	f := (*OpticalFabric)(a)
-	f.ports[int(v)].SendCutThrough(f, arg.(*core.Packet))
+	// The relay needs no event of its own: the output wire is reserved now
+	// for CutThroughDelay later. The fabric is the only sender on that wire
+	// and the delay is constant, so reservations keep relay order.
+	f.ports[out].sendCutThrough(f, pkt, f.eng.Now()+f.CutThroughDelay)
 }
 
 // traceDrop flushes a sampled packet's trace with a fabric-side drop. The

@@ -258,7 +258,7 @@ func (h *Host) pump() {
 			TxDoneNs:   now + ser,
 		})
 	}
-	h.link.Send(h, it.pkt)
+	h.link.Send(h, it.pkt, ser)
 	h.eng.AfterEvent(ser, sim.ClassHostTx, (*txDoneAction)(h), nil, int64(size))
 }
 
@@ -439,7 +439,7 @@ func (h *Host) sendReports() {
 			Created:  h.eng.Now(),
 			TTL:      core.DefaultTTL,
 		})
-		h.link.Send(h, rep)
+		h.link.Send(h, rep, h.link.SerializationDelay(rep.Size))
 	}
 }
 

@@ -67,19 +67,21 @@ func (e *Engine) AtClass(t int64, class Class, fn func()) {
 	if fn == nil {
 		panic("sim: nil event fn")
 	}
-	e.schedule(t, eventRec{fn: fn, class: class})
+	r := e.schedule(t)
+	r.fn, r.class = fn, class
 }
 
-// schedule queues rec at time t: the one scheduling path behind every
+// schedule queues an event at time t and returns its slab record for the
+// caller to fill in place: the one scheduling path behind every
 // At*/After*/Every* variant.
-func (e *Engine) schedule(t int64, rec eventRec) {
+func (e *Engine) schedule(t int64) *eventRec {
 	if t < e.now {
 		if simDebug {
 			panic(fmt.Sprintf("sim: scheduling event at t=%d in the past (now=%d)", t, e.now))
 		}
 		t = e.now
 	}
-	e.sched.push(t, e.nextSeq(), rec)
+	return e.sched.push(t, e.nextSeq())
 }
 
 // nextSeq allocates the next scheduling sequence number, applying the
@@ -110,7 +112,8 @@ func (e *Engine) AtEvent(t int64, class Class, act Action, arg any, v int64) {
 	if act == nil {
 		panic("sim: nil event action")
 	}
-	e.schedule(t, eventRec{act: act, arg: arg, v: v, class: class})
+	r := e.schedule(t)
+	r.act, r.arg, r.v, r.class = act, arg, v, class
 }
 
 // AfterEvent is AtEvent d nanoseconds from now.
@@ -190,36 +193,40 @@ func (e *Engine) RunUntil(deadline int64) {
 		if it.t > deadline {
 			break
 		}
-		t, seq, rec := s.pop(src)
+		t, seq, r := s.pop(src)
 		e.now = t
 		e.Processed++
-		e.dispatch(rec, seq)
+		e.dispatch(r, seq)
 	}
 	if !e.halted && deadline != math.MaxInt64 && deadline > e.now {
 		e.now = deadline
 	}
 }
 
-// dispatch invokes one event's handler with class accounting, bracketed
-// by the attached observer's hooks. seq is the event's scheduling
-// sequence number — the second half of the deterministic (t, seq) total
-// order.
-func (e *Engine) dispatch(rec eventRec, seq uint64) {
-	e.classCount[rec.class]++
+// dispatch invokes the handler of the popped event whose slab record is
+// r, with class accounting, bracketed by the attached observer's hooks.
+// It reads the record's fields and clears the slot before the handler
+// runs, since the handler's pushes may reuse it. seq is the event's
+// scheduling sequence number — the second half of the deterministic
+// (t, seq) total order.
+func (e *Engine) dispatch(r *eventRec, seq uint64) {
+	fn, act, arg, v, class := r.fn, r.act, r.arg, r.v, r.class
+	*r = eventRec{} // drop closure/operand references
+	e.classCount[class]++
 	if o := e.obs; o != nil {
-		o.beginDispatch(e, seq, rec.class, rec.arg, rec.v)
-		if rec.fn != nil {
-			rec.fn()
+		o.beginDispatch(e, seq, class, arg, v)
+		if fn != nil {
+			fn()
 		} else {
-			rec.act.RunEvent(rec.arg, rec.v)
+			act.RunEvent(arg, v)
 		}
-		o.endDispatch(e, rec.class)
+		o.endDispatch(e, class)
 		return
 	}
-	if rec.fn != nil {
-		rec.fn()
+	if fn != nil {
+		fn()
 	} else {
-		rec.act.RunEvent(rec.arg, rec.v)
+		act.RunEvent(arg, v)
 	}
 }
 

@@ -11,8 +11,8 @@ type Class uint8
 // Event handler classes.
 const (
 	ClassOther         Class = iota // unclassified (legacy At/After/Every)
-	ClassLinkDeliver                // wire propagation completion
-	ClassSwitchIngress              // switch ingress pipeline
+	ClassLinkDeliver                // wire arrival at a host or the optical fabric
+	ClassSwitchIngress              // switch ingress stage (links schedule it directly)
 	ClassSwitchDrain                // egress serialization completion
 	ClassSwitchRotate               // calendar-queue rotation (packet generator)
 	ClassSwitchSignal               // circuit-notification broadcasts
@@ -20,8 +20,8 @@ const (
 	ClassHostOffload                // offload-agent park/return
 	ClassHostReport                 // traffic-collection reports
 	ClassTransportRTO               // TCP retransmission-timeout checks
-	ClassFabricOptical              // optical-fabric cut-through forwarding
-	ClassFabricElec                 // electrical-fabric pipeline/drain
+	ClassFabricOptical              // optical-fabric relay (unused: reserved on arrival)
+	ClassFabricElec                 // electrical-fabric enqueue stage and drain
 	ClassApp                        // application/traffic generators
 	ClassTelemetry                  // monitors, progress reporters
 	NumClasses

@@ -120,8 +120,10 @@ func (s *scheduler) anchor(t int64) {
 	s.wheelEnd = satAdd(s.cursorStart, wheelSpan)
 }
 
-// push enqueues an event at time t with scheduling order seq.
-func (s *scheduler) push(t int64, seq uint64, rec eventRec) {
+// push enqueues an event at time t with scheduling order seq and returns
+// its slab record, which the caller fills in place. The pointer is valid
+// until the next push, which may grow the slab.
+func (s *scheduler) push(t int64, seq uint64) *eventRec {
 	var slot int32
 	if k := len(s.free); k > 0 {
 		slot = s.free[k-1]
@@ -130,7 +132,6 @@ func (s *scheduler) push(t int64, seq uint64, rec eventRec) {
 		slot = int32(len(s.slab))
 		s.slab = append(s.slab, eventRec{})
 	}
-	s.slab[slot] = rec
 	it := item{t: t, seq: seq, slot: slot}
 	if s.n == 0 {
 		s.anchor(t)
@@ -143,7 +144,7 @@ func (s *scheduler) push(t int64, seq uint64, rec eventRec) {
 		s.overflowPushes++
 		s.overflow.push(it)
 		s.maxOverflow = max(s.maxOverflow, len(s.overflow))
-		return
+		return &s.slab[slot]
 	}
 	if i := int(t>>wheelShift) & wheelMask; i != s.cursor {
 		s.inlinePushes++
@@ -154,6 +155,7 @@ func (s *scheduler) push(t int64, seq uint64, rec eventRec) {
 	}
 	s.wheelCount++
 	s.maxWheel = max(s.maxWheel, s.wheelCount)
+	return &s.slab[slot]
 }
 
 // Where peek found the earliest event.
@@ -239,10 +241,12 @@ func (s *scheduler) sortRun(run []item) {
 	}
 }
 
-// pop removes the event peek found in src and frees its slab slot. The
-// sequence number rides along so dispatch (and the determinism auditor's
-// digest) sees the full (t, seq) identity of the event it executes.
-func (s *scheduler) pop(src int) (t int64, seq uint64, rec eventRec) {
+// pop removes the event peek found in src and returns its slab record,
+// whose slot is already back on the free list: the caller reads the
+// record and clears it before anything pushes again. The sequence number
+// rides along so dispatch (and the determinism auditor's digest) sees the
+// full (t, seq) identity of the event it executes.
+func (s *scheduler) pop(src int) (t int64, seq uint64, rec *eventRec) {
 	var it item
 	switch src {
 	case fromRun:
@@ -256,11 +260,8 @@ func (s *scheduler) pop(src int) (t int64, seq uint64, rec eventRec) {
 		it = s.overflow.pop()
 	}
 	s.n--
-	r := &s.slab[it.slot]
-	rec = *r
-	*r = eventRec{} // drop closure/operand references; the slot is free for reuse
 	s.free = append(s.free, it.slot)
-	return it.t, it.seq, rec
+	return it.t, it.seq, &s.slab[it.slot]
 }
 
 // itemHeap is a 4-ary min-heap of items ordered by (t, seq). Values are

@@ -11,24 +11,36 @@ import (
 // EQO registers, congestion responses (drop / trim / defer), push-back
 // origination, and buffer offloading.
 
-// Receive implements fabric.Device: packets enter the ingress pipeline.
+// Receive implements fabric.Device: the packet enters the ingress
+// pipeline, whose stage runs the pipeline delay later. Links wired to the
+// switch schedule that stage themselves (Pipeline); Receive is the entry
+// for packets injected straight into a switch.
 func (s *Switch) Receive(pkt *core.Packet, inPort core.PortID) {
-	s.Counters.RxPkts++
-	if s.WireDelaySampler != nil && pkt.Enqueued > 0 {
-		if p := s.portAt(inPort); p != nil && p.kind == portUplink {
-			s.WireDelaySampler(s.eng.Now()-pkt.Enqueued, pkt.Size)
-		}
-	}
 	s.eng.AfterEvent(s.Cfg.pipeline(), sim.ClassSwitchIngress, (*ingressAction)(s), pkt, int64(inPort))
 }
 
-// ingressAction runs the ingress pipeline after the pipeline delay — the
-// closure-free sim.Action form of Receive's deferred process call: arg is
-// the packet, v the ingress port. One of these fires per packet per hop.
+// Pipeline implements fabric.Pipelined: a link delivers straight into the
+// ingress stage, one pipeline delay after the packet's arrival.
+func (s *Switch) Pipeline() (int64, sim.Class, sim.Action) {
+	return s.Cfg.pipeline(), sim.ClassSwitchIngress, (*ingressAction)(s)
+}
+
+// ingressAction is the ingress stage, run one pipeline delay after the
+// packet arrived: arg is the packet, v the ingress port. One of these
+// fires per packet per hop.
 type ingressAction Switch
 
 func (a *ingressAction) RunEvent(arg any, v int64) {
-	(*Switch)(a).process(arg.(*core.Packet), core.PortID(v))
+	s := (*Switch)(a)
+	pkt, inPort := arg.(*core.Packet), core.PortID(v)
+	s.Counters.RxPkts++
+	if s.WireDelaySampler != nil && pkt.Enqueued > 0 {
+		if p := s.portAt(inPort); p != nil && p.kind == portUplink {
+			arrived := s.eng.Now() - s.Cfg.pipeline()
+			s.WireDelaySampler(arrived-pkt.Enqueued, pkt.Size)
+		}
+	}
+	s.process(pkt, inPort)
 }
 
 func (s *Switch) process(pkt *core.Packet, inPort core.PortID) {

@@ -639,7 +639,7 @@ func (s *Switch) drain(p *outPort) {
 	// index and byte count ride in the event's scalar operand (Size is a
 	// positive int32, so it fits the low word).
 	v := int64(qi)<<32 | int64(pkt.Size)
-	p.link.Send(s, pkt)
+	p.link.Send(s, pkt, ser)
 	s.eng.AfterEvent(ser, sim.ClassSwitchDrain, (*txDoneAction)(s), p, v)
 }
 
