@@ -47,6 +47,9 @@ unit_gate = awk '/^$(1)/ { for (i = 3; i <= NF; i++) if ($$i == "$(2)") { seen=1
 #     back in; and one event per hop makes 19,228 events/op, so one more
 #     event per packet (~1,000 packets/op) or an unfused hop (27,900)
 #     trips the 19,500 ceiling;
+#   - the same path with the registry built and every packet traced
+#     (BenchmarkTelemetryEnabled) under the same events/op ceiling:
+#     telemetry only reads, so it must schedule no event;
 #   - the HOHO compile of the 12-node round robin: ~12k allocs/op with one
 #     reused search per (source, slice); per-destination searches or
 #     unreused search buffers take it past 30k.
@@ -56,6 +59,8 @@ bench-smoke:
 	$(call bench_run,BenchmarkEndToEndPacketRate,.,100x)
 	$(call unit_gate,BenchmarkEndToEndPacketRate,allocs/op,150)
 	$(call unit_gate,BenchmarkEndToEndPacketRate,events/op,19500)
+	$(call bench_run,BenchmarkTelemetryEnabled,.,100x)
+	$(call unit_gate,BenchmarkTelemetryEnabled,events/op,19500)
 	$(call bench_run,BenchmarkHOHO,./internal/routing,3x)
 	$(call unit_gate,BenchmarkHOHO,allocs/op,30000)
 

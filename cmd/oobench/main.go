@@ -234,10 +234,6 @@ func run() (code int) {
 		if *digest {
 			n.AttachDigest(openoptics.DigestOptions{})
 		}
-		if *metricsOut != "" {
-			// Build before traffic so per-slice counters record.
-			n.Metrics().SetManifest(&manifest)
-		}
 		if traceW != nil {
 			n.Tracer(*traceSample).SetSink(traceW)
 		}
@@ -252,6 +248,7 @@ func run() (code int) {
 			if lastNet == nil {
 				return
 			}
+			lastNet.Metrics().SetManifest(&manifest)
 			if err := writeMetrics(lastNet, *metricsOut); err != nil {
 				fmt.Fprintln(os.Stderr, "oobench:", err)
 				if code == 0 {

@@ -164,8 +164,8 @@ func run(args []string) int {
 	}()
 
 	// Telemetry wiring, after the auditor and before the arrivals. The
-	// registry is built before traffic so per-slice drop counters record
-	// from the first packet.
+	// registry carries the run manifest, which -http publishes from the
+	// first frame.
 	if *metricsOut != "" || *httpAddr != "" {
 		st.Net.Metrics().SetManifest(&manifest)
 	}
@@ -303,7 +303,7 @@ func run(args []string) int {
 		}
 	}
 	if tracer != nil {
-		// Flush per-flow completion times into oo_trace_fct_ns before the
+		// Observe per-flow completion times (oo_trace_fct_ns) before the
 		// final metrics export.
 		tracer.FinalizeFlows()
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"openoptics"
 	"openoptics/internal/core"
 	"openoptics/internal/traffic"
 )
@@ -184,5 +185,56 @@ func TestShale(t *testing.T) {
 	bad.Nodes = 10
 	if _, err := Shale(bad, 2); err == nil {
 		t.Fatal("non-square grid accepted")
+	}
+}
+
+// TestTARerunsGiveOneChain runs each traffic-aware architecture twice on
+// one seeded Hadoop replay and requires one digest chain: every event
+// order in a run — host traffic reports, circuit open and close signals —
+// must follow from the seed, never from map iteration order.
+func TestTARerunsGiveOneChain(t *testing.T) {
+	cases := map[string]struct {
+		build func(Options) (*Instance, error)
+		run   time.Duration
+	}{
+		// Reports go out every 2.5 ms; 12 ms gives several with more than
+		// one destination pending.
+		"c-through": {CThrough, 12 * time.Millisecond},
+		"jupiter": {func(o Options) (*Instance, error) {
+			o.Uplink = 3
+			o.ReconfigureEvery = 2 * time.Millisecond
+			return Jupiter(o)
+		}, 6 * time.Millisecond},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			chain := func() string {
+				o := opts()
+				o.Nodes = 8
+				in, err := c.build(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := in.Net.AttachDigest(openoptics.DigestOptions{})
+				eps := in.Net.Endpoints()
+				traffic.NewSink(eps)
+				cdf, err := traffic.ByName("hadoop")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp, err := traffic.NewReplay(in.Net.Engine(), eps, cdf, 0.5, int64(in.Net.Cfg.LineRateGbps*1e9), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp.Start(int64(c.run))
+				if err := in.Run(c.run); err != nil {
+					t.Fatal(err)
+				}
+				return a.ChainHex()
+			}
+			if a, b := chain(), chain(); a != b {
+				t.Fatalf("two identical runs gave chains %s and %s", a, b)
+			}
+		})
 	}
 }

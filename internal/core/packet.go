@@ -133,11 +133,9 @@ type Packet struct {
 	// pointer check.
 	Trace *PktTrace
 
-	// arrSlice and flowHash are the inline fallback store for the two hot
-	// per-packet scalars — used only by unpooled (heap) packets. Pooled
-	// packets keep them in the pool's SoA side arrays (pool.go), indexed
-	// by idx; the ArrSlice/FlowHash accessors pick the store with one nil
-	// check.
+	// arrSlice and flowHash are the hot per-packet scalars: the arrival
+	// slice ingress stamps on every hop and the cached five-tuple hash
+	// (0 = not yet computed). Clones carry both.
 	arrSlice Slice
 	flowHash uint64
 
@@ -153,11 +151,8 @@ type Packet struct {
 // every hop: the slice in which the packet arrived at the current node
 // (Req. 1).
 func (p *Packet) ArrSlice() Slice {
-	if pl := p.pool; pl != nil {
-		if poolDebug {
-			p.assertLive()
-		}
-		return pl.arr[p.idx]
+	if poolDebug {
+		p.assertLive()
 	}
 	return p.arrSlice
 }
@@ -165,12 +160,8 @@ func (p *Packet) ArrSlice() Slice {
 // SetArrSlice stamps the arrival slice (the ingress pipeline's Req. 1
 // write, once per hop).
 func (p *Packet) SetArrSlice(s Slice) {
-	if pl := p.pool; pl != nil {
-		if poolDebug {
-			p.assertLive()
-		}
-		pl.arr[p.idx] = s
-		return
+	if poolDebug {
+		p.assertLive()
 	}
 	p.arrSlice = s
 }
@@ -180,16 +171,8 @@ func (p *Packet) SetArrSlice(s Slice) {
 // triggers recomputation, which yields the same hash — the result is
 // always identical to Flow.Hash().
 func (p *Packet) FlowHash() uint64 {
-	if pl := p.pool; pl != nil {
-		if poolDebug {
-			p.assertLive()
-		}
-		h := pl.hash[p.idx]
-		if h == 0 {
-			h = p.Flow.Hash()
-			pl.hash[p.idx] = h
-		}
-		return h
+	if poolDebug {
+		p.assertLive()
 	}
 	if p.flowHash == 0 {
 		p.flowHash = p.Flow.Hash()
@@ -201,12 +184,8 @@ func (p *Packet) FlowHash() uint64 {
 // mutate Flow on an existing packet (push-back relays rewriting the
 // destination host) must invoke it so FlowHash stays consistent.
 func (p *Packet) ClearFlowHash() {
-	if pl := p.pool; pl != nil {
-		if poolDebug {
-			p.assertLive()
-		}
-		pl.hash[p.idx] = 0
-		return
+	if poolDebug {
+		p.assertLive()
 	}
 	p.flowHash = 0
 }

@@ -13,14 +13,6 @@ import "fmt"
 // free is a push, and steady-state simulation performs no heap allocation
 // per packet.
 //
-// Hot per-packet scalars the forwarding path consults on every hop — the
-// arrival slice stamped by ingress and the cached five-tuple hash — live
-// in structure-of-arrays side arrays owned by the pool, indexed by slot,
-// so calendar-bucket drains touching many contemporaneous packets walk
-// contiguous memory instead of chasing 200-byte records. Unpooled (heap)
-// packets fall back to inline fields; the accessors on Packet pick the
-// right store with one nil check.
-//
 // Use-after-free and double-free detection: every slot carries a
 // generation counter (odd = live, even = free) that is compared against
 // the generation captured in the packet record. Checks compile to nothing
@@ -37,13 +29,11 @@ const (
 )
 
 // PacketPool is a slab allocator for Packet records with free-list
-// recycling and SoA side arrays for hot per-packet scalars. The zero value
-// is NOT ready to use pooled; a nil *PacketPool is a valid allocator that
-// falls back to the heap (every NewPacket call site works unpooled).
+// recycling. The zero value is NOT ready to use pooled; a nil *PacketPool
+// is a valid allocator that falls back to the heap (every NewPacket call
+// site works unpooled).
 type PacketPool struct {
 	slabs [][]Packet // fixed-size slabs; record addresses never move
-	arr   []Slice    // SoA: arrival slice per slot (ingress Req. 1 stamp)
-	hash  []uint64   // SoA: cached five-tuple hash per slot (0 = not yet)
 	gen   []uint32   // per-slot generation: odd = live, even = free
 	freeL []int32    // recycled slots, LIFO (hot slots stay cache-warm)
 	next  int32      // slots materialized so far
@@ -107,19 +97,12 @@ func (pl *PacketPool) Outstanding() int {
 // experiment injectors run unpooled) and returns it with fresh pool
 // identity. The template's own pool identity, if any, is not inherited:
 // cloning a pooled packet (push-back relays) yields an independent record,
-// with the hot SoA scalars carried over.
+// with the hot scalars (arrival slice, flow hash) carried over.
 func (pl *PacketPool) NewPacket(tmpl Packet) *Packet {
-	// Resolve the template's hot scalars through its own store before the
-	// copy: a pooled template keeps them in its pool's SoA arrays.
-	av, hv := tmpl.arrSlice, tmpl.flowHash
-	if tmpl.pool != nil {
-		av, hv = tmpl.pool.arr[tmpl.idx], tmpl.pool.hash[tmpl.idx]
-	}
 	if pl == nil {
 		p := new(Packet)
 		*p = tmpl
 		p.pool, p.idx, p.gen = nil, 0, 0
-		p.arrSlice, p.flowHash = av, hv
 		return p
 	}
 	var idx int32
@@ -129,8 +112,6 @@ func (pl *PacketPool) NewPacket(tmpl Packet) *Packet {
 	} else {
 		if int(pl.next) == len(pl.slabs)*PoolSlabSize {
 			pl.slabs = append(pl.slabs, make([]Packet, PoolSlabSize))
-			pl.arr = append(pl.arr, make([]Slice, PoolSlabSize)...)
-			pl.hash = append(pl.hash, make([]uint64, PoolSlabSize)...)
 			pl.gen = append(pl.gen, make([]uint32, PoolSlabSize)...)
 			pl.grows++
 		}
@@ -142,8 +123,6 @@ func (pl *PacketPool) NewPacket(tmpl Packet) *Packet {
 	p := &pl.slabs[idx>>poolSlabShift][idx&(PoolSlabSize-1)]
 	*p = tmpl
 	p.pool, p.idx, p.gen = pl, idx, g
-	p.arrSlice, p.flowHash = 0, 0
-	pl.arr[idx], pl.hash[idx] = av, hv
 	pl.outstanding++
 	if pl.outstanding > pl.highWater {
 		pl.highWater = pl.outstanding

@@ -65,11 +65,11 @@ func TestPacketPoolSoACarryOver(t *testing.T) {
 	// the hot scalars whether the clone lands pooled or on the heap.
 	clone := pl.NewPacket(*p)
 	if clone.ArrSlice() != 7 || clone.FlowHash() != h {
-		t.Errorf("pooled clone lost SoA scalars: arr=%d hash=%d", clone.ArrSlice(), clone.FlowHash())
+		t.Errorf("pooled clone lost the hot scalars: arr=%d hash=%d", clone.ArrSlice(), clone.FlowHash())
 	}
 	heap := AllocPacket(*p)
 	if heap.ArrSlice() != 7 || heap.FlowHash() != h {
-		t.Errorf("heap clone lost SoA scalars: arr=%d hash=%d", heap.ArrSlice(), heap.FlowHash())
+		t.Errorf("heap clone lost the hot scalars: arr=%d hash=%d", heap.ArrSlice(), heap.FlowHash())
 	}
 	heap.Free() // no-op for heap packets
 	clone.Free()

@@ -8,6 +8,8 @@
 package hostsim
 
 import (
+	"slices"
+
 	"openoptics/internal/core"
 	"openoptics/internal/fabric"
 	"openoptics/internal/sim"
@@ -112,7 +114,6 @@ type Host struct {
 	// TX machinery.
 	ready   core.Deque[txItem]       // sendable now
 	held    map[core.NodeID][]txItem // held per destination node
-	heldB   map[core.NodeID]int64    // held bytes per destination
 	queuedB int64                    // ready+held bytes (segment queue)
 	busy    bool
 	waiters core.Deque[func()] // callbacks once segment-queue space frees
@@ -138,7 +139,6 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		eng:          eng,
 		rng:          sim.NewRand(cfg.Seed ^ 0x4057),
 		held:         make(map[core.NodeID][]txItem),
-		heldB:        make(map[core.NodeID]int64),
 		flowSent:     make(map[core.FlowKey]int64),
 		pausedUntil:  make(map[core.NodeID]int64),
 		circuitUntil: make(map[core.NodeID]int64),
@@ -182,7 +182,6 @@ func (h *Host) Send(pkt *core.Packet) bool {
 	h.queuedB += int64(pkt.Size)
 	if h.mustHold(it) {
 		h.held[pkt.DstNode] = append(h.held[pkt.DstNode], it)
-		h.heldB[pkt.DstNode] += int64(pkt.Size)
 		h.pendingByDst[pkt.DstNode] += int64(pkt.Size)
 	} else {
 		h.ready.PushBack(it)
@@ -227,7 +226,6 @@ func (h *Host) pump() {
 	// after enqueue.
 	if h.mustHold(it) {
 		h.held[it.pkt.DstNode] = append(h.held[it.pkt.DstNode], it)
-		h.heldB[it.pkt.DstNode] += int64(it.pkt.Size)
 		h.pendingByDst[it.pkt.DstNode] += int64(it.pkt.Size)
 		h.pump()
 		return
@@ -301,7 +299,6 @@ func (h *Host) release(dst core.NodeID) {
 			still = append(still, it)
 			continue
 		}
-		h.heldB[dst] -= int64(it.pkt.Size)
 		h.pendingByDst[dst] -= int64(it.pkt.Size)
 		h.ready.PushBack(it)
 	}
@@ -421,10 +418,17 @@ func (h *Host) sendReports() {
 	if h.link == nil {
 		return
 	}
+	// Report in node order: map order would shuffle the report events (and
+	// the rng draws naming them) from run to run.
+	dsts := make([]core.NodeID, 0, len(h.pendingByDst))
 	for dst, bytes := range h.pendingByDst {
-		if bytes <= 0 {
-			continue
+		if bytes > 0 {
+			dsts = append(dsts, dst)
 		}
+	}
+	slices.Sort(dsts)
+	for _, dst := range dsts {
+		bytes := h.pendingByDst[dst]
 		h.Counters.ReportsSent++
 		rep := h.Pool.NewPacket(core.Packet{
 			ID:       h.rng.Uint64(),

@@ -331,13 +331,6 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runner: build %s: %w", sc.ID, err)
 	}
-	var reg *telemetry.Registry
-	if opt.Metrics != nil {
-		reg = st.Net.Metrics() // before traffic, so per-slice counters record
-		if opt.Manifest != nil {
-			reg.SetManifest(opt.Manifest)
-		}
-	}
 	var tracer *telemetry.Tracer
 	if sc.TraceSample > 0 {
 		// Sink-less: the tracer only aggregates the per-component latency
@@ -397,7 +390,11 @@ func (sc Scenario) Run(opt RunOpts) (*Result, error) {
 		res.CompSerializationNs = ts.Comp.SerializationNs
 		res.CompPropagationNs = ts.Comp.PropagationNs
 	}
-	if reg != nil {
+	if opt.Metrics != nil {
+		reg := st.Net.Metrics()
+		if opt.Manifest != nil {
+			reg.SetManifest(opt.Manifest)
+		}
 		if err := reg.WriteJSON(opt.Metrics); err != nil {
 			return nil, fmt.Errorf("runner: %s: metrics: %w", sc.ID, err)
 		}

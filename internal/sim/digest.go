@@ -14,12 +14,11 @@ package sim
 // with per-event capture (SetCapture) names the exact first divergent
 // dispatch. See internal/diverge for the journal format and comparison.
 //
-// The digest is an observer on the engine's instrumentation seam
-// (observer.go): a detached engine pays nothing beyond the seam's nil
-// checks. Attached, the per-event cost is three mixes of a 64-bit state
-// plus one type assertion for the payload fingerprint — no allocation
-// outside window closure (one appended record per 64k events at the
-// default width).
+// The digest is the engine's one attachable observer: a detached engine
+// pays one nil check per dispatch. Attached, the per-event cost is three
+// mixes of a 64-bit state plus one type assertion for the payload
+// fingerprint — no allocation outside window closure (one appended record
+// per 64k events at the default width).
 
 // Fingerprinted is implemented by event payloads that can contribute a
 // stable identity to the dispatch digest: a node the event acts on and a
@@ -129,11 +128,11 @@ func (e *Engine) AttachDigest(d *EventDigest) {
 	if d != nil {
 		d.attachSeq = e.seq
 	}
-	e.setObservers(d, observed[*profiler](e))
+	e.digest = d
 }
 
 // Digest returns the attached event digest, or nil.
-func (e *Engine) Digest() *EventDigest { return observed[*EventDigest](e) }
+func (e *Engine) Digest() *EventDigest { return e.digest }
 
 // beginDispatch folds the dispatched event into the digest before its
 // handler runs — the payload is still live then (the pool may recycle it
@@ -149,7 +148,7 @@ func (d *EventDigest) beginDispatch(e *Engine, seq uint64, class Class, arg any,
 
 // endDispatch closes a full window once its last handler has returned, so
 // the close hook sees the state after exactly the window's dispatches.
-func (d *EventDigest) endDispatch(*Engine, Class) {
+func (d *EventDigest) endDispatch() {
 	if d.count&d.mask == 0 {
 		d.closeWindow()
 	}

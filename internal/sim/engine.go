@@ -32,13 +32,15 @@ type Engine struct {
 	interrupted atomic.Bool
 
 	// Per-class event counts (profile.go): always collected, one array
-	// increment per event.
+	// increment per event. wall holds the per-class handler wall time,
+	// accumulated only while profiling is on (two clock reads per event).
 	classCount [NumClasses]uint64
+	wall       [NumClasses]int64
+	profiling  bool
 
-	// obs is the one instrumentation seam (observer.go): the wall-clock
-	// profiler and the event digest attach here. Nil when neither is
-	// attached — one branch per dispatch.
-	obs observer
+	// digest is the attached determinism digest (digest.go), the one
+	// observer of the dispatch stream; nil when detached.
+	digest *EventDigest
 
 	// Perturbation harness (digest.go, simdebug builds only): when armed,
 	// the events that would receive sequence numbers perturbA and perturbB
@@ -68,7 +70,7 @@ func (e *Engine) AtClass(t int64, class Class, fn func()) {
 		panic("sim: nil event fn")
 	}
 	r := e.schedule(t)
-	r.fn, r.class = fn, class
+	r.act, r.class = funcAction(fn), class
 }
 
 // schedule queues an event at time t and returns its slab record for the
@@ -204,29 +206,34 @@ func (e *Engine) RunUntil(deadline int64) {
 }
 
 // dispatch invokes the handler of the popped event whose slab record is
-// r, with class accounting, bracketed by the attached observer's hooks.
-// It reads the record's fields and clears the slot before the handler
-// runs, since the handler's pushes may reuse it. seq is the event's
-// scheduling sequence number — the second half of the deterministic
-// (t, seq) total order.
+// r, with class accounting. It reads the record's fields and clears the
+// slot before the handler runs, since the handler's pushes may reuse it.
+// seq is the event's scheduling sequence number — the second half of the
+// deterministic (t, seq) total order. With instruments on, the digest
+// folds the event before the handler (its payload may be recycled inside)
+// and closes a full window after it, and the profiler's clock reads
+// bracket the handler alone.
 func (e *Engine) dispatch(r *eventRec, seq uint64) {
-	fn, act, arg, v, class := r.fn, r.act, r.arg, r.v, r.class
-	*r = eventRec{} // drop closure/operand references
+	act, arg, v, class := r.act, r.arg, r.v, r.class
+	*r = eventRec{} // drop action/operand references
 	e.classCount[class]++
-	if o := e.obs; o != nil {
-		o.beginDispatch(e, seq, class, arg, v)
-		if fn != nil {
-			fn()
-		} else {
-			act.RunEvent(arg, v)
-		}
-		o.endDispatch(e, class)
+	d := e.digest
+	if d == nil && !e.profiling {
+		act.RunEvent(arg, v)
 		return
 	}
-	if fn != nil {
-		fn()
+	if d != nil {
+		d.beginDispatch(e, seq, class, arg, v)
+	}
+	if e.profiling {
+		start := time.Now()
+		act.RunEvent(arg, v)
+		e.wall[class] += time.Since(start).Nanoseconds()
 	} else {
 		act.RunEvent(arg, v)
+	}
+	if d != nil {
+		d.endDispatch()
 	}
 }
 

@@ -4,8 +4,8 @@ import "math"
 
 // This file is the engine's event store: a calendar queue of unsorted,
 // append-only buckets for the near future, an overflow 4-ary heap for
-// everything else, and event payloads (handler closure or pre-bound action,
-// operands, profiling class) kept in a slab with a free list. Steady-state
+// everything else, and event payloads (an Action, its operands and the
+// handler class) kept in a slab with a free list. Steady-state
 // scheduling performs zero heap allocations — every backing array (buckets,
 // heaps, slab, free list) is reused across events.
 //
@@ -59,10 +59,16 @@ type Action interface {
 	RunEvent(arg any, v int64)
 }
 
-// eventRec is the slab-resident payload of one queued event: either a
-// closure (fn) or a pre-bound action with its operands.
+// funcAction schedules a closure (At/After/Every) as an Action, so every
+// event record holds one Action and dispatch has one call shape. A func
+// value is pointer-shaped: the conversion to Action allocates nothing.
+type funcAction func()
+
+func (f funcAction) RunEvent(any, int64) { f() }
+
+// eventRec is the slab-resident payload of one queued event: an action
+// with its operands (nil and 0 for closures) and its handler class.
 type eventRec struct {
-	fn    func()
 	act   Action
 	arg   any
 	v     int64

@@ -14,7 +14,7 @@ package switchsim
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"openoptics/internal/core"
 	"openoptics/internal/fabric"
@@ -221,10 +221,10 @@ type Switch struct {
 	rotations int64
 
 	cp      *ControlPlane
-	tm      core.TM // per-destination-node byte counts since last collect
-	tmTotal core.TM // collected windows folded in at every CollectTM
-	n       int     // node count for the TM
-	taPeers map[core.NodeID]bool
+	tm      core.TM       // per-destination-node byte counts since last collect
+	tmTotal core.TM       // collected windows folded in at every CollectTM
+	n       int           // node count for the TM
+	taPeers []core.NodeID // TA-mode circuit peers in node order (InstallConnIndex)
 
 	// DelaySampler, when set, receives the queueing delay of every packet
 	// the switch transmits on an uplink (Table 4 delay rows).
@@ -250,70 +250,41 @@ type Switch struct {
 	// point. Hot-path cost when unset: one nil check per rotation (one per
 	// slice, not per packet).
 	OnRotate func(ended core.Slice)
-	// met holds the pre-resolved registry counters (per-slice drop
-	// attribution); nil until AttachMetrics.
-	met *switchMetrics
+
+	// dropsBySlice[r] counts drops of DropReasons[r] by arrival slice and
+	// missesBySlice counts slice misses by the slice that ended: one entry
+	// per slice of the cycle (one when the calendar is off), sized in
+	// Start.
+	dropsBySlice  [len(DropReasons)][]uint64
+	missesBySlice []uint64
 }
 
-// switchMetrics is the switch's pre-resolved slice of the metrics
-// registry: drop counters labelled {node, reason, slice} and slice-miss
-// counters labelled {node, slice}, resolved once at attach time so the
-// hot path is a pointer increment.
-type switchMetrics struct {
-	drops  map[core.DropReason][]*telemetry.Counter
-	misses []*telemetry.Counter
-}
-
-func (m *switchMetrics) drop(r core.DropReason, sl core.Slice) {
-	arr := m.drops[r]
-	if len(arr) == 0 {
-		return
-	}
-	i := 0
-	if !sl.IsWildcard() && int(sl) >= 0 {
-		i = int(sl) % len(arr)
-	}
-	arr[i].Inc()
-}
-
-// switchDropReasons is the closed set of switch-side drop reasons,
-// mirrored by the Counters Drops* fields.
-var switchDropReasons = []core.DropReason{
+// DropReasons is the closed set of switch-side drop reasons, mirrored by
+// the Counters Drops* fields.
+var DropReasons = [...]core.DropReason{
 	core.DropNoRoute, core.DropBuffer, core.DropWrap, core.DropCongest, core.DropTTL,
 }
 
-// AttachMetrics registers this switch's per-slice drop and slice-miss
-// counters with the registry and enables their hot-path recording. Call
-// after DeployTopo has fixed the cycle length.
-func (s *Switch) AttachMetrics(reg *telemetry.Registry) {
-	node := telemetry.L("node", strconv.Itoa(int(s.Cfg.ID)))
-	ns := 1
-	if s.Cfg.calendarOn() {
-		ns = s.Cfg.Schedule.NumSlices
-	}
-	m := &switchMetrics{drops: make(map[core.DropReason][]*telemetry.Counter, len(switchDropReasons))}
-	for _, r := range switchDropReasons {
-		arr := make([]*telemetry.Counter, ns)
-		for i := range arr {
-			arr[i] = reg.Counter("oo_switch_drops_total",
-				"Packets dropped at switches, by reason and arrival slice.",
-				node, telemetry.L("reason", string(r)), telemetry.L("slice", strconv.Itoa(i)))
+// DropsBySlice returns the switch's drops of one reason by arrival slice;
+// nil before Start or for a reason outside DropReasons. The slice is the
+// switch's live counter array: read it, never write it.
+func (s *Switch) DropsBySlice(reason core.DropReason) []uint64 {
+	for r, dr := range DropReasons {
+		if dr == reason {
+			return s.dropsBySlice[r]
 		}
-		m.drops[r] = arr
 	}
-	m.misses = make([]*telemetry.Counter, ns)
-	for i := range m.misses {
-		m.misses[i] = reg.Counter("oo_switch_slice_misses_total",
-			"Packets still queued when their departure slice ended.",
-			node, telemetry.L("slice", strconv.Itoa(i)))
-	}
-	s.met = m
+	return nil
 }
+
+// MissesBySlice returns the switch's slice misses by the slice that ended
+// (the switch's live counter array; nil before Start).
+func (s *Switch) MissesBySlice() []uint64 { return s.missesBySlice }
 
 // dropPkt is the single exit point for switch-side drops: it bumps the
 // aggregate counter for the reason, attributes the drop to the packet's
-// arrival slice in the registry, flushes the packet's in-band trace, and
-// returns the packet to its pool — a drop ends the packet's life.
+// arrival slice, flushes the packet's in-band trace, and returns the
+// packet to its pool — a drop ends the packet's life.
 func (s *Switch) dropPkt(pkt *core.Packet, reason core.DropReason) {
 	switch reason {
 	case core.DropNoRoute:
@@ -327,8 +298,12 @@ func (s *Switch) dropPkt(pkt *core.Packet, reason core.DropReason) {
 	case core.DropTTL:
 		s.Counters.DropsTTL++
 	}
-	if s.met != nil {
-		s.met.drop(reason, pkt.ArrSlice())
+	if row := s.DropsBySlice(reason); len(row) > 0 {
+		i := 0
+		if sl := pkt.ArrSlice(); !sl.IsWildcard() && int(sl) >= 0 {
+			i = int(sl) % len(row)
+		}
+		row[i]++
 	}
 	if s.Tracer != nil && pkt.Trace != nil {
 		s.Tracer.Drop(pkt, reason, s.Cfg.ID, s.eng.Now())
@@ -358,7 +333,6 @@ func New(eng *sim.Engine, cfg Config, nodeCount int) *Switch {
 		n:          nodeCount,
 		tm:         core.NewTM(nodeCount),
 		tmTotal:    core.NewTM(nodeCount),
-		taPeers:    make(map[core.NodeID]bool),
 		bufferHist: stats.NewHistogram(1024, 64<<20),
 	}
 	return s
@@ -443,15 +417,16 @@ func (s *Switch) InstallConnIndex(ix *core.ConnIndex) {
 	if s.Cfg.calendarOn() {
 		return
 	}
-	next := make(map[core.NodeID]bool)
-	for _, peer := range ix.Neighbors(s.Cfg.ID, core.WildcardSlice) {
-		next[peer] = true
-		if !s.taPeers[peer] {
+	// Both peer lists are sorted, so the signals go out in node order and
+	// re-runs dispatch them identically.
+	next := ix.Neighbors(s.Cfg.ID, core.WildcardSlice)
+	for _, peer := range next {
+		if !slices.Contains(s.taPeers, peer) {
 			s.signalHosts(peer, core.WildcardSlice, core.CtrlSignal)
 		}
 	}
-	for peer := range s.taPeers {
-		if !next[peer] {
+	for _, peer := range s.taPeers {
+		if !slices.Contains(next, peer) {
 			s.signalHosts(peer, core.WildcardSlice, core.CtrlSignalClose)
 		}
 	}
@@ -500,6 +475,14 @@ func (s *Switch) Start() {
 		panic("switchsim: Start called twice")
 	}
 	s.started = true
+	ns := 1
+	if s.Cfg.calendarOn() {
+		ns = s.Cfg.Schedule.NumSlices
+	}
+	for r := range s.dropsBySlice {
+		s.dropsBySlice[r] = make([]uint64, ns)
+	}
+	s.missesBySlice = make([]uint64, ns)
 	if !s.Cfg.calendarOn() {
 		return
 	}
@@ -559,8 +542,8 @@ func (s *Switch) rotate() {
 		}
 		if left := p.queues[s.active].fifo.Len(); left > 0 {
 			s.Counters.SliceMisses += uint64(left)
-			if s.met != nil && int(endedSlice) >= 0 && int(endedSlice) < len(s.met.misses) {
-				s.met.misses[endedSlice].Add(float64(left))
+			if int(endedSlice) >= 0 && int(endedSlice) < len(s.missesBySlice) {
+				s.missesBySlice[endedSlice] += uint64(left)
 			}
 		}
 		// Settle the outgoing active queue's EQO decay over the slice

@@ -31,10 +31,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, m := range f.metrics {
-			if m.h == nil {
+			if m.hist == nil {
 				continue
 			}
-			if err := writePromHistogram(w, f.Name, m.labels, m.h); err != nil {
+			if err := writePromHistogram(w, f.Name, m.labels, m.hist()); err != nil {
 				return err
 			}
 		}
@@ -133,18 +133,19 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			jf.Metrics = append(jf.Metrics, jsonMetric{Labels: labelMap(labels), Value: &val})
 		})
 		for _, m := range f.metrics {
-			if m.h == nil {
+			if m.hist == nil {
 				continue
 			}
-			buckets := make(map[string]uint64, len(m.h.bounds)+1)
+			h := m.hist()
+			buckets := make(map[string]uint64, len(h.bounds)+1)
 			var cum uint64
-			for i, b := range m.h.bounds {
-				cum += m.h.counts[i]
+			for i, b := range h.bounds {
+				cum += h.counts[i]
 				buckets[promFloat(b)] = cum
 			}
-			cum += m.h.counts[len(m.h.bounds)]
+			cum += h.counts[len(h.bounds)]
 			buckets["+Inf"] = cum
-			sum, count := m.h.sum, m.h.count
+			sum, count := h.sum, h.count
 			jf.Metrics = append(jf.Metrics, jsonMetric{
 				Labels: labelMap(m.labels), Buckets: buckets, Sum: &sum, Count: &count,
 			})

@@ -1,14 +1,15 @@
 // Package telemetry is the network-wide observability subsystem (the
 // monitoring half of Table 1's infra services, grown into a first-class
-// service): a metrics registry with typed counters, gauges, and histograms
+// service): a metrics registry of counters, gauges, and histograms
 // labelled by node/port/slice, Prometheus-text and JSON exporters, and a
 // sampled in-band packet tracer that reconstructs a flow's full path and
 // every drop reason.
 //
-// The simulation engine is single-threaded, so hot-path recording is a
-// plain field increment behind a pointer — no atomics, no locks. Devices
-// pre-resolve their counters at attach time; when telemetry is not
-// attached the hot path pays one nil check.
+// The registry only reads. Every metric is a view registered over state
+// its owner already keeps — a device counter, a tracer histogram, an
+// engine array — and evaluated at export time, so a registry built after
+// a run reports exactly what one built before it would, and the hot path
+// never touches the registry.
 package telemetry
 
 import (
@@ -35,28 +36,20 @@ type Label struct {
 // L is shorthand for building a Label.
 func L(k, v string) Label { return Label{Key: k, Value: v} }
 
-// Counter is a monotonically increasing counter. Plain field — the engine
-// serializes all device handlers.
-type Counter struct {
-	v float64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n (n must be non-negative for Prometheus semantics).
-func (c *Counter) Add(n float64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v }
-
 // Histogram is a fixed-bucket cumulative histogram in the Prometheus
-// style: counts per upper bound plus sum and count.
+// style: counts per upper bound plus sum and count. Its owner fills it;
+// the registry exports it through HistogramFunc.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf bucket implicit
 	counts []uint64  // len(bounds)+1
 	sum    float64
 	count  uint64
+}
+
+// NewHistogram returns an empty histogram with the given ascending bucket
+// upper bounds.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // Observe records one observation.
@@ -73,23 +66,12 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the observation sum.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// metric is one labelled instance inside a family. Exactly one of the
-// value sources is set.
+// metric is one labelled instance inside a family, read at export time
+// from exactly one of fn (counters, gauges) or hist (histograms).
 type metric struct {
 	labels []Label
-	c      *Counter
 	fn     func() float64
-	h      *Histogram
-}
-
-func (m *metric) value() float64 {
-	switch {
-	case m.c != nil:
-		return m.c.Value()
-	case m.fn != nil:
-		return m.fn()
-	}
-	return 0
+	hist   func() *Histogram
 }
 
 // Family is all metrics sharing one name/help/type.
@@ -99,17 +81,18 @@ type Family struct {
 	metrics    []*metric
 	index      map[string]*metric
 	// collect, when set, makes the family dynamic: its metrics are
-	// produced at export time by the callback (engine profiling classes).
+	// produced at export time by the callback (engine handler classes,
+	// per-slice switch counters).
 	collect func(emit func(labels []Label, v float64))
 }
 
 // Each calls fn for every static metric (and dynamic ones) in the family.
 func (f *Family) Each(fn func(labels []Label, v float64)) {
 	for _, m := range f.metrics {
-		if m.h != nil {
+		if m.hist != nil {
 			continue // histograms are exported, not enumerated as scalars
 		}
-		fn(m.labels, m.value())
+		fn(m.labels, m.fn())
 	}
 	if f.collect != nil {
 		f.collect(fn)
@@ -159,78 +142,38 @@ func sig(labels []Label) string {
 	return b.String()
 }
 
-// Counter registers (or returns the existing) counter with the given
-// labels. Callers cache the pointer and increment it directly.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	f := r.family(name, help, TypeCounter)
-	k := sig(labels)
-	if m, ok := f.index[k]; ok {
-		return m.c
-	}
-	m := &metric{labels: labels, c: &Counter{}}
-	f.metrics = append(f.metrics, m)
-	f.index[k] = m
-	return m.c
-}
-
 // CounterFunc registers a counter whose value is read from fn at export
 // time — zero hot-path cost for counters a device already maintains.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.addFunc(name, help, TypeCounter, fn, labels)
+	r.add(name, help, TypeCounter, &metric{labels: labels, fn: fn})
 }
 
 // GaugeFunc registers a gauge read from fn at export time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.addFunc(name, help, TypeGauge, fn, labels)
+	r.add(name, help, TypeGauge, &metric{labels: labels, fn: fn})
 }
 
-func (r *Registry) addFunc(name, help string, typ MetricType, fn func() float64, labels []Label) {
+// HistogramFunc registers a histogram read from fn at export time — its
+// owner fills it, the registry never does.
+func (r *Registry) HistogramFunc(name, help string, fn func() *Histogram, labels ...Label) {
+	r.add(name, help, TypeHistogram, &metric{labels: labels, hist: fn})
+}
+
+// add appends m to its family; a label set registered twice panics.
+func (r *Registry) add(name, help string, typ MetricType, m *metric) {
 	f := r.family(name, help, typ)
-	k := sig(labels)
+	k := sig(m.labels)
 	if _, ok := f.index[k]; ok {
 		panic(fmt.Sprintf("telemetry: duplicate %s{%s}", name, k))
 	}
-	m := &metric{labels: labels, fn: fn}
 	f.metrics = append(f.metrics, m)
 	f.index[k] = m
-}
-
-// Histogram registers (or returns) a histogram with the given bucket
-// upper bounds. Re-requesting an existing histogram must pass the same
-// bounds — otherwise two call sites would silently share buckets chosen
-// by whichever registered first, so a mismatch panics instead.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	f := r.family(name, help, TypeHistogram)
-	k := sig(labels)
-	if m, ok := f.index[k]; ok {
-		if !equalBounds(m.h.bounds, bounds) {
-			panic(fmt.Sprintf("telemetry: histogram %s{%s} re-registered with different bucket bounds (%v != %v)",
-				name, k, bounds, m.h.bounds))
-		}
-		return m.h
-	}
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-	m := &metric{labels: labels, h: h}
-	f.metrics = append(f.metrics, m)
-	f.index[k] = m
-	return h
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DynamicFamily registers a family whose metrics are produced at export
 // time by collect — for signals whose label space is discovered at
-// runtime, like engine handler classes. A family can have only one
+// runtime, like engine handler classes, or that one collector reads from
+// every device, like the switches' per-slice arrays. A family can have only one
 // collector; registering a second is a duplicate and panics.
 func (r *Registry) DynamicFamily(name, help string, typ MetricType, collect func(emit func(labels []Label, v float64))) {
 	f := r.family(name, help, typ)
@@ -251,10 +194,10 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 		return 0, false
 	}
 	m, ok := f.index[sig(labels)]
-	if !ok || m.h != nil {
+	if !ok || m.hist != nil {
 		return 0, false
 	}
-	return m.value(), true
+	return m.fn(), true
 }
 
 // Sum adds up every metric in the family whose labels include all of the

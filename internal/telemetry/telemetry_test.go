@@ -13,23 +13,22 @@ import (
 
 func TestRegistryCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("oo_test_events_total", "events", L("node", "0"))
-	c.Inc()
-	c.Add(2)
+	var events [2]uint64
+	for i := range events {
+		r.CounterFunc("oo_test_events_total", "events",
+			func() float64 { return float64(events[i]) }, L("node", fmt.Sprint(i)))
+	}
+	events[0] = 3
 	if got, ok := r.Value("oo_test_events_total", L("node", "0")); !ok || got != 3 {
 		t.Fatalf("Value = %v,%v want 3,true", got, ok)
-	}
-	// Same name+labels returns the same counter.
-	if c2 := r.Counter("oo_test_events_total", "events", L("node", "0")); c2 != c {
-		t.Fatal("counter not deduplicated")
 	}
 	g := 42.0
 	r.GaugeFunc("oo_test_depth", "depth", func() float64 { return g }, L("node", "1"))
 	if got, _ := r.Value("oo_test_depth", L("node", "1")); got != 42 {
 		t.Fatalf("gauge = %v", got)
 	}
-	// Sum with subset label matching.
-	r.Counter("oo_test_events_total", "events", L("node", "1")).Add(5)
+	// Sum with subset label matching, read at call time.
+	events[1] = 5
 	if got := r.Sum("oo_test_events_total"); got != 8 {
 		t.Fatalf("Sum all = %v want 8", got)
 	}
@@ -40,7 +39,8 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 
 func TestRegistryHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("oo_test_delay_ns", "delay", []float64{10, 100, 1000})
+	h := NewHistogram([]float64{10, 100, 1000})
+	r.HistogramFunc("oo_test_delay_ns", "delay", func() *Histogram { return h })
 	for _, v := range []float64{5, 50, 500, 5000} {
 		h.Observe(v)
 	}
@@ -87,9 +87,11 @@ func ValidatePrometheus(t *testing.T, text string) int {
 
 func TestPrometheusExportParses(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("oo_a_total", "a", L("node", "0"), L("slice", "3")).Inc()
+	r.CounterFunc("oo_a_total", "a", func() float64 { return 1 }, L("node", "0"), L("slice", "3"))
 	r.GaugeFunc("oo_b_bytes", "b", func() float64 { return 1.5 })
-	r.Histogram("oo_c_ns", "c", []float64{1, 2}).Observe(1.5)
+	h := NewHistogram([]float64{1, 2})
+	h.Observe(1.5)
+	r.HistogramFunc("oo_c_ns", "c", func() *Histogram { return h })
 	r.DynamicFamily("oo_d_total", "d", TypeCounter, func(emit func([]Label, float64)) {
 		emit([]Label{L("class", "link.deliver")}, 7)
 	})
@@ -104,8 +106,10 @@ func TestPrometheusExportParses(t *testing.T) {
 
 func TestJSONExport(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("oo_a_total", "a", L("node", "2")).Add(9)
-	r.Histogram("oo_c_ns", "c", []float64{10}).Observe(3)
+	r.CounterFunc("oo_a_total", "a", func() float64 { return 9 }, L("node", "2"))
+	h := NewHistogram([]float64{10})
+	h.Observe(3)
+	r.HistogramFunc("oo_c_ns", "c", func() *Histogram { return h })
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -262,7 +266,8 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 	// Pin the exposition format: _bucket series must be cumulative and
 	// monotone, ending in +Inf == _count, with an exact _sum.
 	r := NewRegistry()
-	h := r.Histogram("oo_pin_ns", "pinned", []float64{1, 10, 100}, L("node", "0"))
+	h := NewHistogram([]float64{1, 10, 100})
+	r.HistogramFunc("oo_pin_ns", "pinned", func() *Histogram { return h }, L("node", "0"))
 	for _, v := range []float64{0.5, 0.5, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -285,29 +290,15 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramSameBoundsIdempotent(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("oo_h_ns", "h", []float64{1, 2, 3})
-	b := r.Histogram("oo_h_ns", "h", []float64{1, 2, 3})
-	if a != b {
-		t.Fatal("same-bounds re-registration must return the existing histogram")
-	}
-}
-
-func TestHistogramBoundsMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("oo_h_ns", "h", []float64{1, 2, 3})
-	mustPanic(t, "different bucket bounds", func() {
-		r.Histogram("oo_h_ns", "h", []float64{1, 2})
-	})
-}
-
 func TestDuplicateFuncMetricPanics(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("oo_g_bytes", "g", func() float64 { return 1 }, L("node", "0"))
 	mustPanic(t, "duplicate", func() {
 		r.GaugeFunc("oo_g_bytes", "g", func() float64 { return 2 }, L("node", "0"))
 	})
+	h := func() *Histogram { return NewHistogram([]float64{1}) }
+	r.HistogramFunc("oo_h_ns", "h", h)
+	mustPanic(t, "duplicate", func() { r.HistogramFunc("oo_h_ns", "h", h) })
 }
 
 func TestDynamicFamilyDuplicatePanics(t *testing.T) {
@@ -321,7 +312,7 @@ func TestDynamicFamilyDuplicatePanics(t *testing.T) {
 
 func TestTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("oo_t_total", "t")
+	r.CounterFunc("oo_t_total", "t", func() float64 { return 0 })
 	mustPanic(t, "re-registered as", func() {
 		r.GaugeFunc("oo_t_total", "t", func() float64 { return 0 })
 	})
@@ -332,8 +323,6 @@ func TestTypeMismatchPanics(t *testing.T) {
 // per-flow FCT flush.
 func TestTracerStatsAndDecomposition(t *testing.T) {
 	tr := NewTracer(1, nil)
-	reg := NewRegistry()
-	tr.ObserveInto(reg)
 	flow := core.FlowKey{SrcHost: 1, DstHost: 2, SrcPort: 10, DstPort: 20, Proto: core.ProtoUDP}
 
 	// Packet 1: fully stamped — NIC hop then a calendar hop.
@@ -385,14 +374,20 @@ func TestTracerStatsAndDecomposition(t *testing.T) {
 		t.Fatalf("EndSlice not stamped at finish: %+v", got)
 	}
 
+	// The tracer's own histograms hold the one delivered packet, and
 	// FinalizeFlows observes one FCT per flow, then forgets.
-	tr.FinalizeFlows()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	h := tr.Histograms()
+	if h.Latency.Count() != 1 || h.Latency.Sum() != 100 || h.Hops.Sum() != 2 {
+		t.Fatalf("latency n=%d sum=%g, hops sum=%g", h.Latency.Count(), h.Latency.Sum(), h.Hops.Sum())
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("oo_trace_fct_ns_count 1")) {
-		t.Fatalf("FCT histogram missing the flow:\n%s", buf.String())
+	for i, c := range h.Components {
+		if c.Count() != 1 {
+			t.Fatalf("component %s count = %d, want 1", TraceComponents[i], c.Count())
+		}
+	}
+	tr.FinalizeFlows()
+	if h.FCT.Count() != 1 {
+		t.Fatalf("FCT count = %d, want the one flow", h.FCT.Count())
 	}
 	if tr.Stats().Flows != 0 {
 		t.Fatal("FinalizeFlows kept flow state")

@@ -46,20 +46,40 @@ type Tracer struct {
 	// FCT histograms (FinalizeFlows) and the Stats flow count.
 	flows map[string]*flowSpan
 
-	// observe feeds finished traces into registry histograms (ObserveInto);
-	// separate from OnFinish so users keep that hook for themselves.
-	observe     func(*core.PktTrace)
-	observeComp func(core.Decomposition)
-	fct         *Histogram
+	hist TraceHistograms
 }
+
+// TraceComponents names the four latency-attribution components in the
+// order of TraceHistograms.Components.
+var TraceComponents = [4]string{"slice_wait", "queueing", "serialization", "propagation"}
+
+// TraceHistograms are a tracer's distributions over its finished traces,
+// filled from the first trace whether or not a registry exports them.
+type TraceHistograms struct {
+	// Latency and Hops are the end-to-end virtual latency and the
+	// forwarding decisions of each delivered sampled packet.
+	Latency, Hops *Histogram
+	// Components is each delivered packet's latency attribution, one
+	// histogram per TraceComponents entry.
+	Components [4]*Histogram
+	// FCT is each sampled flow's completion time, first transmission to
+	// last delivery, observed by FinalizeFlows.
+	FCT *Histogram
+}
+
+// Histogram bounds shared by the end-to-end latency, the per-component
+// attribution, and the per-flow FCT histograms, so the distributions are
+// directly comparable on /metrics.
+var traceLatencyBounds = []float64{1e3, 1e4, 1e5, 3e5, 1e6, 3e6, 1e7}
+
+// Histograms returns the tracer's distributions.
+func (t *Tracer) Histograms() *TraceHistograms { return &t.hist }
 
 // flowSpan is one sampled flow's delivered-packet span: first transmission
 // start to last delivery.
 type flowSpan struct {
 	startNs int64
 	endNs   int64
-	pkts    uint64
-	bytes   int64
 }
 
 // TraceStats is a point-in-time summary of a Tracer's activity, exposed in
@@ -108,6 +128,14 @@ func NewTracer(sampleRate float64, sink io.Writer) *Tracer {
 		sampleRate = 1
 	}
 	t := &Tracer{threshold: uint64(sampleRate * float64(^uint64(0)))}
+	t.hist = TraceHistograms{
+		Latency: NewHistogram(traceLatencyBounds),
+		Hops:    NewHistogram([]float64{1, 2, 3, 4, 6, 8}),
+		FCT:     NewHistogram(traceLatencyBounds),
+	}
+	for i := range t.hist.Components {
+		t.hist.Components[i] = NewHistogram(traceLatencyBounds)
+	}
 	if sampleRate >= 1 {
 		t.threshold = ^uint64(0)
 	}
@@ -150,59 +178,14 @@ func (t *Tracer) WriteHeader(manifest any) {
 	}
 }
 
-// Histogram bounds shared by the end-to-end latency, the per-component
-// attribution, and the per-flow FCT histograms, so the distributions are
-// directly comparable on /metrics.
-var traceLatencyBounds = []float64{1e3, 1e4, 1e5, 3e5, 1e6, 3e6, 1e7}
-
-// ObserveInto summarizes finished traces into registry histograms:
-// oo_trace_latency_ns (end-to-end virtual latency of delivered sampled
-// packets), oo_trace_hops (forwarding decisions per delivered packet),
-// oo_trace_component_ns{component=slice_wait|queueing|serialization|
-// propagation} (the per-packet latency attribution), and oo_trace_fct_ns
-// (per-flow completion time, observed by FinalizeFlows at end of run).
-// Idempotent; independent of the user-facing OnFinish hook.
-func (t *Tracer) ObserveInto(reg *Registry) {
-	lat := reg.Histogram("oo_trace_latency_ns",
-		"End-to-end virtual latency of delivered sampled packets.",
-		traceLatencyBounds)
-	hops := reg.Histogram("oo_trace_hops",
-		"Forwarding decisions per delivered sampled packet.",
-		[]float64{1, 2, 3, 4, 6, 8})
-	comp := make(map[string]*Histogram, 4)
-	for _, c := range []string{"slice_wait", "queueing", "serialization", "propagation"} {
-		comp[c] = reg.Histogram("oo_trace_component_ns",
-			"Per-packet latency attribution by component.",
-			traceLatencyBounds, L("component", c))
-	}
-	t.fct = reg.Histogram("oo_trace_fct_ns",
-		"Sampled-flow completion time: first transmission to last delivery (observed at FinalizeFlows).",
-		traceLatencyBounds)
-	t.observe = func(tr *core.PktTrace) {
-		if tr.Disposition != core.DispDelivered {
-			return
-		}
-		lat.Observe(float64(tr.EndNs - tr.StartNs))
-		hops.Observe(float64(len(tr.Hops)))
-	}
-	t.observeComp = func(d core.Decomposition) {
-		comp["slice_wait"].Observe(float64(d.SliceWaitNs))
-		comp["queueing"].Observe(float64(d.QueueingNs))
-		comp["serialization"].Observe(float64(d.SerializationNs))
-		comp["propagation"].Observe(float64(d.PropagationNs))
-	}
-}
-
 // FinalizeFlows observes every tracked flow's completion time (first
-// transmission start to last delivery) into the oo_trace_fct_ns histogram
-// registered by ObserveInto, then forgets the flows. Call once at end of
-// run, before exporting metrics; calling it mid-run splits flows that are
-// still transmitting into two observations.
+// transmission start to last delivery) into the FCT histogram, then
+// forgets the flows. Call once at end of run, before exporting metrics;
+// calling it mid-run splits flows that are still transmitting into two
+// observations.
 func (t *Tracer) FinalizeFlows() {
 	for _, fs := range t.flows {
-		if t.fct != nil {
-			t.fct.Observe(float64(fs.endNs - fs.startNs))
-		}
+		t.hist.FCT.Observe(float64(fs.endNs - fs.startNs))
 	}
 	t.flows = nil
 }
@@ -262,8 +245,8 @@ func (t *Tracer) finish(pkt *core.Packet, disp string, reason core.DropReason, n
 		t.deliveredLatencyNs += tr.EndNs - tr.StartNs
 		if d, ok := tr.Decompose(); ok {
 			t.comp.Add(d)
-			if t.observeComp != nil {
-				t.observeComp(d)
+			for i, ns := range [4]int64{d.SliceWaitNs, d.QueueingNs, d.SerializationNs, d.PropagationNs} {
+				t.hist.Components[i].Observe(float64(ns))
 			}
 		} else {
 			t.identityViolations++
@@ -282,13 +265,10 @@ func (t *Tracer) finish(pkt *core.Packet, disp string, reason core.DropReason, n
 		if tr.EndNs > fs.endNs {
 			fs.endNs = tr.EndNs
 		}
-		fs.pkts++
-		fs.bytes += int64(tr.Size)
+		t.hist.Latency.Observe(float64(tr.EndNs - tr.StartNs))
+		t.hist.Hops.Observe(float64(len(tr.Hops)))
 	} else {
 		t.dropped++
-	}
-	if t.observe != nil {
-		t.observe(tr)
 	}
 	if t.enc != nil {
 		if err := t.enc.Encode(tr); err != nil {

@@ -414,11 +414,6 @@ func (n *Net) Start() {
 	}
 	n.started = true
 	for _, sw := range n.switches {
-		if n.reg != nil {
-			// The registry was built before deployment; attach the
-			// per-slice counters now that the cycle length is fixed.
-			sw.AttachMetrics(n.reg)
-		}
 		sw.Start()
 	}
 	for _, h := range n.hosts {

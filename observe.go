@@ -5,20 +5,21 @@ import (
 
 	"openoptics/internal/core"
 	"openoptics/internal/sim"
+	"openoptics/internal/switchsim"
 	"openoptics/internal/telemetry"
 )
 
 // This file wires the telemetry subsystem into a Net: the network-wide
 // metrics registry (Prometheus/JSON export) and the sampled in-band packet
-// tracer. Neither costs anything until requested — the registry reads
-// device counters at export time, and untraced packets pay one nil check
-// per decision point.
+// tracer. The registry only reads: every metric is a view of state the
+// engine, a device or the tracer keeps anyway, evaluated at export time,
+// so it can be built at any point of a run and report the same values.
+// Untraced packets pay one nil check per decision point.
 
 // Metrics returns the network-wide metrics registry, building it on the
 // first call: engine event/profiling counters, every switch/host/transport
 // counter block, per-slice drop attribution, buffer and link-utilization
-// gauges, and fabric drop counters. Call it after DeployTopo so the
-// per-slice counter space covers the deployed cycle length.
+// gauges, fabric drop counters, and the tracer's counters and histograms.
 func (n *Net) Metrics() *telemetry.Registry {
 	if n.reg != nil {
 		return n.reg
@@ -43,12 +44,8 @@ func (n *Net) Metrics() *telemetry.Registry {
 				func() float64 { return float64(sw.BWUsage(p)) },
 				node, telemetry.L("port", strconv.Itoa(int(p))))
 		}
-		if n.started {
-			sw.AttachMetrics(reg)
-		}
-		// Not yet started: Start() attaches the per-slice counters once the
-		// deployed cycle length is known.
 	}
+	n.registerSliceCounters(reg)
 	for i, h := range n.hosts {
 		h := h
 		st := n.stacks[i]
@@ -64,7 +61,7 @@ func (n *Net) Metrics() *telemetry.Registry {
 	n.registerPool(reg)
 	n.registerSched(reg)
 	if n.tracer != nil {
-		n.tracer.ObserveInto(reg)
+		n.registerTraceHistograms(reg)
 	}
 	for _, fn := range n.onMetrics {
 		fn(reg)
@@ -84,6 +81,35 @@ func (n *Net) OnMetrics(fn func(*telemetry.Registry)) {
 		return
 	}
 	n.onMetrics = append(n.onMetrics, fn)
+}
+
+// registerSliceCounters exposes the switches' per-slice drop and
+// slice-miss arrays, one collector per family covering every switch. A
+// switch exports nothing before Start sizes its arrays.
+func (n *Net) registerSliceCounters(reg *telemetry.Registry) {
+	reg.DynamicFamily("oo_switch_drops_total",
+		"Packets dropped at switches, by reason and arrival slice.", telemetry.TypeCounter,
+		func(emit func([]telemetry.Label, float64)) {
+			for _, sw := range n.switches {
+				node := telemetry.L("node", strconv.Itoa(int(sw.Cfg.ID)))
+				for _, r := range switchsim.DropReasons {
+					for sl, v := range sw.DropsBySlice(r) {
+						emit([]telemetry.Label{node, telemetry.L("reason", string(r)),
+							telemetry.L("slice", strconv.Itoa(sl))}, float64(v))
+					}
+				}
+			}
+		})
+	reg.DynamicFamily("oo_switch_slice_misses_total",
+		"Packets still queued when their departure slice ended.", telemetry.TypeCounter,
+		func(emit func([]telemetry.Label, float64)) {
+			for _, sw := range n.switches {
+				node := telemetry.L("node", strconv.Itoa(int(sw.Cfg.ID)))
+				for sl, v := range sw.MissesBySlice() {
+					emit([]telemetry.Label{node, telemetry.L("slice", strconv.Itoa(sl))}, float64(v))
+				}
+			}
+		})
 }
 
 // registerControl exposes the control plane's reprogramming activity: the
@@ -120,6 +146,27 @@ func (n *Net) registerTracer(reg *telemetry.Registry) {
 			return float64(c.read(n.tracer))
 		})
 	}
+}
+
+// registerTraceHistograms exposes the tracer's histograms: end-to-end
+// latency, hop count and latency attribution of delivered sampled packets,
+// and per-flow completion time (filled by FinalizeFlows). Like
+// registerTracer's counters they read through n.tracer, so a replaced
+// tracer is the one exported. Registered once, when both the registry and
+// a tracer exist.
+func (n *Net) registerTraceHistograms(reg *telemetry.Registry) {
+	reg.HistogramFunc("oo_trace_latency_ns", "End-to-end virtual latency of delivered sampled packets.",
+		func() *telemetry.Histogram { return n.tracer.Histograms().Latency })
+	reg.HistogramFunc("oo_trace_hops", "Forwarding decisions per delivered sampled packet.",
+		func() *telemetry.Histogram { return n.tracer.Histograms().Hops })
+	for i, c := range telemetry.TraceComponents {
+		reg.HistogramFunc("oo_trace_component_ns", "Per-packet latency attribution by component.",
+			func() *telemetry.Histogram { return n.tracer.Histograms().Components[i] },
+			telemetry.L("component", c))
+	}
+	reg.HistogramFunc("oo_trace_fct_ns",
+		"Sampled-flow completion time: first transmission to last delivery (observed at FinalizeFlows).",
+		func() *telemetry.Histogram { return n.tracer.Histograms().FCT })
 }
 
 func (n *Net) registerEngine(reg *telemetry.Registry) {
@@ -257,10 +304,10 @@ func linkUtil(bytes uint64, bps int64, nowNs int64) float64 {
 // via OnFinish. Calling Tracer again replaces the previous tracer.
 func (n *Net) Tracer(sampleRate float64) *telemetry.Tracer {
 	tr := telemetry.NewTracer(sampleRate, nil)
-	n.tracer = tr
-	if n.reg != nil {
-		tr.ObserveInto(n.reg)
+	if n.reg != nil && n.tracer == nil {
+		n.registerTraceHistograms(n.reg) // read through n.tracer, set below
 	}
+	n.tracer = tr
 	for _, sw := range n.switches {
 		sw.Tracer = tr
 	}

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"openoptics/internal/core"
+	"openoptics/internal/telemetry"
 	"openoptics/internal/traffic"
 )
 
@@ -159,7 +162,7 @@ func TestTraceReconstructsFlowPath(t *testing.T) {
 func TestTraceHistogramsFeedRegistry(t *testing.T) {
 	n := rotorNet4(t, nil)
 	reg := n.Metrics()
-	tr := n.Tracer(1) // after Metrics: ObserveInto wires the trace histograms
+	tr := n.Tracer(1) // after Metrics: Tracer registers the trace histograms
 	eps := n.Endpoints()
 	probe := traffic.NewUDPProbe(n.Engine(), eps[0], eps[3])
 	probe.Start(int64(5 * time.Millisecond))
@@ -206,6 +209,78 @@ func TestTraceHistogramsFeedRegistry(t *testing.T) {
 	fctMatch := regexp.MustCompile(`(?m)^oo_trace_fct_ns_count (\S+)$`).FindStringSubmatch(out)
 	if fctMatch == nil || fctMatch[1] != "2" {
 		t.Fatalf("FCT observations = %v, want 2; stats %+v", fctMatch, tr.Stats())
+	}
+}
+
+// promSamples returns a Prometheus text export's sample lines keyed by
+// series (name and labels), dropping HELP/TYPE comments.
+func promSamples(t *testing.T, reg *telemetry.Registry) map[string]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		out[line[:i]] = line[i+1:]
+	}
+	return out
+}
+
+// TestRegistryBuiltAfterRunMatches: every exported number is a read of
+// state its owner keeps, so a registry built after a run reports exactly
+// what one built before traffic reports — per-slice drops and misses and
+// the trace histograms included.
+func TestRegistryBuiltAfterRunMatches(t *testing.T) {
+	run := func(registryFirst bool) (*Net, *telemetry.Tracer, map[string]string) {
+		n := hotspotNet(t)
+		if registryFirst {
+			n.Metrics()
+		}
+		tr := n.Tracer(1)
+		n.Run(8 * time.Millisecond)
+		tr.FinalizeFlows()
+		return n, tr, promSamples(t, n.Metrics())
+	}
+	_, _, first := run(true)
+	n, tr, late := run(false)
+	if !reflect.DeepEqual(first, late) {
+		for k, v := range first {
+			if late[k] != v {
+				t.Errorf("%s: %s built before the run, %q built after", k, v, late[k])
+			}
+		}
+		t.Fatalf("registries disagree (%d vs %d series)", len(first), len(late))
+	}
+
+	var drops, misses uint64
+	for _, sw := range n.Switches() {
+		c := sw.Counters
+		drops += c.DropsNoRoute + c.DropsBuffer + c.DropsWrap + c.DropsCongest + c.DropsTTL
+		misses += c.SliceMisses
+	}
+	reg := n.Metrics()
+	if got := reg.Sum("oo_switch_drops_total"); drops == 0 || got != float64(drops) {
+		t.Fatalf("per-slice drops sum to %g, switch drop counters to %d", got, drops)
+	}
+	if got := reg.Sum("oo_switch_slice_misses_total"); got != float64(misses) {
+		t.Fatalf("per-slice misses sum to %g, switch counters to %d", got, misses)
+	}
+	delivered := strconv.FormatUint(tr.Stats().Delivered, 10)
+	if tr.Stats().Delivered == 0 {
+		t.Fatal("no delivered traces")
+	}
+	for _, c := range telemetry.TraceComponents {
+		if got := late[`oo_trace_component_ns_count{component="`+c+`"}`]; got != delivered {
+			t.Fatalf("component %s counted %q traces, %s delivered", c, got, delivered)
+		}
+	}
+	if got := late["oo_trace_fct_ns_count"]; got == "" || got == "0" {
+		t.Fatalf("oo_trace_fct_ns_count = %q after FinalizeFlows", got)
 	}
 }
 
