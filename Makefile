@@ -50,6 +50,11 @@ unit_gate = awk '/^$(1)/ { for (i = 3; i <= NF; i++) if ($$i == "$(2)") { seen=1
 #   - the same path with the registry built and every packet traced
 #     (BenchmarkTelemetryEnabled) under the same events/op ceiling:
 #     telemetry only reads, so it must schedule no event;
+#   - the TCP hot path (BenchmarkTCPHotPath, 20 iterations of 1 virtual ms
+#     of an 8-node RotorNet under RPC flows): 251,582 events/op and ~820
+#     allocs/op, about three per flow; a closure per RTO timer or a
+#     per-flow receive map (1,916 allocs/op) trips the 900 ceiling, and
+#     one more event per packet the 255,000 one;
 #   - the HOHO compile of the 12-node round robin: ~12k allocs/op with one
 #     reused search per (source, slice); per-destination searches or
 #     unreused search buffers take it past 30k.
@@ -61,6 +66,9 @@ bench-smoke:
 	$(call unit_gate,BenchmarkEndToEndPacketRate,events/op,19500)
 	$(call bench_run,BenchmarkTelemetryEnabled,.,100x)
 	$(call unit_gate,BenchmarkTelemetryEnabled,events/op,19500)
+	$(call bench_run,BenchmarkTCPHotPath,.,20x)
+	$(call unit_gate,BenchmarkTCPHotPath,allocs/op,900)
+	$(call unit_gate,BenchmarkTCPHotPath,events/op,255000)
 	$(call bench_run,BenchmarkHOHO,./internal/routing,3x)
 	$(call unit_gate,BenchmarkHOHO,allocs/op,30000)
 

@@ -258,6 +258,41 @@ func BenchmarkEndToEndPacketRate(b *testing.B) {
 	b.ReportMetric(float64(n.Engine().Processed)/float64(b.N), "events/op")
 }
 
+// BenchmarkTCPHotPath is the TCP counterpart of the UDP probe above: an
+// 8-node RotorNet under VLB replaying seeded RPC flows at 30% load, one
+// virtual millisecond per iteration, so every op opens connections,
+// demultiplexes data and ACKs and arms RTO timers. events/op and
+// allocs/op are exact at a given b.N, so `make bench-smoke` gates both.
+func BenchmarkTCPHotPath(b *testing.B) {
+	n, err := openoptics.New(openoptics.Config{NodeNum: 8, Uplink: 1, SliceDurationNs: 100_000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	circuits, numSlices, err := openoptics.RoundRobin(8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := n.DeployTopo(circuits, numSlices); err != nil {
+		b.Fatal(err)
+	}
+	paths := n.VLB(circuits, numSlices, openoptics.RoutingOptions{})
+	if err := n.DeployRouting(paths, openoptics.LookupHop, openoptics.MultipathPacket); err != nil {
+		b.Fatal(err)
+	}
+	eps := n.Endpoints()
+	traffic.NewSink(eps)
+	rp, err := traffic.NewReplay(n.Engine(), eps, traffic.RPC(), 0.3, int64(n.Cfg.LineRateGbps*1e9), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rp.Start(1 << 62)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Run(1_000_000)
+	}
+	b.ReportMetric(float64(n.Engine().Processed)/float64(b.N), "events/op")
+}
+
 // benchRotorNet builds the 4-node RotorNet used by the end-to-end hot-path
 // benchmarks, with a line-rate UDP probe already injecting traffic.
 func benchRotorNet(b *testing.B) *openoptics.Net {

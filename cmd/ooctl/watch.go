@@ -160,8 +160,8 @@ func renderSnapshot(s *openoptics.NetSnapshot, rateSuffix string) string {
 	if pushes := e.InlinePushes + e.SpillPushes + e.OverflowPushes; pushes > 0 {
 		spillPct = 100 * float64(e.SpillPushes+e.OverflowPushes) / float64(pushes)
 	}
-	fmt.Fprintf(&b, "engine: pending %d (max wheel %d)  spill %.2f%%  resorts %d  pool %d live / %d hw / %d slabs%s\n",
-		e.PendingEvents, e.MaxWheelEvents, spillPct, e.Resorts,
+	fmt.Fprintf(&b, "engine: pending %d (max wheel %d)  spill %.2f%%  resorts %d  clamps %d  pool %d live / %d hw / %d slabs%s\n",
+		e.PendingEvents, e.MaxWheelEvents, spillPct, e.Resorts, e.Clamps,
 		s.Pool.Outstanding, s.Pool.HighWater, s.Pool.Slabs, rateSuffix)
 	if d := s.Digest; d != nil {
 		fmt.Fprintf(&b, "auditor: events %d  windows %d  chain %s  violations %d\n",

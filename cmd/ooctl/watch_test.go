@@ -44,6 +44,7 @@ func cannedSnapshot() *openoptics.NetSnapshot {
 	s.Totals.DropsCongest = 2
 	s.Engine.PendingEvents = 17
 	s.Engine.MaxWheelEvents = 42
+	s.Engine.Clamps = 4
 	s.Engine.InlinePushes = 900
 	s.Engine.SpillPushes = 100
 	s.Pool.Gets = 500
@@ -84,6 +85,7 @@ func TestWatchRendersSnapshot(t *testing.T) {
 		"totals: rx 10  tx 9  delivered 8  drops 2",
 		"engine: pending 17 (max wheel 42)", // scheduler-pressure line
 		"spill 10.00%",                      // spill share of pushes
+		"clamps 4",                          // past-time schedules
 		"pool 3 live / 7 hw / 1 slabs",      // packet-pool occupancy
 	} {
 		if !strings.Contains(frame, want) {

@@ -72,6 +72,9 @@ func TestPerHopEventCounts(t *testing.T) {
 			if got := count[sim.ClassSwitchIngress]; got != switchRx {
 				t.Errorf("switch.ingress events = %d, want switch rx %d", got, switchRx)
 			}
+			if c := n.Engine().SchedPressure().Clamps; c != 0 {
+				t.Errorf("%d events scheduled in the past, want 0", c)
+			}
 		})
 	}
 }

@@ -1,31 +1,30 @@
 package core
 
-import "sort"
+import "slices"
 
 // ConnIndex is a queryable index over a circuit set, answering the
 // connectivity questions routing algorithms ask: "who is node n connected
 // to in slice ts?" (the neighbors() helper of Table 1) and "which circuit
 // joins a and b in slice ts?". Static (wildcard-slice) circuits are visible
 // in every slice.
+//
+// The index is dense and immutable: every (view, row) pair — view v < the
+// cycle length for slice v, view numSlices for the static-only view, row r
+// for the r-th node of Nodes() — owns a run of circuits[off[i]:off[i+1]]
+// and of neighbors[noff[i]:noff[i+1]], i = v*len(nodes) + r, built once by
+// NewConnIndex. A slice view lists the slice's own circuits and then the
+// static ones, each in schedule order. Returned slices are shared:
+// callers must not mutate them.
 type ConnIndex struct {
 	numSlices int
-	bySlice   []map[NodeID][]Circuit // per-slice adjacency
-	static    map[NodeID][]Circuit   // wildcard-slice adjacency
-	nodes     []NodeID
+	nodes     []NodeID // ascending; a node's row is its position
 
-	// neighMemo caches Neighbors results. The index is immutable after
-	// NewConnIndex, so the first query per (node, slice) computes and the
-	// rest are a map hit — switches ask the same question every slice
-	// rotation, and an allocation per rotation is exactly what the
-	// zero-allocation steady state forbids. Callers must treat the
-	// returned slice as read-only (all in-tree callers only range over it).
-	neighMemo map[neighKey][]NodeID
-}
+	off      []int32
+	circuits []Circuit
+	peerRows []int32 // peerRows[j]: the row of circuits[j]'s far end
 
-// neighKey identifies one memoized Neighbors query.
-type neighKey struct {
-	n  NodeID
-	ts Slice
+	noff      []int32
+	neighbors []NodeID // per (view, row): distinct peers, ascending
 }
 
 // NewConnIndex builds an index for the given schedule.
@@ -34,35 +33,67 @@ func NewConnIndex(s *Schedule) *ConnIndex {
 	if ns < 1 {
 		ns = 1
 	}
-	ix := &ConnIndex{
-		numSlices: ns,
-		bySlice:   make([]map[NodeID][]Circuit, ns),
-		static:    make(map[NodeID][]Circuit),
-		neighMemo: make(map[neighKey][]NodeID),
-	}
-	for i := range ix.bySlice {
-		ix.bySlice[i] = make(map[NodeID][]Circuit)
-	}
-	seen := make(map[NodeID]bool)
-	addNode := func(n NodeID) {
-		if !seen[n] {
-			seen[n] = true
-			ix.nodes = append(ix.nodes, n)
-		}
-	}
+	ix := &ConnIndex{numSlices: ns}
 	for _, c := range s.Circuits {
-		addNode(c.A)
-		addNode(c.B)
-		if c.Slice.IsWildcard() {
-			ix.static[c.A] = append(ix.static[c.A], c)
-			ix.static[c.B] = append(ix.static[c.B], c)
-			continue
-		}
-		m := ix.bySlice[int(c.Slice)%ns]
-		m[c.A] = append(m[c.A], c)
-		m[c.B] = append(m[c.B], c)
+		ix.nodes = append(ix.nodes, c.A, c.B)
 	}
-	sort.Slice(ix.nodes, func(i, j int) bool { return ix.nodes[i] < ix.nodes[j] })
+	slices.Sort(ix.nodes)
+	ix.nodes = slices.Clip(slices.Compact(ix.nodes))
+	nr := len(ix.nodes)
+	views := (ns + 1) * nr
+
+	// Count, then place: slice circuits first, static circuits second, so
+	// every run lists its slice's circuits before the static ones, each in
+	// schedule order.
+	rowOf := func(n NodeID) int { r, _ := slices.BinarySearch(ix.nodes, n); return r }
+	each := func(f func(view, row int, c Circuit)) {
+		for _, static := range []bool{false, true} {
+			for _, c := range s.Circuits {
+				if c.Slice.IsWildcard() != static {
+					continue
+				}
+				ra, rb := rowOf(c.A), rowOf(c.B)
+				if !static {
+					v := int(c.Slice) % ns
+					f(v, ra, c)
+					f(v, rb, c)
+					continue
+				}
+				for v := 0; v <= ns; v++ {
+					f(v, ra, c)
+					f(v, rb, c)
+				}
+			}
+		}
+	}
+	ix.off = make([]int32, views+1)
+	each(func(v, r int, _ Circuit) { ix.off[v*nr+r+1]++ })
+	for i := 1; i <= views; i++ {
+		ix.off[i] += ix.off[i-1]
+	}
+	ix.circuits = make([]Circuit, ix.off[views])
+	ix.peerRows = make([]int32, ix.off[views])
+	next := slices.Clone(ix.off[:views])
+	each(func(v, r int, c Circuit) {
+		j := next[v*nr+r]
+		next[v*nr+r]++
+		peer, _, _ := c.Other(ix.nodes[r])
+		ix.circuits[j], ix.peerRows[j] = c, int32(rowOf(peer))
+	})
+
+	// Neighbors: each run's distinct peers, ascending.
+	ix.noff = make([]int32, views+1)
+	ix.neighbors = make([]NodeID, 0, len(ix.circuits))
+	for i := 0; i < views; i++ {
+		start := len(ix.neighbors)
+		for _, pr := range ix.peerRows[ix.off[i]:ix.off[i+1]] {
+			ix.neighbors = append(ix.neighbors, ix.nodes[pr])
+		}
+		run := ix.neighbors[start:]
+		slices.Sort(run)
+		ix.neighbors = ix.neighbors[:start+len(slices.Compact(run))]
+		ix.noff[i+1] = int32(len(ix.neighbors))
+	}
 	return ix
 }
 
@@ -72,51 +103,54 @@ func (ix *ConnIndex) NumSlices() int { return ix.numSlices }
 // Nodes returns all endpoint nodes that appear in any circuit, ascending.
 func (ix *ConnIndex) Nodes() []NodeID { return ix.nodes }
 
-// Circuits returns the circuits incident to node n during slice ts
-// (including static circuits). ts == WildcardSlice returns only static
-// circuits — the TA/static-topology view.
-func (ix *ConnIndex) Circuits(n NodeID, ts Slice) []Circuit {
+// Row returns n's position in Nodes(); ok is false for a node on no
+// circuit (NoNode included).
+func (ix *ConnIndex) Row(n NodeID) (int, bool) {
+	return slices.BinarySearch(ix.nodes, n)
+}
+
+// view maps a slice to its view: the slice modulo the cycle length, or
+// the static-only view for the wildcard slice.
+func (ix *ConnIndex) view(ts Slice) int {
 	if ts.IsWildcard() {
-		return ix.static[n]
+		return ix.numSlices
 	}
-	dyn := ix.bySlice[int(ts)%ix.numSlices][n]
-	st := ix.static[n]
-	if len(st) == 0 {
-		return dyn
+	return int(ts) % ix.numSlices
+}
+
+// RowCircuits returns the circuits incident to the node of row r during
+// slice ts, as Circuits does, with the row of each circuit's far end.
+func (ix *ConnIndex) RowCircuits(r int, ts Slice) ([]Circuit, []int32) {
+	i := ix.view(ts)*len(ix.nodes) + r
+	a, b := ix.off[i], ix.off[i+1]
+	return ix.circuits[a:b:b], ix.peerRows[a:b:b]
+}
+
+// Circuits returns the circuits incident to node n during slice ts
+// (including static circuits), nil if there are none. ts == WildcardSlice
+// returns only static circuits — the TA/static-topology view.
+func (ix *ConnIndex) Circuits(n NodeID, ts Slice) []Circuit {
+	r, ok := ix.Row(n)
+	if !ok {
+		return nil
 	}
-	out := make([]Circuit, 0, len(dyn)+len(st))
-	out = append(out, dyn...)
-	out = append(out, st...)
-	return out
+	if cs, _ := ix.RowCircuits(r, ts); len(cs) > 0 {
+		return cs
+	}
+	return nil
 }
 
 // Neighbors implements the neighbors() helper (Table 1): all nodes with a
 // direct circuit to n in slice ts. Duplicate peers (parallel circuits) are
-// deduplicated; order is deterministic. The result is memoized — callers
-// must not mutate the returned slice.
+// deduplicated; the order is ascending.
 func (ix *ConnIndex) Neighbors(n NodeID, ts Slice) []NodeID {
-	k := neighKey{n: n, ts: ts}
-	if !ts.IsWildcard() {
-		// Slices alias modulo the cycle length; canonicalize the key so
-		// rotation r and r+numSlices share one memo entry.
-		k.ts = Slice(int(ts) % ix.numSlices)
+	r, ok := ix.Row(n)
+	if !ok {
+		return []NodeID{}
 	}
-	if out, ok := ix.neighMemo[k]; ok {
-		return out
-	}
-	cs := ix.Circuits(n, ts)
-	seen := make(map[NodeID]bool, len(cs))
-	out := make([]NodeID, 0, len(cs))
-	for _, c := range cs {
-		peer, _, ok := c.Other(n)
-		if ok && !seen[peer] {
-			seen[peer] = true
-			out = append(out, peer)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	ix.neighMemo[k] = out
-	return out
+	i := ix.view(ts)*len(ix.nodes) + r
+	a, b := ix.noff[i], ix.noff[i+1]
+	return ix.neighbors[a:b:b]
 }
 
 // CircuitBetween returns a circuit joining a and b during slice ts, if any.

@@ -104,6 +104,7 @@ type Packet struct {
 	Seq      uint32 // transport byte-offset sequence number
 	Ack      uint32 // cumulative ACK (TCP)
 	Flags    PacketFlags
+	Conn     int32 // TCP connection's index in transport.Conns (0 = none)
 	Created  int64 // virtual time the packet entered the network
 	Enqueued int64 // virtual time of last enqueue (for delay accounting)
 

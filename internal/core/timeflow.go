@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the time-flow table (§3) — the paper's central
@@ -127,42 +128,42 @@ type Action struct {
 type Entry struct {
 	Priority int
 	Match    Match
+	seq      int32    // insertion order, assigned by Table.Add
 	Actions  []Action // len > 1 forms a multipath group
 	Mode     MultipathMode
-	seq      int // insertion order, assigned by Table.Add
 
-	// Weighted-multipath state precomputed by Table.Add so selectAction
-	// does not walk the action weights on every packet: cum[i] is the
-	// cumulative weight through Actions[i] (nil when the group is
-	// unweighted — all weights are 1 or unset — and plain modulo hashing
-	// applies); wtotal is the final cumulative sum.
-	cum    []float64
-	wtotal float64
+	// cum is the weighted-multipath state precomputed by Table.Add so
+	// selectAction does not walk the action weights on every packet:
+	// cum[i] is the cumulative weight through Actions[i], and the last
+	// element the total (nil when the group is unweighted — all weights
+	// are 1 or unset — and plain modulo hashing applies).
+	cum []float64
 }
 
 // Table is a time-flow table instance as installed on one endpoint node
-// (switch or NIC). Lookup cost is O(entries for dst) + O(wildcard-dst
-// entries); production pipelines realize the same match with TCAM.
+// (switch or NIC). Add appends; the first Lookup after a change compiles
+// the entries into a dense index (tableIndex), after which a lookup is a
+// fixed number of array reads — the software counterpart of the
+// single-pass match a TCAM or the Tofino2 pipeline performs.
 //
-// Table is not safe for concurrent mutation; devices own their tables and
+// Table is not safe for concurrent use; devices own their tables and
 // the controller deploys via the device's serialized event loop.
 type Table struct {
-	byDst  map[NodeID][]*Entry // entries with concrete Dst
-	anyDst []*Entry            // entries with wildcard Dst
-	n      int
-	seq    int
+	// entries holds every installed entry: best-first up to the last
+	// compile, later additions appended.
+	entries []*Entry
+	seq     int32
+	built   bool // ix reflects entries
+	ix      tableIndex
 }
 
 // NewTable returns an empty time-flow table.
-func NewTable() *Table {
-	return &Table{byDst: make(map[NodeID][]*Entry)}
-}
+func NewTable() *Table { return &Table{} }
 
 // Len returns the number of installed entries.
-func (t *Table) Len() int { return t.n }
+func (t *Table) Len() int { return len(t.entries) }
 
-// Add installs an entry. It validates the entry and keeps per-destination
-// entry lists sorted by (priority desc, specificity desc, insertion order).
+// Add validates and installs an entry.
 func (t *Table) Add(e Entry) error {
 	if len(e.Actions) == 0 {
 		return fmt.Errorf("timeflow: entry has no actions")
@@ -185,13 +186,8 @@ func (t *Table) Add(e Entry) error {
 	e.seq = t.seq
 	e.precomputeWeights()
 	t.seq++
-	t.n++
-	ep := &e
-	if e.Match.Dst == NoNode {
-		t.anyDst = insertSorted(t.anyDst, ep)
-	} else {
-		t.byDst[e.Match.Dst] = insertSorted(t.byDst[e.Match.Dst], ep)
-	}
+	t.entries = append(t.entries, &e)
+	t.built = false
 	return nil
 }
 
@@ -199,7 +195,7 @@ func (t *Table) Add(e Entry) error {
 // multipath groups. The summation order matches the per-lookup walk the
 // seed performed, so selection stays bit-identical.
 func (e *Entry) precomputeWeights() {
-	e.cum, e.wtotal = nil, 0
+	e.cum = nil
 	if len(e.Actions) <= 1 {
 		return
 	}
@@ -223,36 +219,29 @@ func (e *Entry) precomputeWeights() {
 		cum += w
 		e.cum[i] = cum
 	}
-	e.wtotal = cum
 }
 
 // Clear removes all entries (used when the controller re-deploys routing
 // for a new topology instance in TA architectures).
 func (t *Table) Clear() {
-	t.byDst = make(map[NodeID][]*Entry)
-	t.anyDst = nil
-	t.n = 0
+	t.entries, t.built, t.ix = nil, false, tableIndex{}
 }
 
-// insertSorted keeps the slice ordered best-first.
-func insertSorted(s []*Entry, e *Entry) []*Entry {
-	i := sort.Search(len(s), func(i int) bool { return entryLess(e, s[i]) })
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
-}
-
-// entryLess reports whether a should be consulted before b.
-func entryLess(a, b *Entry) bool {
+// compareEntries orders entries best-first: priority descending, then
+// fewer wildcards, then insertion order.
+func compareEntries(a, b *Entry) int {
 	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+		return cmp.Compare(b.Priority, a.Priority)
 	}
 	if wa, wb := a.Match.Wildcards(), b.Match.Wildcards(); wa != wb {
-		return wa < wb
+		return wa - wb
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
+
+// sort puts the entries best-first. Compiled tables are added in that
+// order already, which the sort recognizes in one pass.
+func (t *Table) sort() { slices.SortFunc(t.entries, compareEntries) }
 
 // LookupResult is the outcome of a time-flow table lookup for one packet.
 type LookupResult struct {
@@ -267,24 +256,18 @@ type LookupResult struct {
 // using pktHash (per-packet multipath) or flowHash (per-flow multipath).
 // ok is false if no entry matches — the packet has no route.
 func (t *Table) Lookup(arr Slice, src, dst NodeID, pktHash, flowHash uint64) (LookupResult, bool) {
-	best := t.match(t.byDst[dst], arr, src, dst)
-	if alt := t.match(t.anyDst, arr, src, dst); alt != nil && (best == nil || entryLess(alt, best)) {
-		best = alt
+	if !t.built {
+		t.compile()
 	}
-	if best == nil {
+	c := t.ix.find(arr, src, dst)
+	switch {
+	case c.e == nil:
 		return LookupResult{}, false
+	case c.single:
+		return LookupResult{Egress: c.egress, DepSlice: c.dep, Entry: c.e}, true
 	}
-	a := selectAction(best, pktHash, flowHash)
-	return LookupResult{Egress: a.Egress, DepSlice: a.DepSlice, SourceRoute: a.SourceRoute, Entry: best}, true
-}
-
-func (t *Table) match(list []*Entry, arr Slice, src, dst NodeID) *Entry {
-	for _, e := range list {
-		if e.Match.Covers(arr, src, dst) {
-			return e
-		}
-	}
-	return nil
+	a := selectAction(c.e, pktHash, flowHash)
+	return LookupResult{Egress: a.Egress, DepSlice: a.DepSlice, SourceRoute: a.SourceRoute, Entry: c.e}, true
 }
 
 // selectAction picks an action from a multipath group. Weighted groups use
@@ -306,8 +289,8 @@ func selectAction(e *Entry, pktHash, flowHash uint64) Action {
 	if e.cum == nil {
 		return e.Actions[h%uint64(len(e.Actions))]
 	}
-	// Map the hash to [0, wtotal) and walk the cumulative weights.
-	x := float64(h%1000003) / 1000003 * e.wtotal
+	// Map the hash to [0, total) and walk the cumulative weights.
+	x := float64(h%1000003) / 1000003 * e.cum[len(e.cum)-1]
 	for i, c := range e.cum {
 		if x < c {
 			return e.Actions[i]
@@ -319,11 +302,6 @@ func selectAction(e *Entry, pktHash, flowHash uint64) Action {
 // Entries returns a snapshot of all entries best-first, for dumping and
 // resource accounting. The returned entries must not be mutated.
 func (t *Table) Entries() []*Entry {
-	out := make([]*Entry, 0, t.n)
-	for _, l := range t.byDst {
-		out = append(out, l...)
-	}
-	out = append(out, t.anyDst...)
-	sort.Slice(out, func(i, j int) bool { return entryLess(out[i], out[j]) })
-	return out
+	t.sort()
+	return slices.Clone(t.entries)
 }

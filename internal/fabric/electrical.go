@@ -14,8 +14,10 @@ import (
 type ElectricalFabric struct {
 	eng *sim.Engine
 
-	ports  []*elecPort
-	byNode map[core.NodeID]int
+	ports []*elecPort
+	// byNode is the routing table, dense by destination node: the port
+	// serving node n is byNode[n], -1 (or past the end) for none.
+	byNode []int32
 
 	// PipelineDelay models ingress processing latency.
 	PipelineDelay int64
@@ -41,17 +43,28 @@ type elecPort struct {
 
 // NewElectricalFabric creates an empty electrical fabric.
 func NewElectricalFabric(eng *sim.Engine) *ElectricalFabric {
-	return &ElectricalFabric{eng: eng, byNode: make(map[core.NodeID]int)}
+	return &ElectricalFabric{eng: eng}
 }
 
-// Attach plugs the (electrical) uplink of endpoint node `node` into the
-// fabric and returns the fabric port index. Traffic destined to that node
-// exits here.
+// Attach plugs the (electrical) uplink of endpoint node `node` (≥ 0) into
+// the fabric and returns the fabric port index. Traffic destined to that
+// node exits here.
 func (f *ElectricalFabric) Attach(node core.NodeID, link *Link) int {
 	fp := len(f.ports)
 	f.ports = append(f.ports, &elecPort{link: link})
-	f.byNode[node] = fp
+	for int(node) >= len(f.byNode) {
+		f.byNode = append(f.byNode, -1)
+	}
+	f.byNode[node] = int32(fp)
 	return fp
+}
+
+// portOf returns the port serving node n, or -1.
+func (f *ElectricalFabric) portOf(n core.NodeID) int {
+	if n >= 0 && int(n) < len(f.byNode) {
+		return int(f.byNode[n])
+	}
+	return -1
 }
 
 func (f *ElectricalFabric) queueCap() int64 {
@@ -83,8 +96,8 @@ type elecEnqueue ElectricalFabric
 func (a *elecEnqueue) RunEvent(arg any, _ int64) {
 	f := (*ElectricalFabric)(a)
 	pkt := arg.(*core.Packet)
-	fp, ok := f.byNode[pkt.DstNode]
-	if !ok {
+	fp := f.portOf(pkt.DstNode)
+	if fp < 0 {
 		f.DropsNoRoute++
 		f.traceDrop(pkt, core.DropElecRoute)
 		pkt.Free()
@@ -155,7 +168,7 @@ func (f *ElectricalFabric) traceDrop(pkt *core.Packet, reason core.DropReason) {
 
 // MaxQueueBytes returns the high-water mark of the port serving node.
 func (f *ElectricalFabric) MaxQueueBytes(node core.NodeID) int64 {
-	if fp, ok := f.byNode[node]; ok {
+	if fp := f.portOf(node); fp >= 0 {
 		return f.ports[fp].maxSeen
 	}
 	return 0

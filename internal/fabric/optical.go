@@ -29,8 +29,13 @@ type OpticalFabric struct {
 	// observability plane uses it to render circuit state in node terms.
 	rev []attachKey
 
-	conn       []map[int]int // per-slice port connection table
-	staticConn map[int]int   // wildcard-slice (TA) connections
+	// conn is the port connection table, dense per [slice][port]: the
+	// fabric port a packet entering port p in slice ts leaves by is at
+	// ts*connPorts+p, or -1 for no circuit. Row connSlices holds the
+	// static (wildcard-slice) circuits, the per-port fallback of every
+	// slice.
+	conn                  []int32
+	connSlices, connPorts int
 
 	// CutThroughDelay models the emulating device's cut-through
 	// forwarding latency.
@@ -74,7 +79,7 @@ type attachKey struct {
 // NewOpticalFabric creates an unattached fabric. Attach endpoints, then
 // ApplySchedule before traffic flows.
 func NewOpticalFabric(eng *sim.Engine) *OpticalFabric {
-	return &OpticalFabric{eng: eng, attached: make(map[attachKey]int), staticConn: make(map[int]int)}
+	return &OpticalFabric{eng: eng, attached: make(map[attachKey]int)}
 }
 
 // Attach plugs the optical uplink (node, nodePort) into the next free
@@ -104,23 +109,22 @@ func (f *OpticalFabric) ApplySchedule(sched *core.Schedule) error {
 	if ns < 1 {
 		ns = 1
 	}
-	conn := make([]map[int]int, ns)
+	np := len(f.ports)
+	conn := make([]int32, (ns+1)*np)
 	for i := range conn {
-		conn[i] = make(map[int]int)
+		conn[i] = -1
 	}
-	static := make(map[int]int)
 	for _, c := range sched.Circuits {
 		pa, okA := f.attached[attachKey{c.A, c.PortA}]
 		pb, okB := f.attached[attachKey{c.B, c.PortB}]
 		if !okA || !okB {
 			return fmt.Errorf("fabric: circuit %v references unattached endpoint", c)
 		}
-		if c.Slice.IsWildcard() {
-			static[pa], static[pb] = pb, pa
-			continue
+		row := ns
+		if !c.Slice.IsWildcard() {
+			row = int(c.Slice) % ns
 		}
-		m := conn[int(c.Slice)%ns]
-		m[pa], m[pb] = pb, pa
+		conn[row*np+pa], conn[row*np+pb] = int32(pb), int32(pa)
 	}
 	// A TA re-deployment on a live fabric tears circuits down and sets
 	// new ones up; the device is dark for its reconfiguration delay.
@@ -128,8 +132,7 @@ func (f *OpticalFabric) ApplySchedule(sched *core.Schedule) error {
 		f.blockUntil = f.eng.Now() + f.ReconfDelay
 	}
 	f.sched = sched
-	f.conn = conn
-	f.staticConn = static
+	f.conn, f.connSlices, f.connPorts = conn, ns, np
 	return nil
 }
 
@@ -187,17 +190,19 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 			return
 		}
 	}
-	out, ok := f.conn[int(ts)%len(f.conn)][int(port)]
-	if !ok {
-		out, ok = f.staticConn[int(port)]
+	out := int32(-1)
+	if p := int(port); p >= 0 && p < f.connPorts {
+		if out = f.conn[int(ts)%f.connSlices*f.connPorts+p]; out < 0 {
+			out = f.conn[f.connSlices*f.connPorts+p]
+		}
 	}
-	if !ok {
+	if out < 0 {
 		f.DropsNoCircuit++
 		f.traceDrop(pkt, core.DropNoCircuit)
 		pkt.Free()
 		return
 	}
-	if f.portDark(out) {
+	if f.portDark(int(out)) {
 		f.DropsReconfig++ // hot-swap drain window on the egress port
 		f.traceDrop(pkt, core.DropReconfig)
 		pkt.Free()

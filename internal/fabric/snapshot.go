@@ -50,20 +50,21 @@ func (f *OpticalFabric) Snapshot() OpticalSnapshot {
 	ts := f.sched.SliceAt(f.eng.Now() + f.ClockOffset)
 	snap.Slice = ts
 	snap.NumSlices = f.sched.NumSlices
-	if len(f.conn) > 0 {
-		snap.Circuits = f.circuitList(f.conn[int(ts)%len(f.conn)], false, snap.Circuits)
-	}
-	snap.Circuits = f.circuitList(f.staticConn, true, snap.Circuits)
+	np := f.connPorts
+	row := int(ts) % f.connSlices * np
+	snap.Circuits = f.circuitList(f.conn[row:row+np], false, snap.Circuits)
+	snap.Circuits = f.circuitList(f.conn[f.connSlices*np:], true, snap.Circuits)
 	return snap
 }
 
-// circuitList renders a port-level connection table in node terms. Each
-// circuit appears in the table twice (pa→pb and pb→pa); keeping only the
-// pa<pb direction lists it once. Output is sorted for stable JSON.
-func (f *OpticalFabric) circuitList(conn map[int]int, static bool, out []CircuitSnapshot) []CircuitSnapshot {
+// circuitList renders one row of the port connection table in node
+// terms. Each circuit appears in a row twice (pa→pb and pb→pa); keeping
+// only the pa<pb direction lists it once. Output is sorted for stable
+// JSON.
+func (f *OpticalFabric) circuitList(conn []int32, static bool, out []CircuitSnapshot) []CircuitSnapshot {
 	start := len(out)
 	for pa, pb := range conn {
-		if pa >= pb || pa >= len(f.rev) || pb >= len(f.rev) {
+		if pa >= int(pb) || pa >= len(f.rev) || int(pb) >= len(f.rev) {
 			continue
 		}
 		ka, kb := f.rev[pa], f.rev[pb]
@@ -119,11 +120,13 @@ func (f *ElectricalFabric) Snapshot() ElectricalSnapshot {
 		Ports:        make([]ElecPortSnapshot, 0, len(f.byNode)),
 	}
 	for node, fp := range f.byNode {
+		if fp < 0 {
+			continue
+		}
 		p := f.ports[fp]
 		snap.Ports = append(snap.Ports, ElecPortSnapshot{
-			Node: node, QueueBytes: p.bytes, Packets: p.fifo.Len(), MaxQueueBytes: p.maxSeen,
+			Node: core.NodeID(node), QueueBytes: p.bytes, Packets: p.fifo.Len(), MaxQueueBytes: p.maxSeen,
 		})
 	}
-	sort.Slice(snap.Ports, func(i, j int) bool { return snap.Ports[i].Node < snap.Ports[j].Node })
 	return snap
 }

@@ -8,6 +8,7 @@
 package hostsim
 
 import (
+	"math"
 	"slices"
 
 	"openoptics/internal/core"
@@ -86,6 +87,13 @@ type Counters struct {
 	HeldByPushers uint64
 }
 
+// nodeHold is what holds traffic toward one destination node: the end of
+// its push-back pause and of its signaled circuit window, on the local
+// clock; noHold marks neither received (or the window closed).
+type nodeHold struct{ pausedUntil, circuitUntil int64 }
+
+const noHold = math.MinInt64
+
 type txItem struct {
 	pkt      *core.Packet
 	elephant bool
@@ -120,8 +128,9 @@ type Host struct {
 
 	flowSent map[core.FlowKey]int64 // flow aging
 
-	pausedUntil  map[core.NodeID]int64 // push-back pauses (local clock ns)
-	circuitUntil map[core.NodeID]int64 // signaled circuit windows
+	// holds is the per-destination-node hold state, dense by node ID and
+	// grown on the first push-back or signal naming a node.
+	holds []nodeHold
 
 	// Offload agent.
 	parked int
@@ -140,8 +149,6 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		rng:          sim.NewRand(cfg.Seed ^ 0x4057),
 		held:         make(map[core.NodeID][]txItem),
 		flowSent:     make(map[core.FlowKey]int64),
-		pausedUntil:  make(map[core.NodeID]int64),
-		circuitUntil: make(map[core.NodeID]int64),
 		pendingByDst: make(map[core.NodeID]int64),
 	}
 }
@@ -203,17 +210,28 @@ func (h *Host) mustHold(it txItem) bool {
 	if dst == h.Cfg.Node {
 		return false // intra-rack, no fabric involved
 	}
-	if until, ok := h.pausedUntil[dst]; ok && now < until {
+	hd := nodeHold{noHold, noHold}
+	if dst >= 0 && int(dst) < len(h.holds) {
+		hd = h.holds[dst]
+	}
+	if now < hd.pausedUntil {
 		h.Counters.HeldByPushers++
 		return true
 	}
-	if h.Cfg.FlowPausing && it.elephant {
-		if until, ok := h.circuitUntil[dst]; !ok || now >= until {
-			h.Counters.HeldByPause++
-			return true
-		}
+	if h.Cfg.FlowPausing && it.elephant && now >= hd.circuitUntil {
+		h.Counters.HeldByPause++
+		return true
 	}
 	return false
+}
+
+// hold returns node n's hold state for writing, growing holds to reach
+// it. Node IDs are non-negative.
+func (h *Host) hold(n core.NodeID) *nodeHold {
+	for int(n) >= len(h.holds) {
+		h.holds = append(h.holds, nodeHold{noHold, noHold})
+	}
+	return &h.holds[n]
 }
 
 // pump drives the NIC TX at line rate via the link's serialization clock.
@@ -322,7 +340,7 @@ func (h *Host) Receive(pkt *core.Packet, port core.PortID) {
 		return
 	case core.CtrlSignalClose:
 		h.Counters.SignalsRx++
-		delete(h.circuitUntil, pkt.CtrlNode)
+		h.hold(pkt.CtrlNode).circuitUntil = noHold
 		pkt.Free()
 		return
 	case core.CtrlPushBack:
@@ -348,13 +366,13 @@ func (h *Host) Receive(pkt *core.Packet, port core.PortID) {
 func (h *Host) onSignal(pkt *core.Packet) {
 	dst := pkt.CtrlNode
 	if pkt.CtrlSlice.IsWildcard() || h.Cfg.Schedule == nil || h.Cfg.Schedule.NumSlices <= 1 {
-		h.circuitUntil[dst] = 1<<63 - 1 // open until a close signal
+		h.hold(dst).circuitUntil = math.MaxInt64 // open until a close signal
 		h.release(dst)
 		return
 	}
 	sd := int64(h.Cfg.Schedule.SliceDuration)
 	start := h.Cfg.Schedule.SliceStart(h.localNow(), pkt.CtrlSlice)
-	h.circuitUntil[dst] = start + sd
+	h.hold(dst).circuitUntil = start + sd
 	h.eng.AtEvent(maxI64(start-h.Cfg.ClockOffset, h.eng.Now()), sim.ClassHostTx, (*releaseAction)(h), nil, int64(dst))
 }
 
@@ -375,8 +393,8 @@ func (h *Host) onPushBack(pkt *core.Packet) {
 		sd := int64(h.Cfg.Schedule.SliceDuration)
 		until = h.Cfg.Schedule.SliceStart(h.localNow(), pkt.CtrlSlice) + sd
 	}
-	if cur, ok := h.pausedUntil[pkt.CtrlNode]; !ok || until > cur {
-		h.pausedUntil[pkt.CtrlNode] = until
+	if hd := h.hold(pkt.CtrlNode); until > hd.pausedUntil {
+		hd.pausedUntil = until
 	}
 	h.eng.AtEvent(maxI64(until-h.Cfg.ClockOffset, h.eng.Now()), sim.ClassHostTx, (*releaseAction)(h), nil, int64(pkt.CtrlNode))
 }

@@ -141,6 +141,7 @@ type teNode struct {
 // r*horizon + off. A state's cost.off always equals its off, so a teNode
 // stores only the hop count.
 type Search struct {
+	ix                 *core.ConnIndex
 	nodes              []core.NodeID
 	src                core.NodeID
 	ts                 core.Slice
@@ -162,7 +163,7 @@ func EarliestFrom(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Option
 
 // run (re)computes s for (src, ts), reusing its buffers.
 func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) {
-	s.nodes, s.src, s.ts, s.maxPaths = ix.Nodes(), src, ts, opt.maxPaths()
+	s.ix, s.nodes, s.src, s.ts, s.maxPaths = ix, ix.Nodes(), src, ts, opt.maxPaths()
 	s.numSlices = int32(ix.NumSlices())
 	s.horizon = int32(opt.horizon(ix.NumSlices()))
 	maxHop := int32(opt.maxHop())
@@ -195,16 +196,12 @@ func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Opt
 		if c.hops >= maxHop || int(inSlice) >= maxPerSlice {
 			continue
 		}
-		node := s.nodes[st/s.horizon]
+		r := st / s.horizon
 		cur := core.Slice((int32(ts) + c.off) % s.numSlices)
-		for _, cc := range ix.Circuits(node, cur) {
-			peer, _, ok := cc.Other(node)
-			if !ok {
-				continue
-			}
-			pr, _ := s.row(peer)
-			egress, _ := cc.LocalPort(node)
-			s.relax(pr*s.horizon+c.off, teCost{off: c.off, hops: c.hops + 1},
+		circuits, peers := ix.RowCircuits(int(r), cur)
+		for i, cc := range circuits {
+			egress, _ := cc.LocalPort(s.nodes[r])
+			s.relax(peers[i]*s.horizon+c.off, teCost{off: c.off, hops: c.hops + 1},
 				pred{from: st, egress: egress}, inSlice+1)
 		}
 	}
@@ -223,7 +220,7 @@ func (s *Search) relax(to int32, c teCost, p pred, inSlice int32) {
 // row returns n's row in the state array; ok is false for a node on no
 // circuit, core.NoNode included.
 func (s *Search) row(n core.NodeID) (int32, bool) {
-	r, ok := slices.BinarySearch(s.nodes, n)
+	r, ok := s.ix.Row(n)
 	return int32(r), ok
 }
 

@@ -22,6 +22,8 @@ type Engine struct {
 	seq    uint64
 	sched  scheduler
 	halted bool
+	// clamps counts past-time schedules run at now instead (see At).
+	clamps uint64
 	// Processed counts executed events (diagnostics).
 	Processed uint64
 
@@ -59,8 +61,9 @@ func (e *Engine) Now() int64 { return e.now }
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error in device logic; normal builds clamp it to "now" to keep the run
-// going, while `-tags simdebug` builds panic at the offending call so
-// tests can pinpoint the code path (see debug_off.go / debug_on.go).
+// going and count it (SchedPressure.Clamps), while `-tags simdebug` builds
+// panic at the offending call so tests can pinpoint the code path (see
+// debug_off.go / debug_on.go).
 func (e *Engine) At(t int64, fn func()) { e.AtClass(t, ClassOther, fn) }
 
 // AtClass schedules fn at time t under a handler class, so the profiler
@@ -82,6 +85,7 @@ func (e *Engine) schedule(t int64) *eventRec {
 			panic(fmt.Sprintf("sim: scheduling event at t=%d in the past (now=%d)", t, e.now))
 		}
 		t = e.now
+		e.clamps++
 	}
 	return e.sched.push(t, e.nextSeq())
 }

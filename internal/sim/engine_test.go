@@ -120,6 +120,9 @@ func TestPastSchedulingClamps(t *testing.T) {
 	if at != 100 {
 		t.Fatalf("past event ran at %d, want 100", at)
 	}
+	if c := e.SchedPressure().Clamps; c != 1 {
+		t.Fatalf("clamps = %d, want 1", c)
+	}
 }
 
 func TestAfterDur(t *testing.T) {

@@ -25,6 +25,10 @@ type SchedPressure struct {
 	SpillPushes    uint64 `json:"spill_pushes"`
 	OverflowPushes uint64 `json:"overflow_pushes"`
 	Resorts        uint64 `json:"resorts"`
+	// Clamps counts events scheduled in the virtual past and run at the
+	// current time instead: device-logic faults that normal builds
+	// survive (simdebug builds panic on the first).
+	Clamps uint64 `json:"clamps"`
 
 	// High-water marks: events in the calendar's buckets, and in the
 	// overflow heap.
@@ -45,6 +49,7 @@ func (e *Engine) SchedPressure() SchedPressure {
 		SpillPushes:       s.spillPushes,
 		OverflowPushes:    s.overflowPushes,
 		Resorts:           s.resorts,
+		Clamps:            e.clamps,
 		MaxWheelEvents:    s.maxWheel,
 		MaxOverflowEvents: s.maxOverflow,
 	}

@@ -94,16 +94,40 @@ type Counters struct {
 	DivisionSwitches uint64
 }
 
+// Conns is the connection table the stacks of one network share. Each
+// TCP connection's index in it rides in its data and ACK packets
+// (core.Packet.Conn), so the sender finds its Conn, and the receiver the
+// stream state, with one slice read. Nothing is keyed by the five-tuple:
+// a flow that reuses the five-tuple of an earlier one is a new connection.
+type Conns struct {
+	list []*Conn // list[0] stays nil: Packet.Conn 0 names no connection
+}
+
+// add registers c and returns its index.
+func (t *Conns) add(c *Conn) int32 {
+	if t.list == nil {
+		t.list = append(t.list, nil)
+	}
+	t.list = append(t.list, c)
+	return int32(len(t.list) - 1)
+}
+
+// of returns the connection a packet belongs to, or nil.
+func (t *Conns) of(pkt *core.Packet) *Conn {
+	if i := pkt.Conn; i > 0 && int(i) < len(t.list) {
+		return t.list[i]
+	}
+	return nil
+}
+
 // Stack is one host's transport stack. It owns the host's receive handler.
 type Stack struct {
-	eng  *sim.Engine
-	host *hostsim.Host
-	cfg  TCPConfig
-	rng  *sim.Rand
-
-	conns     map[core.FlowKey]*Conn
-	receivers map[core.FlowKey]*rcvState
-	udp       map[uint16]func(pkt *core.Packet)
+	eng   *sim.Engine
+	host  *hostsim.Host
+	cfg   TCPConfig
+	rng   *sim.Rand
+	conns *Conns
+	udp   map[uint16]func(pkt *core.Packet)
 
 	// Pool, when set, backs every packet this stack emits (segments, ACKs,
 	// datagrams, echo replies) with slab storage. Nil is valid — packets
@@ -126,23 +150,25 @@ type Stack struct {
 	nextID uint64
 }
 
-// NewStack attaches a transport stack to the host.
-func NewStack(eng *sim.Engine, host *hostsim.Host, cfg TCPConfig, seed uint64) *Stack {
+// NewStack attaches a transport stack to the host. Every stack that
+// exchanges TCP traffic with it must share its connection table.
+func NewStack(eng *sim.Engine, host *hostsim.Host, conns *Conns, cfg TCPConfig, seed uint64) *Stack {
 	s := &Stack{
-		eng: eng, host: host, cfg: cfg,
-		rng:       sim.NewRand(seed ^ 0x7ca9),
-		conns:     make(map[core.FlowKey]*Conn),
-		receivers: make(map[core.FlowKey]*rcvState),
-		udp:       make(map[uint16]func(*core.Packet)),
+		eng: eng, host: host, cfg: cfg, conns: conns,
+		rng: sim.NewRand(seed ^ 0x7ca9),
+		udp: make(map[uint16]func(*core.Packet)),
 	}
 	host.Handler = s.onReceive
 	return s
 }
 
-// Conn is a sending TCP connection.
+// Conn is one TCP connection: the sender's state, and the stream state
+// of the receiving stack (rcv).
 type Conn struct {
 	stack *Stack
 	flow  core.FlowKey
+	id    int32 // index in the shared Conns
+	rcv   rcvState
 	// flowHash caches flow.Hash(), which every emitted segment folds into
 	// its packet ID.
 	flowHash uint64
@@ -182,7 +208,7 @@ func (s *Stack) OpenTCP(flow core.FlowKey, srcNode, dstNode core.NodeID, totalBy
 	if s.cfg.TDTCPDivisions > 0 {
 		c.td = newTDTCP(s.cfg.TDTCPDivisions, s.cfg.initCwnd(), s.cfg.maxCwnd())
 	}
-	s.conns[flow] = c
+	c.id = s.conns.add(c)
 	c.trySend()
 	c.armRTO()
 	return c
@@ -243,6 +269,7 @@ func (c *Conn) emit(seq int64) bool {
 		Size:    int32(payload) + core.HeaderBytes,
 		Payload: int32(payload),
 		Seq:     uint32(seq),
+		Conn:    c.id,
 		Created: s.eng.Now(),
 		TTL:     core.DefaultTTL,
 	})
@@ -263,40 +290,47 @@ func (c *Conn) armRTO() {
 }
 
 func (c *Conn) scheduleRTOCheck(d int64) {
-	c.stack.eng.AfterClass(d, sim.ClassTransportRTO, func() {
-		if c.done {
-			c.rtoArmed = false
-			return
+	c.stack.eng.AfterEvent(d, sim.ClassTransportRTO, (*rtoCheck)(c), nil, 0)
+}
+
+// rtoCheck is the pending retransmission timeout of a connection, as a
+// sim.Action: scheduling it allocates nothing.
+type rtoCheck Conn
+
+func (a *rtoCheck) RunEvent(any, int64) {
+	c := (*Conn)(a)
+	if c.done {
+		c.rtoArmed = false
+		return
+	}
+	rto := c.stack.cfg.rto()
+	idle := c.stack.eng.Now() - c.lastProgress
+	if idle < rto {
+		c.scheduleRTOCheck(rto - idle)
+		return
+	}
+	// Timeout: collapse the window (only the owning division's, under
+	// TDTCP) and resend from the hole.
+	if c.td != nil {
+		c.tdOnTimeout()
+	} else {
+		c.ssthresh = c.cwnd / 2
+		if c.ssthresh < 2 {
+			c.ssthresh = 2
 		}
-		rto := c.stack.cfg.rto()
-		idle := c.stack.eng.Now() - c.lastProgress
-		if idle < rto {
-			c.scheduleRTOCheck(rto - idle)
-			return
-		}
-		// Timeout: collapse the window (only the owning division's, under
-		// TDTCP) and resend from the hole.
-		if c.td != nil {
-			c.tdOnTimeout()
-		} else {
-			c.ssthresh = c.cwnd / 2
-			if c.ssthresh < 2 {
-				c.ssthresh = 2
-			}
-			c.cwnd = 1
-			c.dupacks = 0
-			c.inFR = false
-		}
-		c.Retransmissions++
-		c.stack.Counters.RTOFires++
-		c.stack.Counters.Retransmissions++
-		c.emit(c.acked)
-		if c.td != nil {
-			c.tdStamp(c.acked)
-		}
-		c.lastProgress = c.stack.eng.Now()
-		c.scheduleRTOCheck(rto)
-	})
+		c.cwnd = 1
+		c.dupacks = 0
+		c.inFR = false
+	}
+	c.Retransmissions++
+	c.stack.Counters.RTOFires++
+	c.stack.Counters.Retransmissions++
+	c.emit(c.acked)
+	if c.td != nil {
+		c.tdStamp(c.acked)
+	}
+	c.lastProgress = c.stack.eng.Now()
+	c.scheduleRTOCheck(rto)
 }
 
 // onAck handles a cumulative ACK for this connection.
@@ -361,31 +395,30 @@ func (c *Conn) onAck(ack int64) {
 // rcvState tracks one incoming TCP stream.
 type rcvState struct {
 	expected int64
-	ooo      map[int64]int64 // seq -> payload len of out-of-order segments
+	// ooo maps seq -> payload len of out-of-order segments; allocated on
+	// the first one.
+	ooo map[int64]int64
 }
 
 // onReceive is the host's packet handler: TCP data, TCP ACKs, and UDP.
 func (s *Stack) onReceive(pkt *core.Packet) {
 	switch pkt.Flow.Proto {
 	case core.ProtoTCP:
-		if pkt.HasFlag(core.FlagACK) {
-			if c, ok := s.conns[pkt.Flow.Reverse()]; ok {
-				c.onAck(int64(pkt.Ack))
-			}
+		c := s.conns.of(pkt)
+		if c == nil {
 			return
 		}
-		s.onTCPData(pkt)
+		if pkt.HasFlag(core.FlagACK) {
+			c.onAck(int64(pkt.Ack))
+			return
+		}
+		s.onTCPData(pkt, &c.rcv)
 	case core.ProtoUDP:
 		s.onUDP(pkt)
 	}
 }
 
-func (s *Stack) onTCPData(pkt *core.Packet) {
-	r := s.receivers[pkt.Flow]
-	if r == nil {
-		r = &rcvState{ooo: make(map[int64]int64)}
-		s.receivers[pkt.Flow] = r
-	}
+func (s *Stack) onTCPData(pkt *core.Packet, r *rcvState) {
 	seq := int64(pkt.Seq)
 	if pkt.HasFlag(core.FlagTrimmed) || pkt.Payload == 0 {
 		// Trimmed header: data lost in fabric; dup-ACK to provoke
@@ -407,6 +440,9 @@ func (s *Stack) onTCPData(pkt *core.Packet) {
 		}
 	case seq > r.expected:
 		s.ReorderEvents++
+		if r.ooo == nil {
+			r.ooo = make(map[int64]int64)
+		}
 		if _, dup := r.ooo[seq]; !dup {
 			r.ooo[seq] = int64(pkt.Payload)
 		}
@@ -426,6 +462,7 @@ func (s *Stack) sendAck(data *core.Packet, cum int64) {
 		Size:    core.HeaderBytes,
 		Ack:     uint32(cum),
 		Flags:   core.FlagACK,
+		Conn:    data.Conn,
 		Created: s.eng.Now(),
 		TTL:     core.DefaultTTL,
 	})

@@ -88,6 +88,10 @@ func TestPacketConservation(t *testing.T) {
 			t.Logf("invariant violations: %+v", aud.Violations())
 			return false
 		}
+		if c := n.Engine().SchedPressure().Clamps; c != 0 {
+			t.Logf("%d events scheduled in the past", c)
+			return false
+		}
 		c := n.Counters()
 		fab := n.OpticalFabric()
 		// A host's data receptions are its receptions less rotor signals,

@@ -364,6 +364,7 @@ func TestRegistryExportsPoolAndSchedMetrics(t *testing.T) {
 		"oo_sched_inline_pushes_total",
 		"oo_sched_pending_events",
 		"oo_sched_resorts_total",
+		"oo_sched_clamps_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics export missing %s", want)

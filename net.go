@@ -116,6 +116,7 @@ func New(cfg Config) (*Net, error) {
 		resp = switchsim.RespDefer
 	}
 
+	conns := new(transport.Conns)
 	for i := 0; i < cfg.NodeNum; i++ {
 		node := core.NodeID(i)
 		var off int64
@@ -190,7 +191,7 @@ func New(cfg Config) (*Net, error) {
 			h.AttachLink(link)
 			h.Pool = n.pool
 			n.hosts = append(n.hosts, h)
-			st := transport.NewStack(eng, h, transport.TCPConfig{
+			st := transport.NewStack(eng, h, conns, transport.TCPConfig{
 				DupAckThreshold: cfg.DupAckThreshold,
 				RTO:             cfg.RTONs,
 				TDTCPDivisions:  cfg.TDTCPDivisions,
@@ -339,8 +340,8 @@ func (n *Net) rebuildTables() error {
 		prios = append(prios, p)
 	}
 	sort.Ints(prios)
-	merged := make(map[core.NodeID]*core.Table)
-	for _, p := range prios {
+	var tables map[core.NodeID]*core.Table
+	for i, p := range prios {
 		l := n.layers[p]
 		cr, err := controller.CompileRouting(n.sched, l.paths, controller.CompileOptions{
 			Lookup:       l.lookup,
@@ -351,11 +352,17 @@ func (n *Net) rebuildTables() error {
 		if err != nil {
 			return err
 		}
+		if i == 0 {
+			// The lowest layer installs as compiled: with one layer (the
+			// common case) no table is copied.
+			tables = cr.Tables
+			continue
+		}
 		for node, tab := range cr.Tables {
-			m := merged[node]
+			m := tables[node]
 			if m == nil {
 				m = core.NewTable()
-				merged[node] = m
+				tables[node] = m
 			}
 			for _, e := range tab.Entries() {
 				if err := m.Add(*e); err != nil {
@@ -365,7 +372,7 @@ func (n *Net) rebuildTables() error {
 		}
 	}
 	for _, sw := range n.switches {
-		if tab, ok := merged[sw.ID()]; ok {
+		if tab, ok := tables[sw.ID()]; ok {
 			sw.InstallTable(tab)
 		} else {
 			sw.InstallTable(core.NewTable())

@@ -226,6 +226,8 @@ func (n *Net) registerSched(reg *telemetry.Registry) {
 			func(p sim.SchedPressure) float64 { return float64(p.OverflowPushes) }},
 		{"oo_sched_resorts_total", "Calendar buckets sorted when the cursor opened them.",
 			func(p sim.SchedPressure) float64 { return float64(p.Resorts) }},
+		{"oo_sched_clamps_total", "Events scheduled in the virtual past and run at the current time.",
+			func(p sim.SchedPressure) float64 { return float64(p.Clamps) }},
 	} {
 		c := c
 		reg.CounterFunc(c.name, c.help, func() float64 { return c.read(n.eng.SchedPressure()) })
