@@ -57,7 +57,12 @@ unit_gate = awk '/^$(1)/ { for (i = 3; i <= NF; i++) if ($$i == "$(2)") { seen=1
 #     one more event per packet the 255,000 one;
 #   - the HOHO compile of the 12-node round robin: ~12k allocs/op with one
 #     reused search per (source, slice); per-destination searches or
-#     unreused search buffers take it past 30k.
+#     unreused search buffers take it past 30k;
+#   - the static-graph compiles, which read every destination off one hop
+#     tree per source (per source and slice for Opera): Opera on a 16-node
+#     2-uplink round robin makes 14,366 allocs/op and WCMP on the 16-node
+#     3-uplink uniform mesh 3,119; a map-backed search per destination
+#     (54,660 and 6,339) trips the 16,000 and 3,500 ceilings.
 # CI runs this.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
@@ -71,6 +76,10 @@ bench-smoke:
 	$(call unit_gate,BenchmarkTCPHotPath,events/op,255000)
 	$(call bench_run,BenchmarkHOHO,./internal/routing,3x)
 	$(call unit_gate,BenchmarkHOHO,allocs/op,30000)
+	$(call bench_run,BenchmarkOpera,./internal/routing,3x)
+	$(call unit_gate,BenchmarkOpera,allocs/op,16000)
+	$(call bench_run,BenchmarkWCMP,./internal/routing,3x)
+	$(call unit_gate,BenchmarkWCMP,allocs/op,3500)
 
 # Race-detector smoke of the sweep orchestrator: a tiny grid on 4 workers,
 # run fresh then resumed (the resume must skip everything). CI runs this.

@@ -18,7 +18,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -249,7 +248,7 @@ func run() (code int) {
 				return
 			}
 			lastNet.Metrics().SetManifest(&manifest)
-			if err := writeMetrics(lastNet, *metricsOut); err != nil {
+			if err := lastNet.Metrics().WriteFile(*metricsOut); err != nil {
 				fmt.Fprintln(os.Stderr, "oobench:", err)
 				if code == 0 {
 					code = 1
@@ -424,20 +423,4 @@ func runParallel(todo []string, ids map[string]experiment, p experiments.Params,
 		return 1
 	}
 	return 0
-}
-
-// writeMetrics renders the registry to path: JSON when it ends in .json,
-// Prometheus text otherwise.
-func writeMetrics(n *openoptics.Net, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	defer w.Flush()
-	if strings.HasSuffix(path, ".json") {
-		return n.Metrics().WriteJSON(w)
-	}
-	return n.Metrics().WritePrometheus(w)
 }

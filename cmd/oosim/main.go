@@ -308,7 +308,7 @@ func run(args []string) int {
 		tracer.FinalizeFlows()
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(st.Net, *metricsOut); err != nil {
+		if err := st.Net.Metrics().WriteFile(*metricsOut); err != nil {
 			return fail(err)
 		}
 	}
@@ -335,22 +335,6 @@ func run(args []string) int {
 		return 130
 	}
 	return 0
-}
-
-// writeMetrics renders the registry to path: JSON when it ends in .json,
-// Prometheus text otherwise.
-func writeMetrics(n *openoptics.Net, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	defer w.Flush()
-	if strings.HasSuffix(path, ".json") {
-		return n.Metrics().WriteJSON(w)
-	}
-	return n.Metrics().WritePrometheus(w)
 }
 
 func fail(err error) int {

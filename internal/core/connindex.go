@@ -4,9 +4,10 @@ import "slices"
 
 // ConnIndex is a queryable index over a circuit set, answering the
 // connectivity questions routing algorithms ask: "who is node n connected
-// to in slice ts?" (the neighbors() helper of Table 1) and "which circuit
-// joins a and b in slice ts?". Static (wildcard-slice) circuits are visible
-// in every slice.
+// to in slice ts?" (the neighbors() helper of Table 1), "which circuit
+// joins a and b in slice ts?", "how many hops is every node from src in
+// slice ts?" and "when does a's next direct circuit to b come?". Static
+// (wildcard-slice) circuits are visible in every slice.
 //
 // The index is dense and immutable: every (view, row) pair — view v < the
 // cycle length for slice v, view numSlices for the static-only view, row r
@@ -171,4 +172,55 @@ func (ix *ConnIndex) EgressPort(n, peer NodeID, ts Slice) (PortID, bool) {
 		return NoPort, false
 	}
 	return c.LocalPort(n)
+}
+
+// EarliestDirect returns the first slice at or after ts, within one cycle,
+// in which a has a circuit to b, and a's port on it (the circuit
+// EgressPort picks): where a packet waiting at a for a direct circuit
+// departs (Fig. 3 a). The slice comes back modulo the cycle length.
+func (ix *ConnIndex) EarliestDirect(a, b NodeID, ts Slice) (Slice, PortID, bool) {
+	ra, okA := ix.Row(a)
+	rb, okB := ix.Row(b)
+	if okA && okB {
+		for off := range ix.numSlices {
+			dep := Slice((int(ts) + off) % ix.numSlices)
+			cs, peers := ix.RowCircuits(ra, dep)
+			if j := slices.Index(peers, int32(rb)); j >= 0 {
+				port, _ := cs[j].LocalPort(a)
+				return dep, port, true
+			}
+		}
+	}
+	return 0, NoPort, false
+}
+
+// HopDistances is a breadth-first search from src over the circuits live
+// in slice ts (WildcardSlice: the static circuits only). It fills dist,
+// indexed by row, with every node's hop count from src, -1 where src does
+// not reach, and returns it with queue, its work list; both reuse the
+// caller's buffers when they are large enough.
+func (ix *ConnIndex) HopDistances(src NodeID, ts Slice, dist, queue []int32) ([]int32, []int32) {
+	n := len(ix.nodes)
+	dist = slices.Grow(dist[:0], n)[:n]
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue = queue[:0]
+	r, ok := ix.Row(src)
+	if !ok {
+		return dist, queue
+	}
+	dist[r] = 0
+	queue = append(queue, int32(r))
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		_, peers := ix.RowCircuits(int(u), ts)
+		for _, p := range peers {
+			if dist[p] < 0 {
+				dist[p] = dist[u] + 1
+				queue = append(queue, p)
+			}
+		}
+	}
+	return dist, queue
 }

@@ -35,3 +35,22 @@ func BenchmarkHOHO(b *testing.B) { benchRouting(b, roundRobinIndex(b, 12, 1), HO
 func BenchmarkUCMP(b *testing.B) { benchRouting(b, roundRobinIndex(b, 16, 2), UCMP) }
 
 func BenchmarkVLB(b *testing.B) { benchRouting(b, roundRobinIndex(b, 16, 1), VLB) }
+
+// BenchmarkOpera compiles Opera on a 16-node 2-uplink round robin, whose
+// slices are not all connected, so it reads the hop trees and falls back
+// to the earliest-path search. `make bench-smoke` holds it under 16k
+// allocs/op: ~14.4k with one hop tree per (source, slice), ~54.7k with a
+// map-backed search per (source, destination, slice).
+func BenchmarkOpera(b *testing.B) { benchRouting(b, roundRobinIndex(b, 16, 2), Opera) }
+
+// BenchmarkWCMP compiles WCMP on Jupiter's 16-node 3-uplink uniform mesh,
+// the compile Jupiter runs at start. `make bench-smoke` holds it under
+// 3.5k allocs/op: ~3.1k with one hop tree per source, ~6.3k with a
+// map-backed search per (source, destination).
+func BenchmarkWCMP(b *testing.B) {
+	circuits, err := topo.UniformMesh(16, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRouting(b, core.NewConnIndex(&core.Schedule{NumSlices: 1, Circuits: circuits}), WCMP)
+}

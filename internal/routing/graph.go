@@ -2,13 +2,16 @@
 // (Table 1): the abstract routing() function materialized as TA algorithms
 // that run within one topology instance (direct-circuit, ECMP, WCMP,
 // k-shortest-path) and TO algorithms that run across time slices (VLB,
-// Opera, UCMP, HOHO), plus the neighbors() and earliest_path() helpers.
+// Opera, UCMP, HOHO), plus the earliest_path() helper; neighbors() is
+// core.ConnIndex.Neighbors.
 //
 // TO algorithms search a time-expanded graph: states are (node, absolute
 // slice) pairs; a packet either waits at a node for the next slice or
-// traverses a circuit available in the current slice. One search from
-// (src, slice) serves every destination. Paths come back as core.Path
-// values ready for the controller to compile into time-flow table entries.
+// traverses a circuit available in the current slice. TA algorithms and
+// Opera's in-slice paths read a breadth-first hop tree of one topology
+// instance. One search or tree from (src, slice) serves every destination.
+// Paths come back as core.Path values ready for the controller to compile
+// into time-flow table entries.
 package routing
 
 import (
@@ -25,14 +28,9 @@ type Options struct {
 	// MaxHop bounds the number of circuit traversals per path (the
 	// max_hop argument of earliest_path in Table 1). 0 means 4.
 	MaxHop int
-	// MaxHopsPerSlice bounds in-slice chaining (Opera-style multi-hop
-	// within one slice). 0 means unlimited (up to MaxHop).
-	MaxHopsPerSlice int
 	// MaxPaths bounds how many equal-cost paths multipath algorithms
 	// return per (src, dst, ts). 0 means 8.
 	MaxPaths int
-	// Horizon bounds the search in slices. 0 means two optical cycles.
-	Horizon int
 }
 
 func (o Options) maxHop() int {
@@ -49,23 +47,8 @@ func (o Options) maxPaths() int {
 	return o.MaxPaths
 }
 
-func (o Options) horizon(numSlices int) int {
-	if o.Horizon > 0 {
-		return o.Horizon
-	}
-	h := 2 * numSlices
-	if h < 2 {
-		h = 2
-	}
-	return h
-}
-
-func (o Options) maxHopsPerSlice() int {
-	if o.MaxHopsPerSlice <= 0 {
-		return 1 << 30
-	}
-	return o.MaxHopsPerSlice
-}
+// horizonCycles bounds the time-expanded search: two optical cycles.
+const horizonCycles = 2
 
 // teCost orders states of the time-expanded graph: delivery offset first
 // (waiting is the dominant delay), then circuit traversals.
@@ -127,9 +110,8 @@ type pred struct {
 
 // teNode is one state's best cost and how it was reached.
 type teNode struct {
-	hops    int32 // circuit traversals of the best cost; -1 = unreached
-	inSlice int32 // traversals within the state's slice on that path
-	preds   []pred
+	hops  int32 // circuit traversals of the best cost; -1 = unreached
+	preds []pred
 }
 
 // Search is the earliest-path tree of the time-expanded graph from a packet
@@ -165,9 +147,8 @@ func EarliestFrom(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Option
 func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) {
 	s.ix, s.nodes, s.src, s.ts, s.maxPaths = ix, ix.Nodes(), src, ts, opt.maxPaths()
 	s.numSlices = int32(ix.NumSlices())
-	s.horizon = int32(opt.horizon(ix.NumSlices()))
+	s.horizon = horizonCycles * s.numSlices
 	maxHop := int32(opt.maxHop())
-	maxPerSlice := opt.maxHopsPerSlice()
 	n := len(s.nodes) * int(s.horizon)
 	s.states = slices.Grow(s.states[:0], n)[:n]
 	for i := range s.states {
@@ -179,7 +160,7 @@ func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Opt
 		return
 	}
 	s.start = r * s.horizon
-	s.states[s.start].hops, s.states[s.start].inSlice = 0, 0
+	s.states[s.start].hops = 0
 	s.queue = append(s.queue[:0], teItem{st: s.start})
 	for len(s.queue) > 0 {
 		it := s.queue.pop()
@@ -189,11 +170,10 @@ func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Opt
 		}
 		// Wait edge: stay put until the next slice.
 		if c.off+1 < s.horizon {
-			s.relax(st+1, teCost{off: c.off + 1, hops: c.hops}, pred{from: st, egress: core.NoPort}, 0)
+			s.relax(st+1, teCost{off: c.off + 1, hops: c.hops}, pred{from: st, egress: core.NoPort})
 		}
 		// Hop edges: traverse a circuit live in the current slice.
-		inSlice := s.states[st].inSlice
-		if c.hops >= maxHop || int(inSlice) >= maxPerSlice {
+		if c.hops >= maxHop {
 			continue
 		}
 		r := st / s.horizon
@@ -202,15 +182,15 @@ func (s *Search) run(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Opt
 		for i, cc := range circuits {
 			egress, _ := cc.LocalPort(s.nodes[r])
 			s.relax(peers[i]*s.horizon+c.off, teCost{off: c.off, hops: c.hops + 1},
-				pred{from: st, egress: egress}, inSlice+1)
+				pred{from: st, egress: egress})
 		}
 	}
 }
 
-func (s *Search) relax(to int32, c teCost, p pred, inSlice int32) {
+func (s *Search) relax(to int32, c teCost, p pred) {
 	switch n := &s.states[to]; {
 	case n.hops < 0 || c.hops < n.hops:
-		n.hops, n.inSlice, n.preds = c.hops, inSlice, append(n.preds[:0], p)
+		n.hops, n.preds = c.hops, append(n.preds[:0], p)
 		s.queue.push(teItem{st: to, cost: c})
 	case c.hops == n.hops: // equal cost: extra predecessor
 		n.preds = append(n.preds, p)
@@ -288,11 +268,6 @@ func (s *Search) reconstruct(dst core.NodeID, goal int32) []core.Path {
 // opt.MaxPaths equal-cost paths; nil if dst is unreachable in the horizon.
 func EarliestPaths(ix *core.ConnIndex, src, dst core.NodeID, ts core.Slice, opt Options) []core.Path {
 	return EarliestFrom(ix, src, ts, opt).Paths(dst)
-}
-
-// Neighbors re-exports the neighbors() helper for API symmetry.
-func Neighbors(ix *core.ConnIndex, n core.NodeID, ts core.Slice) []core.NodeID {
-	return ix.Neighbors(n, ts)
 }
 
 // sortPaths orders paths deterministically so compiled tables are stable

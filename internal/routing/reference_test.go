@@ -48,13 +48,11 @@ type refPred struct {
 
 func refSearch(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) (map[refState]teCost, map[refState][]refPred) {
 	numSlices := ix.NumSlices()
-	horizon := int32(opt.horizon(numSlices))
+	horizon := int32(2 * numSlices)
 	maxHop := int32(opt.maxHop())
-	maxPerSlice := opt.maxHopsPerSlice()
 
 	dist := make(map[refState]teCost)
 	preds := make(map[refState][]refPred)
-	hopsInSlice := make(map[refState]int)
 
 	start := refState{node: src, off: 0}
 	dist[start] = teCost{}
@@ -62,13 +60,12 @@ func refSearch(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) 
 	heap.Push(pq, &refItem{st: start, cost: teCost{}})
 	done := make(map[refState]bool)
 
-	relax := func(to refState, c teCost, p refPred, inSlice int) {
+	relax := func(to refState, c teCost, p refPred) {
 		cur, seen := dist[to]
 		switch {
 		case !seen || c.less(cur):
 			dist[to] = c
 			preds[to] = []refPred{p}
-			hopsInSlice[to] = inSlice
 			heap.Push(pq, &refItem{st: to, cost: c})
 		case !cur.less(c):
 			preds[to] = append(preds[to], p)
@@ -85,9 +82,9 @@ func refSearch(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) 
 		if st.off+1 < horizon {
 			relax(refState{node: st.node, off: st.off + 1},
 				teCost{off: c.off + 1, hops: c.hops},
-				refPred{from: st, egress: core.NoPort}, 0)
+				refPred{from: st, egress: core.NoPort})
 		}
-		if c.hops >= maxHop || hopsInSlice[st] >= maxPerSlice {
+		if c.hops >= maxHop {
 			continue
 		}
 		cur := core.Slice((int32(ts) + st.off) % int32(numSlices))
@@ -99,7 +96,7 @@ func refSearch(ix *core.ConnIndex, src core.NodeID, ts core.Slice, opt Options) 
 			egress, _ := cc.LocalPort(st.node)
 			relax(refState{node: peer, off: st.off},
 				teCost{off: c.off, hops: c.hops + 1},
-				refPred{from: st, egress: egress}, hopsInSlice[st]+1)
+				refPred{from: st, egress: egress})
 		}
 	}
 	return dist, preds
@@ -186,14 +183,14 @@ func refOpera(ix *core.ConnIndex, opt Options) []core.Path {
 		var out []core.Path
 		for ts := 0; ts < numSlices; ts++ {
 			arr := core.Slice(ts)
-			g := staticGraph{ix: ix, ts: arr}
+			g := refStaticGraph{ix: ix, ts: arr}
 			seqs := g.shortestPaths(s, d, opt.maxPaths())
 			if len(seqs) == 0 {
 				out = append(out, refEarliestPaths(ix, s, d, arr, opt)...)
 				continue
 			}
 			for _, seq := range seqs {
-				if p, ok := pathFromNodes(g, seq, arr, 1); ok {
+				if p, ok := refPathFromNodes(g, seq, arr, 1); ok {
 					out = append(out, p)
 				}
 			}

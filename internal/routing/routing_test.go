@@ -328,6 +328,33 @@ func TestKSPReturnsLongerPaths(t *testing.T) {
 	}
 }
 
+// TestKSPBreaksTiesByNodeID: Yen's algorithm takes, of two equally long
+// candidates, the one whose node IDs compare lower, also for IDs a
+// string(rune) key cannot tell apart: 0xD800 and 0xD801 are surrogates,
+// which both encode as U+FFFD.
+func TestKSPBreaksTiesByNodeID(t *testing.T) {
+	const s, d, y, q, r, x, p = 0, 1, 2, 3, 4, 0xD800, 0xD801
+	var circuits []core.Circuit
+	for i, e := range [][2]core.NodeID{{s, x}, {x, y}, {y, d}, {s, p}, {p, q}, {q, d}, {x, r}, {r, d}} {
+		circuits = append(circuits, core.Circuit{A: e[0], PortA: core.PortID(i), B: e[1], PortB: core.PortID(i),
+			Slice: core.WildcardSlice})
+	}
+	ix := core.NewConnIndex(&core.Schedule{NumSlices: 1, Circuits: circuits})
+	var got [][]core.NodeID
+	for _, path := range KSP(ix, 2, Options{}) {
+		if path.Src == s && path.Dst == d {
+			var seq []core.NodeID
+			for _, h := range path.Hops {
+				seq = append(seq, h.Node)
+			}
+			got = append(got, append(seq, path.Dst))
+		}
+	}
+	if want := [][]core.NodeID{{s, x, y, d}, {s, x, r, d}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("KSP(2) 0->1 = %v, want %v", got, want)
+	}
+}
+
 // Property: earliest-path results on random rotor schedules are always
 // valid paths that respect the hop bound and deliver no later than the
 // direct circuit.
@@ -350,7 +377,7 @@ func TestEarliestPathsProperty(t *testing.T) {
 			return false // rotor schedules always connect within a cycle
 		}
 		// Direct-path delivery offset for comparison.
-		dep, _, ok := earliestDirect(ix, src, dst, ts)
+		dep, _, ok := ix.EarliestDirect(src, dst, ts)
 		if !ok {
 			return false
 		}

@@ -40,15 +40,79 @@ func randomIndex(rng *rand.Rand) *core.ConnIndex {
 	return core.NewConnIndex(&core.Schedule{NumSlices: numSlices, Circuits: kept})
 }
 
-func randomOptions(rng *rand.Rand, numSlices int) Options {
-	o := Options{MaxHop: 1 + rng.Intn(6), MaxPaths: rng.Intn(5)}
-	if rng.Intn(3) == 0 {
-		o.MaxHopsPerSlice = 1 + rng.Intn(2)
+// randomStatic is a static multigraph on n = 2–9 nodes with up to 3n
+// circuits between random node pairs: parallel circuits, nodes on no
+// circuit and disconnected components are common. Half the trials spread
+// the node IDs out (sparse IDs), all below 0xD800.
+func randomStatic(rng *rand.Rand) *core.ConnIndex {
+	n := 2 + rng.Intn(8)
+	stride, base := core.NodeID(1), core.NodeID(0)
+	if rng.Intn(2) == 0 {
+		stride, base = core.NodeID(2+rng.Intn(4)), core.NodeID(rng.Intn(5))
 	}
-	if rng.Intn(5) == 0 {
-		o.Horizon = 1 + rng.Intn(2*numSlices)
+	ports := make([]core.PortID, n)
+	var circuits []core.Circuit
+	for e := rng.Intn(3*n + 1); e > 0; e-- {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		circuits = append(circuits, core.Circuit{A: base + stride*core.NodeID(a), PortA: ports[a],
+			B: base + stride*core.NodeID(b), PortB: ports[b], Slice: core.WildcardSlice})
+		ports[a]++
+		ports[b]++
 	}
-	return o
+	return core.NewConnIndex(&core.Schedule{NumSlices: 1, Circuits: circuits})
+}
+
+// randomMesh is Jupiter's uniform starting mesh on 2–12 nodes with 1–5
+// uplinks.
+func randomMesh(rng *rand.Rand) *core.ConnIndex {
+	circuits, err := topo.UniformMesh(2+rng.Intn(11), 1+rng.Intn(5))
+	if err != nil {
+		panic(err)
+	}
+	return core.NewConnIndex(&core.Schedule{NumSlices: 1, Circuits: circuits})
+}
+
+func randomOptions(rng *rand.Rand) Options {
+	return Options{MaxHop: 1 + rng.Intn(6), MaxPaths: rng.Intn(5)}
+}
+
+// TestDifferentialVsStaticGraph requires the per-source hop trees and
+// ConnIndex.EarliestDirect to reproduce the static-graph routing they
+// replaced (reference_static_test.go) path for path: Direct, ECMP, WCMP,
+// VLB, Opera, and KSP with k = 1, 2 and 4, on round robins with dropped
+// circuits (randomIndex), random static multigraphs and uniform meshes.
+func TestDifferentialVsStaticGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	ksp := func(f func(*core.ConnIndex, int, Options) []core.Path, k int) func(*core.ConnIndex, Options) []core.Path {
+		return func(ix *core.ConnIndex, opt Options) []core.Path { return f(ix, k, opt) }
+	}
+	algs := []struct {
+		name      string
+		got, want func(*core.ConnIndex, Options) []core.Path
+	}{
+		{"Direct", Direct, refDirect},
+		{"ECMP", ECMP, refECMP},
+		{"WCMP", WCMP, refWCMP},
+		{"VLB", VLB, refVLB},
+		{"Opera", Opera, refOpera},
+		{"KSP(1)", ksp(KSP, 1), ksp(refKSP, 1)},
+		{"KSP(2)", ksp(KSP, 2), ksp(refKSP, 2)},
+		{"KSP(4)", ksp(KSP, 4), ksp(refKSP, 4)},
+	}
+	kinds := []func(*rand.Rand) *core.ConnIndex{randomIndex, randomStatic, randomMesh}
+	for trial := 0; trial < 300; trial++ {
+		ix := kinds[trial%len(kinds)](rng)
+		opt := randomOptions(rng)
+		for _, a := range algs {
+			if got, want := a.got(ix, opt), a.want(ix, opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d nodes, %d slices, %+v): %s differs from the static graph:\n got %v\nwant %v",
+					trial, len(ix.Nodes()), ix.NumSlices(), opt, a.name, got, want)
+			}
+		}
+	}
 }
 
 // TestDifferentialVsMapSearch requires the dense search, read once per
@@ -70,7 +134,7 @@ func TestDifferentialVsMapSearch(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		ix := randomIndex(rng)
 		numSlices := ix.NumSlices()
-		opt := randomOptions(rng, numSlices)
+		opt := randomOptions(rng)
 		name := fmt.Sprintf("trial %d (%d nodes, %d slices, %+v)", trial, len(ix.Nodes()), numSlices, opt)
 		for _, a := range algs {
 			if got, want := a.got(ix, opt), a.want(ix, opt); !reflect.DeepEqual(got, want) {

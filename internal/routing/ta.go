@@ -1,7 +1,8 @@
 package routing
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"openoptics/internal/core"
 )
@@ -11,99 +12,106 @@ import (
 // path. Paths carry wildcard time fields, so they compile into classic
 // flow-table entries (Fig. 3 c).
 
-// staticGraph is the adjacency view of one topology instance: the circuits
-// visible in slice ts (WildcardSlice = static circuits only).
-type staticGraph struct {
-	ix *core.ConnIndex
-	ts core.Slice
+// hopTree is the breadth-first tree of one topology instance — the
+// circuits live in slice ts (WildcardSlice = static circuits only) — from
+// one source: every node's hop distance, by row. It does not depend on the
+// destination, so one tree serves every destination.
+type hopTree struct {
+	ix          *core.ConnIndex
+	src         core.NodeID
+	ts          core.Slice
+	dist, queue []int32
+	prev        []int32 // bfsRestricted's predecessor rows
 }
 
-func (g staticGraph) neighbors(n core.NodeID) []core.NodeID { return g.ix.Neighbors(n, g.ts) }
-
-// parallel returns the number of parallel circuits between a and b in the
-// instance — the link capacity WCMP weights by.
-func (g staticGraph) parallel(a, b core.NodeID) int {
-	cnt := 0
-	for _, c := range g.ix.Circuits(a, g.ts) {
-		if p, _, ok := c.Other(a); ok && p == b {
-			cnt++
-		}
+// from returns the tree of (src, ts), rebuilding t in its own buffers
+// unless it already holds that tree.
+func (t *hopTree) from(ix *core.ConnIndex, src core.NodeID, ts core.Slice) *hopTree {
+	if t.ix != ix || t.src != src || t.ts != ts {
+		t.ix, t.src, t.ts = ix, src, ts
+		t.dist, t.queue = ix.HopDistances(src, ts, t.dist, t.queue)
 	}
-	return cnt
+	return t
 }
 
-func (g staticGraph) egress(a, b core.NodeID) (core.PortID, bool) {
-	return g.ix.EgressPort(a, b, g.ts)
-}
-
-// bfsDist returns hop distances from src over the instance graph.
-func (g staticGraph) bfsDist(src core.NodeID) map[core.NodeID]int {
-	dist := map[core.NodeID]int{src: 0}
-	queue := []core.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.neighbors(u) {
-			if _, ok := dist[v]; !ok {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// shortestPaths enumerates up to maxPaths shortest paths from src to dst in
-// the instance graph as node sequences.
-func (g staticGraph) shortestPaths(src, dst core.NodeID, maxPaths int) [][]core.NodeID {
-	dist := g.bfsDist(src)
-	dd, ok := dist[dst]
-	if !ok {
+// shortestPaths enumerates up to maxPaths shortest paths from the source to
+// dst as node sequences: a backward walk along strictly decreasing
+// distance that visits each node's neighbors in ascending order.
+func (t *hopTree) shortestPaths(dst core.NodeID, maxPaths int) [][]core.NodeID {
+	r, ok := t.ix.Row(dst)
+	if !ok || t.dist[r] < 0 {
 		return nil
 	}
-	// Backward DFS along strictly-decreasing distance.
 	var out [][]core.NodeID
-	var walk func(cur core.NodeID, suffix []core.NodeID)
-	walk = func(cur core.NodeID, suffix []core.NodeID) {
+	var walk func(cur core.NodeID, d int32, suffix []core.NodeID)
+	walk = func(cur core.NodeID, d int32, suffix []core.NodeID) {
 		if len(out) >= maxPaths {
 			return
 		}
-		if cur == src {
+		if cur == t.src {
 			seq := make([]core.NodeID, 0, len(suffix)+1)
-			seq = append(seq, src)
+			seq = append(seq, cur)
 			for i := len(suffix) - 1; i >= 0; i-- {
 				seq = append(seq, suffix[i])
 			}
 			out = append(out, seq)
 			return
 		}
-		for _, p := range g.neighbors(cur) {
-			if dp, ok := dist[p]; ok && dp == dist[cur]-1 {
-				walk(p, append(suffix, cur))
+		for _, p := range t.ix.Neighbors(cur, t.ts) {
+			if rp, _ := t.ix.Row(p); t.dist[rp] == d-1 {
+				walk(p, d-1, append(suffix, cur))
 			}
 		}
 	}
-	_ = dd
-	walk(dst, nil)
+	walk(dst, t.dist[r], nil)
 	return out
 }
 
-// pathFromNodes converts a node sequence into a core.Path with wildcard (TA)
-// or fixed-slice (per-instance TO) time fields.
-func pathFromNodes(g staticGraph, seq []core.NodeID, ts core.Slice, weight float64) (core.Path, bool) {
+// bfsRestricted finds a shortest path from s to d in t's instance that
+// avoids the banned edges and the excluded nodes, visiting each node's
+// neighbors in ascending order; it returns the node sequence or nil.
+func (t *hopTree) bfsRestricted(s, d core.NodeID, banned [][2]core.NodeID, exclude []core.NodeID) []core.NodeID {
+	nodes := t.ix.Nodes()
+	rs, _ := t.ix.Row(s)
+	t.prev = slices.Grow(t.prev[:0], len(nodes))[:len(nodes)]
+	for i := range t.prev {
+		t.prev[i] = -1
+	}
+	t.prev[rs] = int32(rs)
+	t.queue = append(t.queue[:0], int32(rs))
+	for i := 0; i < len(t.queue); i++ {
+		u := t.queue[i]
+		if nodes[u] == d {
+			seq := []core.NodeID{d}
+			for x := u; x != int32(rs); x = t.prev[x] {
+				seq = append(seq, nodes[t.prev[x]])
+			}
+			slices.Reverse(seq)
+			return seq
+		}
+		for _, v := range t.ix.Neighbors(nodes[u], t.ts) {
+			if slices.Contains(exclude, v) || slices.Contains(banned, [2]core.NodeID{nodes[u], v}) {
+				continue
+			}
+			if rv, _ := t.ix.Row(v); t.prev[rv] < 0 {
+				t.prev[rv] = u
+				t.queue = append(t.queue, int32(rv))
+			}
+		}
+	}
+	return nil
+}
+
+// pathFromNodes converts a node sequence over the circuits live in slice
+// ts into a core.Path whose hops depart in ts: wildcard (TA) or fixed-slice
+// (per-instance TO) time fields.
+func pathFromNodes(ix *core.ConnIndex, seq []core.NodeID, ts core.Slice, weight float64) core.Path {
 	hops := make([]core.Hop, 0, len(seq)-1)
 	for i := 0; i+1 < len(seq); i++ {
-		eg, ok := g.egress(seq[i], seq[i+1])
-		if !ok {
-			return core.Path{}, false
-		}
-		dep := core.WildcardSlice
-		if !ts.IsWildcard() {
-			dep = ts
-		}
-		hops = append(hops, core.Hop{Node: seq[i], Egress: eg, DepSlice: dep})
+		eg, _ := ix.EgressPort(seq[i], seq[i+1], ts)
+		hops = append(hops, core.Hop{Node: seq[i], Egress: eg, DepSlice: ts})
 	}
-	return core.Path{Src: seq[0], Dst: seq[len(seq)-1], TS: ts, Hops: hops, Weight: weight}, true
+	return core.Path{Src: seq[0], Dst: seq[len(seq)-1], TS: ts, Hops: hops, Weight: weight}
 }
 
 // Direct materializes direct-circuit routing. On a static instance it
@@ -113,9 +121,8 @@ func pathFromNodes(g staticGraph, seq []core.NodeID, ts core.Slice, weight float
 func Direct(ix *core.ConnIndex, opt Options) []core.Path {
 	numSlices := ix.NumSlices()
 	if numSlices <= 1 {
-		g := staticGraph{ix: ix, ts: core.WildcardSlice}
 		return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-			eg, ok := g.egress(s, d)
+			eg, ok := ix.EgressPort(s, d, core.WildcardSlice)
 			if !ok {
 				return nil
 			}
@@ -125,14 +132,10 @@ func Direct(ix *core.ConnIndex, opt Options) []core.Path {
 	}
 	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
 		var out []core.Path
-		for ts := 0; ts < numSlices; ts++ {
-			for off := 0; off < numSlices; off++ {
-				dep := core.Slice((ts + off) % numSlices)
-				if eg, ok := ix.EgressPort(s, d, dep); ok {
-					out = append(out, core.Path{Src: s, Dst: d, TS: core.Slice(ts), Weight: 1,
-						Hops: []core.Hop{{Node: s, Egress: eg, DepSlice: dep}}})
-					break
-				}
+		for ts := range numSlices {
+			if dep, eg, ok := ix.EarliestDirect(s, d, core.Slice(ts)); ok {
+				out = append(out, core.Path{Src: s, Dst: d, TS: core.Slice(ts), Weight: 1,
+					Hops: []core.Hop{{Node: s, Egress: eg, DepSlice: dep}}})
 			}
 		}
 		return out
@@ -142,18 +145,7 @@ func Direct(ix *core.ConnIndex, opt Options) []core.Path {
 // ECMP materializes equal-cost multipath over one topology instance: all
 // shortest paths (up to MaxPaths), equal weights.
 func ECMP(ix *core.ConnIndex, opt Options) []core.Path {
-	g := staticGraph{ix: ix, ts: core.WildcardSlice}
-	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		seqs := g.shortestPaths(s, d, opt.maxPaths())
-		var out []core.Path
-		for _, seq := range seqs {
-			if p, ok := pathFromNodes(g, seq, core.WildcardSlice, 1); ok {
-				out = append(out, p)
-			}
-		}
-		sortPaths(out)
-		return out
-	})
+	return shortestMultipath(ix, opt, func(*core.ConnIndex, []core.NodeID) int { return 1 })
 }
 
 // WCMP materializes weighted-cost multipath (Jupiter): the equal-cost
@@ -161,147 +153,92 @@ func ECMP(ix *core.ConnIndex, opt Options) []core.Path {
 // number of parallel circuits along the path — so fat paths carry
 // proportionally more traffic.
 func WCMP(ix *core.ConnIndex, opt Options) []core.Path {
-	g := staticGraph{ix: ix, ts: core.WildcardSlice}
+	return shortestMultipath(ix, opt, bottleneck)
+}
+
+// shortestMultipath reads every destination's shortest paths (up to
+// MaxPaths) in the static instance off one tree per source, each path
+// weighted by weight.
+func shortestMultipath(ix *core.ConnIndex, opt Options, weight func(*core.ConnIndex, []core.NodeID) int) []core.Path {
+	var t hopTree
 	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		seqs := g.shortestPaths(s, d, opt.maxPaths())
 		var out []core.Path
-		for _, seq := range seqs {
-			bottleneck := 1 << 30
-			for i := 0; i+1 < len(seq); i++ {
-				if c := g.parallel(seq[i], seq[i+1]); c < bottleneck {
-					bottleneck = c
-				}
-			}
-			if p, ok := pathFromNodes(g, seq, core.WildcardSlice, float64(bottleneck)); ok {
-				out = append(out, p)
-			}
+		for _, seq := range t.from(ix, s, core.WildcardSlice).shortestPaths(d, opt.maxPaths()) {
+			out = append(out, pathFromNodes(ix, seq, core.WildcardSlice, float64(weight(ix, seq))))
 		}
 		sortPaths(out)
 		return out
 	})
 }
 
+// bottleneck returns the fewest parallel static circuits on any hop of seq.
+func bottleneck(ix *core.ConnIndex, seq []core.NodeID) int {
+	fewest := 1 << 30
+	for i := 0; i+1 < len(seq); i++ {
+		n := 0
+		for _, c := range ix.Circuits(seq[i], core.WildcardSlice) {
+			if p, _, _ := c.Other(seq[i]); p == seq[i+1] {
+				n++
+			}
+		}
+		fewest = min(fewest, n)
+	}
+	return fewest
+}
+
 // KSP materializes k-shortest-path routing (Flat-tree style) using Yen's
 // algorithm over the topology instance. Unlike ECMP it also returns paths
 // longer than the shortest, which keeps irregular topologies well utilized.
 func KSP(ix *core.ConnIndex, k int, opt Options) []core.Path {
-	if k < 1 {
-		k = 1
-	}
-	g := staticGraph{ix: ix, ts: core.WildcardSlice}
+	k = max(k, 1)
+	var t hopTree
 	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
-		seqs := yen(g, s, d, k)
 		var out []core.Path
-		for _, seq := range seqs {
-			if p, ok := pathFromNodes(g, seq, core.WildcardSlice, 1); ok {
-				out = append(out, p)
-			}
+		for _, seq := range yen(t.from(ix, s, core.WildcardSlice), d, k) {
+			out = append(out, pathFromNodes(ix, seq, core.WildcardSlice, 1))
 		}
 		return out
 	})
 }
 
-// yen computes up to k loopless shortest paths (by hop count) from s to d.
-func yen(g staticGraph, s, d core.NodeID, k int) [][]core.NodeID {
-	first := g.shortestPaths(s, d, 1)
+// yen computes up to k loopless shortest paths (by hop count) from t's
+// source to d. Candidates of equal length rank by their node IDs.
+func yen(t *hopTree, d core.NodeID, k int) [][]core.NodeID {
+	first := t.shortestPaths(d, 1)
 	if len(first) == 0 {
 		return nil
 	}
 	paths := [][]core.NodeID{first[0]}
 	var candidates [][]core.NodeID
+	var banned [][2]core.NodeID
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
 		for i := 0; i < len(prev)-1; i++ {
-			spur := prev[i]
-			rootPath := prev[:i+1]
-			banned := make(map[[2]core.NodeID]bool)
+			root := prev[:i+1]
+			banned = banned[:0]
 			for _, p := range paths {
-				if len(p) > i && eqSeq(p[:i+1], rootPath) {
-					banned[[2]core.NodeID{p[i], p[i+1]}] = true
+				if len(p) > i && slices.Equal(p[:i+1], root) {
+					banned = append(banned, [2]core.NodeID{p[i], p[i+1]})
 				}
 			}
-			exclude := make(map[core.NodeID]bool)
-			for _, n := range rootPath[:len(rootPath)-1] {
-				exclude[n] = true
-			}
-			spurPath := bfsRestricted(g, spur, d, banned, exclude)
+			spurPath := t.bfsRestricted(prev[i], d, banned, prev[:i])
 			if spurPath == nil {
 				continue
 			}
-			total := append(append([]core.NodeID{}, rootPath[:len(rootPath)-1]...), spurPath...)
-			dup := false
-			for _, p := range append(paths, candidates...) {
-				if eqSeq(p, total) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			total := slices.Concat(prev[:i], spurPath)
+			same := func(p []core.NodeID) bool { return slices.Equal(p, total) }
+			if !slices.ContainsFunc(paths, same) && !slices.ContainsFunc(candidates, same) {
 				candidates = append(candidates, total)
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(i, j int) bool {
-			if len(candidates[i]) != len(candidates[j]) {
-				return len(candidates[i]) < len(candidates[j])
-			}
-			return seqKey(candidates[i]) < seqKey(candidates[j])
+		slices.SortFunc(candidates, func(a, b []core.NodeID) int {
+			return cmp.Or(cmp.Compare(len(a), len(b)), slices.Compare(a, b))
 		})
 		paths = append(paths, candidates[0])
 		candidates = candidates[1:]
 	}
 	return paths
-}
-
-func eqSeq(a, b []core.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func seqKey(s []core.NodeID) string {
-	k := ""
-	for _, n := range s {
-		k += string(rune(n)) + ","
-	}
-	return k
-}
-
-// bfsRestricted finds a shortest path from s to d avoiding banned edges and
-// excluded nodes; returns the node sequence or nil.
-func bfsRestricted(g staticGraph, s, d core.NodeID, banned map[[2]core.NodeID]bool, exclude map[core.NodeID]bool) []core.NodeID {
-	prev := map[core.NodeID]core.NodeID{s: s}
-	queue := []core.NodeID{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == d {
-			var seq []core.NodeID
-			for x := d; ; x = prev[x] {
-				seq = append([]core.NodeID{x}, seq...)
-				if x == s {
-					break
-				}
-			}
-			return seq
-		}
-		for _, v := range g.neighbors(u) {
-			if exclude[v] || banned[[2]core.NodeID{u, v}] {
-				continue
-			}
-			if _, ok := prev[v]; !ok {
-				prev[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
 }

@@ -33,7 +33,7 @@ func VLB(ix *core.ConnIndex, opt Options) []core.Path {
 					continue
 				}
 				// Phase 2: earliest direct circuit w->d at or after ts.
-				dep, eg2, ok := earliestDirect(ix, w, d, arr)
+				dep, eg2, ok := ix.EarliestDirect(w, d, arr)
 				if !ok {
 					continue
 				}
@@ -49,38 +49,27 @@ func VLB(ix *core.ConnIndex, opt Options) []core.Path {
 	})
 }
 
-// earliestDirect finds the first slice at or after ts with a direct circuit
-// from a to b, scanning at most one full cycle.
-func earliestDirect(ix *core.ConnIndex, a, b core.NodeID, ts core.Slice) (core.Slice, core.PortID, bool) {
-	numSlices := ix.NumSlices()
-	for off := 0; off < numSlices; off++ {
-		dep := core.Slice((int(ts) + off) % numSlices)
-		if eg, ok := ix.EgressPort(a, b, dep); ok {
-			return dep, eg, true
-		}
-	}
-	return 0, core.NoPort, false
-}
-
 // Opera materializes Opera's routing: every slice topology is a k-regular
 // expander, so a multi-hop path confined to the *current* slice is always
 // available — packets never wait for a circuit. Paths are per-slice
-// shortest paths with every hop departing in the arrival slice. If a slice
-// graph is disconnected (non-expander schedules), the earliest-path search
-// is the fallback so deployment still covers every pair.
+// shortest paths with every hop departing in the arrival slice, read off
+// one hop tree per (src, slice). If a slice graph is disconnected
+// (non-expander schedules), the earliest-path search is the fallback so
+// deployment still covers every pair.
 func Opera(ix *core.ConnIndex, opt Options) []core.Path {
 	numSlices := ix.NumSlices()
+	trees := make([]hopTree, numSlices)
 	fallback := make([]*Search, numSlices) // per arrival slice, from source `from`
-	var from core.NodeID
+	from := core.NoNode
 	return AllPairs(ix, func(s, d core.NodeID) []core.Path {
 		if s != from {
-			fallback, from = make([]*Search, numSlices), s
+			clear(fallback)
+			from = s
 		}
 		var out []core.Path
-		for ts := 0; ts < numSlices; ts++ {
+		for ts := range trees {
 			arr := core.Slice(ts)
-			g := staticGraph{ix: ix, ts: arr}
-			seqs := g.shortestPaths(s, d, opt.maxPaths())
+			seqs := trees[ts].from(ix, s, arr).shortestPaths(d, opt.maxPaths())
 			if len(seqs) == 0 {
 				if fallback[ts] == nil {
 					fallback[ts] = EarliestFrom(ix, s, arr, opt)
@@ -89,9 +78,7 @@ func Opera(ix *core.ConnIndex, opt Options) []core.Path {
 				continue
 			}
 			for _, seq := range seqs {
-				if p, ok := pathFromNodes(g, seq, arr, 1); ok {
-					out = append(out, p)
-				}
+				out = append(out, pathFromNodes(ix, seq, arr, 1))
 			}
 		}
 		sortPaths(out)

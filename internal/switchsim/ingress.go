@@ -169,11 +169,11 @@ func (s *Switch) queueFull(p *outPort, qi, rank int, size int32) bool {
 func (s *Switch) admissible(p *outPort, rank int) int64 {
 	sd := int64(s.Cfg.Schedule.SliceDuration)
 	guard := int64(s.Cfg.Schedule.Guard)
-	usable := sd - guard - s.Cfg.txTail()
+	usable := sd - guard - txTail
 	if rank == 0 {
 		local := s.localNow()
 		elapsed := local % sd
-		remain := sd - elapsed - s.Cfg.txTail()
+		remain := sd - elapsed - txTail
 		if remain < 0 {
 			remain = 0
 		}
@@ -279,28 +279,17 @@ func (s *Switch) offload(pkt *core.Packet, egress core.PortID, dep core.Slice) {
 }
 
 // earliestCircuit finds the first slice at or after arr with a direct
-// circuit to dst, scanning one full cycle.
+// circuit to dst, scanning one full cycle; a wildcard arrival scans from
+// slice 0, and without calendars the packet departs at once.
 func (s *Switch) earliestCircuit(dst core.NodeID, arr core.Slice) (core.Slice, core.PortID, bool) {
-	if s.ix == nil {
-		return 0, core.NoPort, false
-	}
-	ns := s.ix.NumSlices()
-	if ns < 1 {
-		ns = 1
-	}
 	if arr.IsWildcard() {
 		arr = 0
 	}
-	for off := 0; off < ns; off++ {
-		ts := core.Slice((int(arr) + off) % ns)
-		if eg, ok := s.ix.EgressPort(s.Cfg.ID, dst, ts); ok {
-			if !s.Cfg.calendarOn() {
-				return core.WildcardSlice, eg, true
-			}
-			return ts, eg, true
-		}
+	dep, eg, ok := s.ix.EarliestDirect(s.Cfg.ID, dst, arr)
+	if ok && !s.Cfg.calendarOn() {
+		dep = core.WildcardSlice
 	}
-	return 0, core.NoPort, false
+	return dep, eg, ok
 }
 
 // ctrlIn receives messages from the management network.

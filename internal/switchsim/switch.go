@@ -60,10 +60,6 @@ type Config struct {
 	BufferBytes int64
 	// PipelineDelay is the ingress-pipeline latency in ns (default 600).
 	PipelineDelay int64
-	// TxTail is the extra headroom before the slice end within which a
-	// transmission must fully land downstream (propagation + cut-through
-	// + sync slack). Default 300 ns.
-	TxTail int64
 	// ClockOffset is this switch's synchronization error in ns.
 	ClockOffset int64
 	// EQOUpdateInterval is the occupancy-estimation decay interval in ns
@@ -85,9 +81,6 @@ type Config struct {
 	// it are parked on a connected host until shortly before their
 	// departure slice. 0 disables offloading.
 	OffloadRank int
-	// SignalLead is how far ahead of a slice start circuit-notification
-	// signals are broadcast to hosts (default 2 µs).
-	SignalLead int64
 
 	// Seed decorrelates this switch's randomness (per-packet multipath
 	// hashing, offload host selection).
@@ -115,13 +108,6 @@ func (c *Config) pipeline() int64 {
 	return c.PipelineDelay
 }
 
-func (c *Config) txTail() int64 {
-	if c.TxTail <= 0 {
-		return 300
-	}
-	return c.TxTail
-}
-
 func (c *Config) eqoInterval() int64 {
 	if c.EQOUpdateInterval == 0 {
 		return 50
@@ -129,12 +115,16 @@ func (c *Config) eqoInterval() int64 {
 	return c.EQOUpdateInterval
 }
 
-func (c *Config) signalLead() int64 {
-	if c.SignalLead <= 0 {
-		return 2000
-	}
-	return c.SignalLead
-}
+// Timing constants of the slice machinery, in ns.
+const (
+	// txTail is the headroom before the slice end within which a
+	// transmission must fully land downstream (propagation + cut-through
+	// + sync slack).
+	txTail int64 = 300
+	// signalLead is how far ahead of a slice start circuit-notification
+	// signals are broadcast to hosts.
+	signalLead int64 = 2000
+)
 
 func (c *Config) calendarOn() bool {
 	return c.Schedule != nil && c.Schedule.NumSlices > 1
@@ -507,8 +497,7 @@ func (s *Switch) Start() {
 	})
 	// Signal broadcasts lead each slice boundary.
 	if s.ix != nil {
-		lead := s.Cfg.signalLead()
-		firstSig := first - lead
+		firstSig := first - signalLead
 		for firstSig < 0 {
 			firstSig += sd
 		}
@@ -592,7 +581,7 @@ func (s *Switch) drain(p *outPort) {
 			s.eng.AfterEvent(wait, sim.ClassSwitchDrain, (*drainAction)(s), p, 0)
 			return
 		}
-		if local+ser+s.Cfg.txTail() > sliceEnd {
+		if local+ser+txTail > sliceEnd {
 			// Would overrun the circuit: the head packet misses this
 			// pass; the queue resumes when its slice comes around again.
 			return
@@ -661,7 +650,7 @@ func (s *Switch) eqoSettle(p *outPort, qi int) {
 	sliceStart := ((local - 1) / sd) * sd
 	off := local - s.eng.Now()
 	from := max(sliceStart+int64(s.Cfg.Schedule.Guard)-off, p.lastDecay)
-	p.eqoDecay(qi, from, sliceStart+sd-s.Cfg.txTail()-off, iv)
+	p.eqoDecay(qi, from, sliceStart+sd-txTail-off, iv)
 }
 
 // eqoDecay applies the generator ticks of interval iv (> 0) that fit in
@@ -718,7 +707,7 @@ func (s *Switch) eqoRead(p *outPort, qi int) int64 {
 		sliceStart := local - local%sd
 		off := local - now // local-to-global conversion
 		gEnd := sliceStart + int64(s.Cfg.Schedule.Guard) - off
-		tEnd := sliceStart + sd - s.Cfg.txTail() - off
+		tEnd := sliceStart + sd - txTail - off
 		if from < gEnd {
 			from = gEnd
 		}

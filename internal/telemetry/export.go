@@ -1,15 +1,34 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 
 	"openoptics/internal/provenance"
 )
+
+// WriteFile writes the registry to path: JSON (WriteJSON) when the path
+// ends in .json, the Prometheus text format (WritePrometheus) otherwise.
+func (r *Registry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if strings.HasSuffix(path, ".json") {
+		err = r.WriteJSON(w)
+	} else {
+		err = r.WritePrometheus(w)
+	}
+	return errors.Join(err, w.Flush(), f.Close())
+}
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): HELP/TYPE headers followed by one sample line

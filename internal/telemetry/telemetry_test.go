@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -143,6 +145,38 @@ func TestJSONExport(t *testing.T) {
 	}
 	if doc.Manifest["config_digest"] != "sha256:xyz" {
 		t.Fatalf("manifest not embedded: %v", doc.Manifest)
+	}
+}
+
+// TestWriteFilePicksFormatByExtension: a .json path gets WriteJSON's
+// document, any other path WritePrometheus's text, byte for byte; a path
+// that cannot be created is an error.
+func TestWriteFilePicksFormatByExtension(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("oo_a_total", "a", func() float64 { return 9 }, L("node", "2"))
+	dir := t.TempDir()
+	for name, write := range map[string]func(*bytes.Buffer) error{
+		"m.json": func(b *bytes.Buffer) error { return r.WriteJSON(b) },
+		"m.prom": func(b *bytes.Buffer) error { return r.WritePrometheus(b) },
+	} {
+		path := filepath.Join(dir, name)
+		if err := r.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s:\n%s\nwant\n%s", name, got, want.Bytes())
+		}
+	}
+	if err := r.WriteFile(filepath.Join(dir, "missing", "m.prom")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
 	}
 }
 

@@ -64,35 +64,18 @@ func AnalyzeSlices(sched *core.Schedule) []SliceGraph {
 
 // diameter runs BFS from every node over one slice's graph.
 func diameter(ix *core.ConnIndex, nodes []core.NodeID, ts core.Slice) (bool, int) {
-	if len(nodes) == 0 {
-		return true, 0
-	}
-	maxEcc := 0
+	maxEcc := int32(0)
+	var dist, queue []int32
 	for _, src := range nodes {
-		dist := map[core.NodeID]int{src: 0}
-		queue := []core.NodeID{src}
-		ecc := 0
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range ix.Neighbors(u, ts) {
-				if _, ok := dist[v]; !ok {
-					dist[v] = dist[u] + 1
-					if dist[v] > ecc {
-						ecc = dist[v]
-					}
-					queue = append(queue, v)
-				}
+		dist, queue = ix.HopDistances(src, ts, dist, queue)
+		for _, d := range dist {
+			if d < 0 {
+				return false, -1
 			}
-		}
-		if len(dist) != len(nodes) {
-			return false, -1
-		}
-		if ecc > maxEcc {
-			maxEcc = ecc
+			maxEcc = max(maxEcc, d)
 		}
 	}
-	return true, maxEcc
+	return true, int(maxEcc)
 }
 
 // AllSlicesConnected reports whether every slice topology is connected —

@@ -33,7 +33,7 @@ type tdtcp struct {
 	lastDiv int
 }
 
-func newTDTCP(divisions int, initCwnd, maxCwnd float64) *tdtcp {
+func newTDTCP(divisions int, maxCwnd float64) *tdtcp {
 	td := &tdtcp{
 		states:  make([]tdState, divisions),
 		divOf:   make(map[int64]int),

@@ -13,12 +13,14 @@ import (
 	"openoptics/internal/sim"
 )
 
+// The segment size and the initial congestion window of every connection.
+const (
+	mss      int64   = core.MaxPayload // maximum segment payload, bytes
+	initCwnd float64 = 10              // segments
+)
+
 // TCPConfig tunes the simulated TCP stack.
 type TCPConfig struct {
-	// MSS is the maximum segment payload (default core.MaxPayload).
-	MSS int32
-	// InitCwnd is the initial congestion window in segments (default 10).
-	InitCwnd float64
 	// DupAckThreshold triggers fast retransmit (default 3; Case II
 	// raises it to 5 to tolerate optical-path reordering).
 	DupAckThreshold int
@@ -33,20 +35,6 @@ type TCPConfig struct {
 	// TDTCPPeriodNs is one division's duration (normally the slice
 	// duration; default 100 µs).
 	TDTCPPeriodNs int64
-}
-
-func (c *TCPConfig) mss() int32 {
-	if c.MSS <= 0 {
-		return core.MaxPayload
-	}
-	return c.MSS
-}
-
-func (c *TCPConfig) initCwnd() float64 {
-	if c.InitCwnd <= 0 {
-		return 10
-	}
-	return c.InitCwnd
 }
 
 func (c *TCPConfig) dupThresh() int {
@@ -202,11 +190,11 @@ type Conn struct {
 func (s *Stack) OpenTCP(flow core.FlowKey, srcNode, dstNode core.NodeID, totalBytes int64) *Conn {
 	c := &Conn{
 		stack: s, flow: flow, flowHash: flow.Hash(), srcNode: srcNode, dstNode: dstNode,
-		total: totalBytes, cwnd: s.cfg.initCwnd(), ssthresh: s.cfg.maxCwnd(),
+		total: totalBytes, cwnd: initCwnd, ssthresh: s.cfg.maxCwnd(),
 		start: s.eng.Now(),
 	}
 	if s.cfg.TDTCPDivisions > 0 {
-		c.td = newTDTCP(s.cfg.TDTCPDivisions, s.cfg.initCwnd(), s.cfg.maxCwnd())
+		c.td = newTDTCP(s.cfg.TDTCPDivisions, s.cfg.maxCwnd())
 	}
 	c.id = s.conns.add(c)
 	c.trySend()
@@ -220,15 +208,13 @@ func (c *Conn) Acked() int64 { return c.acked }
 // Done reports flow completion.
 func (c *Conn) Done() bool { return c.done }
 
-func (c *Conn) mss() int64 { return int64(c.stack.cfg.mss()) }
-
 func (c *Conn) inflight() int64 { return c.nextSeq - c.acked }
 
 func (c *Conn) window() int64 {
 	if c.td != nil {
-		return int64(c.tdCwnd() * float64(c.mss()))
+		return int64(c.tdCwnd() * float64(mss))
 	}
-	return int64(c.cwnd * float64(c.mss()))
+	return int64(c.cwnd * float64(mss))
 }
 
 // trySend pushes segments while the window and segment queue allow.
@@ -245,7 +231,7 @@ func (c *Conn) trySend() {
 		if c.td != nil {
 			c.tdStamp(c.nextSeq)
 		}
-		payload := c.mss()
+		payload := mss
 		if c.total-c.nextSeq < payload {
 			payload = c.total - c.nextSeq
 		}
@@ -255,7 +241,7 @@ func (c *Conn) trySend() {
 
 // emit sends the segment starting at seq; returns false on backpressure.
 func (c *Conn) emit(seq int64) bool {
-	payload := c.mss()
+	payload := mss
 	if c.total-seq < payload {
 		payload = c.total - seq
 	}

@@ -43,6 +43,49 @@ func buildRandomRotor(nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error)
 	return n, nodes, nil
 }
 
+// buildRandomNet builds one of three kinds of net from fuzzed parameters,
+// picked by kindRaw: RotorNet/VLB (buildRandomRotor); Opera on a round
+// robin with 2–3 uplinks, source-routed, MaxHop 6; or a static uniform
+// mesh with 2–3 uplinks under WCMP with per-flow multipath (Jupiter's
+// starting point).
+func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error) {
+	kind := kindRaw % 3
+	if kind == 0 {
+		return buildRandomRotor(nodesRaw, uplinkRaw, seed)
+	}
+	nodes := 4 + int(nodesRaw%5)   // 4..8
+	uplink := 2 + int(uplinkRaw%2) // 2..3
+	n, err := New(Config{
+		NodeNum:         nodes,
+		Uplink:          uplink,
+		SliceDurationNs: 100_000,
+		Seed:            seed | 1,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if kind == 1 {
+		circuits, numSlices, err := RoundRobin(nodes, uplink)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := n.DeployTopo(circuits, numSlices); err != nil {
+			return nil, 0, err
+		}
+		paths := n.Opera(circuits, numSlices, RoutingOptions{MaxHop: 6})
+		return n, nodes, n.DeployRouting(paths, LookupSource, MultipathPacket)
+	}
+	circuits, err := UniformMesh(nodes, uplink)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := n.DeployTopo(circuits, 1); err != nil {
+		return nil, 0, err
+	}
+	paths := n.WCMP(circuits, RoutingOptions{})
+	return n, nodes, n.DeployRouting(paths, LookupHop, MultipathFlow)
+}
+
 // TestInvariants bundles the system-level invariant checks under one name
 // so the tier-2 gate (`make check`) can run exactly this suite with
 // `go test -run TestInvariants`.
@@ -59,10 +102,11 @@ func TestInvariants(t *testing.T) {
 // host or still in the network — nothing vanishes and nothing is created —
 // and every switch-to-host delivery is received by its host as data. The
 // auditor's probes sweep at every window close and once after the run,
-// and must stay silent.
+// and must stay silent. The nets are RotorNet/VLB, Opera and static WCMP
+// meshes (buildRandomNet).
 func TestPacketConservation(t *testing.T) {
-	f := func(nodesRaw, uplinkRaw uint8, seed uint64) bool {
-		n, nodes, err := buildRandomRotor(nodesRaw, uplinkRaw, seed)
+	f := func(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) bool {
+		n, nodes, err := buildRandomNet(kindRaw, nodesRaw, uplinkRaw, seed)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -115,7 +159,7 @@ func TestPacketConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
