@@ -88,6 +88,7 @@ func main() {
 
 	circuits, numSlices, err := buildTopo(*topoName, *n, *uplink)
 	check(err)
+	check(checkStatic(*routingName, *topoName, circuits))
 	sched := &core.Schedule{
 		NumSlices:     numSlices,
 		SliceDuration: time.Duration(*sliceUs) * time.Microsecond,
@@ -146,6 +147,24 @@ func buildTopo(name string, n, uplink int) ([]core.Circuit, int, error) {
 		return c, 1, err
 	}
 	return nil, 0, fmt.Errorf("unknown topology %q", name)
+}
+
+// checkStatic refuses a scheme that routes over static circuits alone
+// (ECMP, WCMP and KSP) on a topology without any, such as the
+// time-slotted round robins: it would compile no path.
+func checkStatic(routingName, topoName string, circuits []core.Circuit) error {
+	switch routingName {
+	case "ecmp", "wcmp", "ksp":
+	default:
+		return nil
+	}
+	for _, c := range circuits {
+		if c.Slice.IsWildcard() {
+			return nil
+		}
+	}
+	return fmt.Errorf("routing %s uses static circuits only and topology %s has none; use -topo mesh",
+		routingName, topoName)
 }
 
 func buildRouting(name string, ix *core.ConnIndex, opt routing.Options) ([]core.Path, error) {

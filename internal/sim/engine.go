@@ -195,14 +195,14 @@ func (e *Engine) RunUntil(deadline int64) {
 		if e.Processed&interruptMask == 0 && e.interrupted.Load() {
 			return
 		}
-		it, src := s.peek()
-		if it.t > deadline {
+		t, src := s.peek()
+		if t > deadline {
 			break
 		}
-		t, seq, r := s.pop(src)
+		r := s.pop(src)
 		e.now = t
 		e.Processed++
-		e.dispatch(r, seq)
+		e.dispatch(r)
 	}
 	if !e.halted && deadline != math.MaxInt64 && deadline > e.now {
 		e.now = deadline
@@ -212,13 +212,12 @@ func (e *Engine) RunUntil(deadline int64) {
 // dispatch invokes the handler of the popped event whose slab record is
 // r, with class accounting. It reads the record's fields and clears the
 // slot before the handler runs, since the handler's pushes may reuse it.
-// seq is the event's scheduling sequence number — the second half of the
-// deterministic (t, seq) total order. With instruments on, the digest
-// folds the event before the handler (its payload may be recycled inside)
-// and closes a full window after it, and the profiler's clock reads
-// bracket the handler alone.
-func (e *Engine) dispatch(r *eventRec, seq uint64) {
-	act, arg, v, class := r.act, r.arg, r.v, r.class
+// The record's seq is the second half of the deterministic (t, seq) total
+// order. With instruments on, the digest folds the event before the
+// handler (its payload may be recycled inside) and closes a full window
+// after it, and the profiler's clock reads bracket the handler alone.
+func (e *Engine) dispatch(r *eventRec) {
+	act, arg, v, class, seq := r.act, r.arg, r.v, r.class, r.seq
 	*r = eventRec{} // drop action/operand references
 	e.classCount[class]++
 	d := e.digest
@@ -244,6 +243,13 @@ func (e *Engine) dispatch(r *eventRec, seq uint64) {
 // RunFor executes events for d nanoseconds of virtual time from now. The
 // deadline saturates at MaxInt64 instead of wrapping negative.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(satAdd(e.now, int64(d))) }
+
+func satAdd(a, b int64) int64 {
+	if b > 0 && a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
 
 // Halt stops Run after the current event handler returns. Pending events
 // remain queued; Run may be called again to resume.

@@ -7,11 +7,41 @@ import "testing"
 // TestPerturbSwapInvertsOnePair checks the simdebug perturbation harness
 // produces the minimal determinism fault: the two hinted same-instant
 // dispatches exchange payloads while every other dispatch is untouched.
-// The events start at 0, in the bucket the first push opens, and at 1000
-// behind an event at 0, in a bucket the scheduler sorts when its cursor
-// opens it.
+// The swapped pair meets in one nanosecond list of the calendar in three
+// ways: both pushed into the bucket the first push opens, both linked by
+// the walk of a bucket the cursor opens later, and one linked by that walk
+// while the other is pushed into the open bucket by a handler. A list that
+// links at its tail instead of by seq keeps the pushes' order and fails.
 func TestPerturbSwapInvertsOnePair(t *testing.T) {
-	for _, start := range []int64{0, 1000} {
+	pairs := func(start int64) func(e *Engine, act Action, ps []*fpPayload) {
+		return func(e *Engine, act Action, ps []*fpPayload) {
+			if start > 0 {
+				e.At(0, func() {})
+			}
+			for i, p := range ps {
+				e.AtEvent(start+int64(100*(i/2)), ClassLinkDeliver, act, p, int64(i))
+			}
+		}
+	}
+	cases := []struct {
+		name     string
+		schedule func(e *Engine, act Action, ps []*fpPayload)
+	}{
+		{"open bucket", pairs(0)},
+		{"bucket walk", pairs(1000)},
+		{"walk meets handler", func(e *Engine, act Action, ps []*fpPayload) {
+			e.At(0, func() {})
+			// 990 and 1000 share the bucket [896, 1024): the handler at
+			// 990 runs after its walk and links the second event at 1000
+			// behind the first.
+			e.AtEvent(1000, ClassLinkDeliver, act, ps[0], 0)
+			e.At(990, func() { e.AtEvent(1000, ClassLinkDeliver, act, ps[1], 1) })
+			for i, p := range ps[2:] {
+				e.AtEvent(1100+int64(100*i), ClassLinkDeliver, act, p, int64(i+2))
+			}
+		}},
+	}
+	for _, c := range cases {
 		run := func(pa, pb uint64) ([]CapturedEvent, *EventDigest) {
 			e := New()
 			d := NewEventDigest(64)
@@ -23,28 +53,22 @@ func TestPerturbSwapInvertsOnePair(t *testing.T) {
 			if pb != 0 && !e.PerturbSwapSeq(pa, pb) {
 				t.Fatal("PerturbSwapSeq refused in a simdebug build")
 			}
-			act := &digNopAction{}
-			if start > 0 {
-				e.At(0, func() {})
-			}
-			for i, p := range somePayloads(6) {
-				e.AtEvent(start+int64(100*(i/2)), ClassLinkDeliver, act, p, int64(i))
-			}
+			c.schedule(e, &digNopAction{}, somePayloads(6))
 			e.RunUntil(1 << 20)
 			return d.Captured(), d
 		}
 		base, cleanDig := run(0, 0)
 		a, b, ok := cleanDig.PerturbHint()
 		if !ok {
-			t.Fatalf("start %d: clean run produced no perturb hint", start)
+			t.Fatalf("%s: clean run produced no perturb hint", c.name)
 		}
 		pert, pertDig := run(a, b)
 
 		if cleanDig.Chain() == pertDig.Chain() {
-			t.Fatalf("start %d: perturbed run's chain equals the clean run's", start)
+			t.Fatalf("%s: perturbed run's chain equals the clean run's", c.name)
 		}
 		if len(base) != len(pert) {
-			t.Fatalf("start %d: event counts differ: %d vs %d", start, len(base), len(pert))
+			t.Fatalf("%s: event counts differ: %d vs %d", c.name, len(base), len(pert))
 		}
 		var diffs []int
 		for i := range base {
@@ -53,16 +77,16 @@ func TestPerturbSwapInvertsOnePair(t *testing.T) {
 			}
 		}
 		if len(diffs) != 2 || diffs[1] != diffs[0]+1 {
-			t.Fatalf("start %d: perturbation touched dispatches %v, want exactly one adjacent pair", start, diffs)
+			t.Fatalf("%s: perturbation touched dispatches %v, want exactly one adjacent pair", c.name, diffs)
 		}
 		i, j := diffs[0], diffs[1]
 		// (t, seq) positions are preserved — only the payloads swap.
 		if base[i].TNs != pert[i].TNs || base[i].Seq != pert[i].Seq {
-			t.Fatalf("start %d: dispatch %d changed (t, seq): %+v vs %+v", start, i, base[i], pert[i])
+			t.Fatalf("%s: dispatch %d changed (t, seq): %+v vs %+v", c.name, i, base[i], pert[i])
 		}
 		if base[i].Fingerprint != pert[j].Fingerprint || base[j].Fingerprint != pert[i].Fingerprint {
-			t.Fatalf("start %d: payloads did not swap: base %+v/%+v pert %+v/%+v",
-				start, base[i], base[j], pert[i], pert[j])
+			t.Fatalf("%s: payloads did not swap: base %+v/%+v pert %+v/%+v",
+				c.name, base[i], base[j], pert[i], pert[j])
 		}
 	}
 }

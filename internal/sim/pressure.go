@@ -17,10 +17,10 @@ type SchedPressure struct {
 	FreeSlots      int `json:"free_slots"`
 
 	// Cumulative counters since engine construction. InlinePushes counts
-	// appends to a bucket the cursor has not opened yet, SpillPushes
-	// pushes into the open bucket (its heap), and OverflowPushes pushes
-	// outside the calendar window. Resorts counts buckets sorted when the
-	// cursor opened them.
+	// links into a bucket the cursor has not opened, SpillPushes links
+	// into the open bucket, OverflowPushes pushes outside the calendar
+	// window, and Resorts the buckets of two or more events the cursor
+	// filed by nanosecond as it opened them (once sorted, hence the name).
 	InlinePushes   uint64 `json:"inline_pushes"`
 	SpillPushes    uint64 `json:"spill_pushes"`
 	OverflowPushes uint64 `json:"overflow_pushes"`

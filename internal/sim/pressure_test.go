@@ -4,17 +4,17 @@ import "testing"
 
 // TestSchedPressureCounters drives known push patterns through the
 // calendar queue and checks the pressure snapshot attributes each one
-// correctly: appends to unopened buckets, pushes into the open bucket,
-// overflow beyond the window, and one sort per multi-event bucket the
+// correctly: links into unopened buckets, pushes into the open bucket,
+// overflow beyond the window, and one count per multi-event bucket the
 // cursor opens.
 func TestSchedPressureCounters(t *testing.T) {
 	e := New()
 	// The first push anchors the window, so t = 0..19 all land in the
-	// open bucket's heap.
+	// open bucket's nanosecond lists.
 	for i := 0; i < 20; i++ {
 		e.At(int64(i), func() {})
 	}
-	// Twelve events appended, in reverse time order, to the next bucket,
+	// Twelve events linked, in reverse time order, into the next bucket,
 	// and one alone in a later bucket.
 	for i := 11; i >= 0; i-- {
 		e.At(bucketWidth+int64(i), func() {})
@@ -44,7 +44,7 @@ func TestSchedPressureCounters(t *testing.T) {
 	var last int64 = -1
 	e.At(bucketWidth+3, func() {
 		// Fires inside the opened twelve-event bucket: a same-bucket push
-		// goes to its heap.
+		// links into its nanosecond list.
 		e.At(e.Now()+1, func() { last = e.Now() })
 	})
 	e.Run()
@@ -52,8 +52,8 @@ func TestSchedPressureCounters(t *testing.T) {
 	if p.PendingEvents != 0 || p.WheelEvents != 0 || p.OverflowEvents != 0 {
 		t.Fatalf("residency after run = %+v", p)
 	}
-	// Only the thirteen-event bucket needed a sort: the single event and
-	// the overflow event are served without one.
+	// Only the thirteen-event bucket counts: the single event and the
+	// overflow event are served without a walk of two or more.
 	if p.Resorts != 1 {
 		t.Fatalf("resorts = %d, want 1", p.Resorts)
 	}

@@ -1,26 +1,25 @@
 package sim
 
-import "math"
+import "math/bits"
 
-// This file is the engine's event store: a calendar queue of unsorted,
-// append-only buckets for the near future, an overflow 4-ary heap for
-// everything else, and event payloads (an Action, its operands and the
-// handler class) kept in a slab with a free list. Steady-state
-// scheduling performs zero heap allocations — every backing array (buckets,
-// heaps, slab, free list) is reused across events.
+// This file is the engine's event store: a calendar queue of FIFO lists
+// threaded through a slab of event records for the near future, and an
+// overflow 4-ary heap for everything else. Steady-state scheduling
+// allocates nothing: the lists live in the records, and the slab, its free
+// list and the heap reuse their arrays.
 //
-// A push appends its event to the bucket covering its time. The cursor's
-// bucket is sorted by (t, seq) once, when the cursor opens it, and then
-// consumed front to back; events pushed into the open bucket afterwards go
-// to one small 4-ary heap. On the simulator's workloads a bucket collects
-// tens to hundreds of events before the cursor reaches it, so one sort per
-// bucket replaces a heap sift per event.
+// A push into a bucket the cursor has not reached links its record at the
+// bucket's tail, so the list stays in push order, which is seq order. When
+// the cursor opens a bucket, one walk of its list files the records into
+// 128 per-nanosecond lists tracked by an occupancy bitmap, and a pop takes
+// the head of the lowest occupied nanosecond. A push into the open bucket
+// links at its nanosecond's tail: its seq is the largest so far.
 //
 // Determinism: the scheduler realizes the exact (t, seq) total order a
-// binary heap produces. Every pop takes the minimum of the open bucket's
-// sorted run, the open bucket's heap and the overflow top; every other
-// bucket holds strictly later times. Overflow events never migrate into
-// buckets, so no structural move can reorder them.
+// binary heap produces. Every pop takes the smaller of the open bucket's
+// earliest list head and the overflow top; every other bucket holds
+// strictly later times. Overflow events never migrate into buckets, so no
+// structural move can reorder them.
 
 // Calendar geometry: 1024 buckets of 128 ns cover a ~131 µs window. Wire
 // propagation, serialization and pipeline delays land a few buckets ahead
@@ -33,7 +32,7 @@ const (
 	wheelSpan    = bucketWidth * wheelBuckets
 )
 
-// item is one queued event's sort key plus the slab slot of its payload.
+// item is one overflow event's sort key plus the slab slot of its record.
 type item struct {
 	t    int64
 	seq  uint64
@@ -66,61 +65,57 @@ type funcAction func()
 
 func (f funcAction) RunEvent(any, int64) { f() }
 
-// eventRec is the slab-resident payload of one queued event: an action
-// with its operands (nil and 0 for closures) and its handler class.
+// eventRec is the slab-resident record of one queued event, 64 bytes: an
+// action with its operands (nil and 0 for closures) and its handler class,
+// the event's (t, seq) key, and the slot of the next record in its list.
 type eventRec struct {
 	act   Action
 	arg   any
 	v     int64
+	t     int64
+	seq   uint64
+	next  int32
 	class Class
 }
+
+// list is a FIFO of slab records threaded through eventRec.next. It holds
+// records only while its occupancy bit is set; the tail's next is stale.
+type list struct{ head, tail int32 }
 
 // scheduler is the calendar-queue/overflow-heap event store.
 type scheduler struct {
 	slab []eventRec
 	free []int32 // reusable slab slots
 
-	// wheel[i] holds the events of the window's times t with
-	// (t>>wheelShift)&wheelMask == i, unsorted except for the open bucket
-	// wheel[cursor], which is sorted and consumed from pos. Pushes into the
-	// open bucket go to late instead.
-	wheel       [wheelBuckets][]item
+	// wheel[i] lists the events of the window's times t with
+	// (t>>wheelShift)&wheelMask == i, except for the open bucket
+	// wheel[cursor], whose events are filed by nanosecond in ns.
+	wheel       [wheelBuckets]list
+	wheelOcc    [wheelBuckets / 64]uint64 // bit i: wheel[i] holds events
+	ns          [bucketWidth]list         // ns[k]: time cursorStart+k
+	nsOcc       [bucketWidth / 64]uint64  // bit k: ns[k] holds events
 	cursor      int
 	cursorStart int64 // the open bucket covers [cursorStart, cursorStart+bucketWidth)
 	wheelEnd    int64 // exclusive end of the window
-	pos         int
-	late        itemHeap
-	wheelCount  int    // events in buckets and late
-	sortBuf     []item // scratch for sortRun
+	wheelCount  int   // events in the calendar's lists
 
 	overflow itemHeap // events outside [cursorStart, wheelEnd) when pushed
 
 	n int // total queued events
 
-	// Pressure telemetry (pressure.go): always collected — a few integer
-	// operations per push keep the cost in the noise, and having the
-	// counters unconditionally live means /snapshot and the oo_sched_*
-	// metrics never need a flag flip to explain a slow run.
-	inlinePushes   uint64 // appends to an unopened bucket
-	spillPushes    uint64 // pushes into the open bucket's heap
+	// Pressure telemetry (pressure.go), always collected: a few integer
+	// operations per push, so /snapshot needs no flag to explain a run.
+	inlinePushes   uint64 // links into an unopened bucket
+	spillPushes    uint64 // links into the open bucket
 	overflowPushes uint64 // pushes into the overflow heap
-	resorts        uint64 // buckets sorted when the cursor opened them
+	resorts        uint64 // buckets of two or more events filed when opened
 	maxWheel       int    // high-water wheelCount
 	maxOverflow    int    // high-water overflow residency
 }
 
-func satAdd(a, b int64) int64 {
-	if b > 0 && a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
-}
-
 // anchor re-bases the window so t falls in the open bucket. Only legal
-// while no bucket holds events (bucket indexes would alias otherwise).
+// while no list holds events (bucket indexes would alias otherwise).
 func (s *scheduler) anchor(t int64) {
-	s.wheel[s.cursor] = s.wheel[s.cursor][:0]
-	s.pos = 0
 	s.cursor = int(t>>wheelShift) & wheelMask
 	s.cursorStart = t >> wheelShift << wheelShift
 	s.wheelEnd = satAdd(s.cursorStart, wheelSpan)
@@ -138,143 +133,141 @@ func (s *scheduler) push(t int64, seq uint64) *eventRec {
 		slot = int32(len(s.slab))
 		s.slab = append(s.slab, eventRec{})
 	}
-	it := item{t: t, seq: seq, slot: slot}
+	r := &s.slab[slot]
+	r.t, r.seq = t, seq
 	if s.n == 0 {
 		s.anchor(t)
 	}
 	s.n++
 	if t < s.cursorStart || t >= s.wheelEnd {
 		// Far future — or, rarely, between "now" and a window that moved
-		// ahead of it. Both are correct here: every pop compares the
-		// overflow top.
+		// ahead of it. Both are correct: every pop compares the top.
 		s.overflowPushes++
-		s.overflow.push(it)
+		s.overflow.push(item{t: t, seq: seq, slot: slot})
 		s.maxOverflow = max(s.maxOverflow, len(s.overflow))
-		return &s.slab[slot]
+		return r
 	}
 	if i := int(t>>wheelShift) & wheelMask; i != s.cursor {
 		s.inlinePushes++
-		s.wheel[i] = append(s.wheel[i], it)
+		s.linkTail(&s.wheel[i], &s.wheelOcc[i>>6], 1<<(i&63), slot)
 	} else {
 		s.spillPushes++
-		s.late.push(it)
+		s.file(slot)
 	}
 	s.wheelCount++
 	s.maxWheel = max(s.maxWheel, s.wheelCount)
-	return &s.slab[slot]
+	return r
 }
 
-// Where peek found the earliest event.
-const (
-	fromRun      = iota // the open bucket's sorted run
-	fromLate            // the open bucket's heap
-	fromOverflow        // the overflow heap
-)
+// linkTail appends slot to l, whose occupancy bit is bit of *occ.
+func (s *scheduler) linkTail(l *list, occ *uint64, bit uint64, slot int32) {
+	if *occ&bit == 0 {
+		*occ |= bit
+		l.head = slot
+	} else {
+		s.slab[l.tail].next = slot
+	}
+	l.tail = slot
+}
 
-// peek returns the earliest queued event and where it is held, opening
-// buckets as the cursor passes empty ones. Requires n > 0.
-func (s *scheduler) peek() (item, int) {
-	for s.pos == len(s.wheel[s.cursor]) && len(s.late) == 0 {
+// file links an open-bucket record into its nanosecond's list. Records
+// arrive in seq order (a bucket's walk, then pushes into the open bucket),
+// except under the simdebug perturbation harness, which swaps two sequence
+// numbers; there the record is inserted ahead of the first larger seq.
+func (s *scheduler) file(slot int32) {
+	r := &s.slab[slot]
+	k := int(r.t & (bucketWidth - 1))
+	l, occ, bit := &s.ns[k], &s.nsOcc[k>>6], uint64(1)<<(k&63)
+	if !simDebug || *occ&bit == 0 || r.seq > s.slab[l.tail].seq {
+		s.linkTail(l, occ, bit, slot)
+		return
+	}
+	p := &l.head // the tail's seq is larger, so the walk stops before it
+	for s.slab[*p].seq < r.seq {
+		p = &s.slab[*p].next
+	}
+	r.next, *p = *p, slot
+}
+
+const fromOverflow = -1 // peek's source for the overflow heap; else a nanosecond
+
+// peek returns the time of the earliest queued event and where it is
+// held, opening buckets as the cursor passes empty ones. Requires n > 0.
+func (s *scheduler) peek() (int64, int) {
+	for s.nsOcc[0]|s.nsOcc[1] == 0 {
 		if s.wheelCount == 0 {
 			// Only overflow events remain: re-base the window at the
-			// earliest so the events its handler schedules land in
-			// buckets again.
+			// earliest, so its handler's pushes land in buckets again.
 			s.anchor(s.overflow[0].t)
-			break
+			return s.overflow[0].t, fromOverflow
 		}
 		if len(s.overflow) > 0 && s.overflow[0].t <= s.cursorStart+(bucketWidth-1) {
-			break // the overflow top falls before the next bucket
+			return s.overflow[0].t, fromOverflow // before the next bucket
 		}
 		s.advance()
 	}
-	var it item
-	src := -1
-	if run := s.wheel[s.cursor]; s.pos < len(run) {
-		it, src = run[s.pos], fromRun
+	k := bits.TrailingZeros64(s.nsOcc[0])
+	if k == 64 {
+		k += bits.TrailingZeros64(s.nsOcc[1])
 	}
-	if len(s.late) > 0 && (src < 0 || itemLess(s.late[0], it)) {
-		it, src = s.late[0], fromLate
+	t := s.cursorStart + int64(k)
+	if len(s.overflow) > 0 && itemLess(s.overflow[0], item{t: t, seq: s.slab[s.ns[k].head].seq}) {
+		return s.overflow[0].t, fromOverflow
 	}
-	if len(s.overflow) > 0 && (src < 0 || itemLess(s.overflow[0], it)) {
-		it, src = s.overflow[0], fromOverflow
-	}
-	return it, src
+	return t, k
 }
 
-// advance closes the open bucket and opens the next, sorting it. Only
-// called while the open bucket is exhausted and another bucket holds an
-// event, so cursorStart cannot pass MaxInt64.
+// advance closes the exhausted open bucket and opens the next, filing its
+// list by nanosecond. Only called while another bucket holds an event, so
+// cursorStart cannot pass MaxInt64.
 func (s *scheduler) advance() {
-	s.wheel[s.cursor] = s.wheel[s.cursor][:0]
-	s.pos = 0
 	s.cursor = (s.cursor + 1) & wheelMask
 	s.cursorStart += bucketWidth
 	s.wheelEnd = satAdd(s.wheelEnd, bucketWidth)
-	if run := s.wheel[s.cursor]; len(run) > 1 {
-		s.sortRun(run)
+	occ, bit := &s.wheelOcc[s.cursor>>6], uint64(1)<<(s.cursor&63)
+	if *occ&bit == 0 {
+		return
+	}
+	*occ &^= bit
+	b := s.wheel[s.cursor]
+	if b.head != b.tail {
 		s.resorts++
 	}
-}
-
-// sortRun sorts a bucket by (t, seq). Its items differ only in the low
-// wheelShift bits of t, and appends arrive in increasing seq, so a stable
-// counting sort on those bits yields (t, seq) order without the
-// data-dependent branches a comparison sort mispredicts. Only the simdebug
-// perturbation harness, which swaps two sequence numbers, appends out of
-// seq order; an insertion pass restores the order there.
-func (s *scheduler) sortRun(run []item) {
-	var next [bucketWidth]int32
-	for _, it := range run {
-		next[it.t&(bucketWidth-1)]++
-	}
-	var sum int32
-	for k, c := range next {
-		next[k] = sum
-		sum += c
-	}
-	s.sortBuf = append(s.sortBuf[:0], run...)
-	for _, it := range s.sortBuf {
-		k := it.t & (bucketWidth - 1)
-		run[next[k]] = it
-		next[k]++
-	}
-	if simDebug {
-		for i := 1; i < len(run); i++ {
-			for j := i; j > 0 && itemLess(run[j], run[j-1]); j-- {
-				run[j], run[j-1] = run[j-1], run[j]
-			}
+	for slot := b.head; ; {
+		next := s.slab[slot].next
+		s.file(slot)
+		if slot == b.tail {
+			return
 		}
+		slot = next
 	}
 }
 
 // pop removes the event peek found in src and returns its slab record,
-// whose slot is already back on the free list: the caller reads the
-// record and clears it before anything pushes again. The sequence number
-// rides along so dispatch (and the determinism auditor's digest) sees the
-// full (t, seq) identity of the event it executes.
-func (s *scheduler) pop(src int) (t int64, seq uint64, rec *eventRec) {
-	var it item
-	switch src {
-	case fromRun:
-		it = s.wheel[s.cursor][s.pos]
-		s.pos++
+// whose slot is already back on the free list: the caller reads the record
+// and clears it before anything pushes again.
+func (s *scheduler) pop(src int) *eventRec {
+	var slot int32
+	if src == fromOverflow {
+		slot = s.overflow.pop().slot
+	} else {
+		l := &s.ns[src]
+		slot = l.head
+		if slot == l.tail {
+			s.nsOcc[src>>6] &^= 1 << (src & 63)
+		} else {
+			l.head = s.slab[slot].next
+		}
 		s.wheelCount--
-	case fromLate:
-		it = s.late.pop()
-		s.wheelCount--
-	default:
-		it = s.overflow.pop()
 	}
 	s.n--
-	s.free = append(s.free, it.slot)
-	return it.t, it.seq, &s.slab[it.slot]
+	s.free = append(s.free, slot)
+	return &s.slab[slot]
 }
 
-// itemHeap is a 4-ary min-heap of items ordered by (t, seq). Values are
-// stored inline (no pointers, no interface boxing) and the backing array
-// is retained across fill/drain cycles, so steady-state push/pop performs
-// no allocations. 4-ary trades slightly more comparisons per level for
-// half the depth and better cache behavior than binary.
+// itemHeap is a 4-ary min-heap of items ordered by (t, seq), stored inline
+// in an array retained across fill/drain cycles. 4-ary trades slightly more
+// comparisons per level for half the depth and better cache behavior.
 type itemHeap []item
 
 func (h *itemHeap) push(it item) {

@@ -163,8 +163,8 @@ func TestWindowJumpThenNearEvent(t *testing.T) {
 	}
 }
 
-// TestScheduleZeroAllocSteadyState: once the slab and bucket arrays are
-// warm, the schedule → dispatch cycle must not allocate.
+// TestScheduleZeroAllocSteadyState: once the slab and free list are warm,
+// the schedule → dispatch cycle must not allocate.
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	e := New()
 	act := nopAction{}
@@ -188,7 +188,7 @@ func (nopAction) RunEvent(any, int64) {}
 // --- differential test against a container/heap reference ---------------
 
 // refEvent / refEngine reimplement the seed engine: a binary heap of
-// (t, seq) pointers via container/heap, the past-time clamp, and a
+// (t, seq) pointers via container/heap, the past-time clamp, Halt, and a
 // RunUntil whose clock moves to the deadline but never backwards. The
 // calendar queue must reproduce its execution order and clock exactly.
 type refEvent struct {
@@ -211,12 +211,15 @@ func (q *refQueue) Push(x any)   { *q = append(*q, x.(*refEvent)) }
 func (q *refQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
 type refEngine struct {
-	q   refQueue
-	now int64
-	seq uint64
+	q      refQueue
+	now    int64
+	seq    uint64
+	halted bool
 }
 
 func (r *refEngine) Now() int64 { return r.now }
+
+func (r *refEngine) Halt() { r.halted = true }
 
 func (r *refEngine) At(t int64, fn func()) {
 	r.seq++
@@ -224,12 +227,13 @@ func (r *refEngine) At(t int64, fn func()) {
 }
 
 func (r *refEngine) RunUntil(deadline int64) {
-	for r.q.Len() > 0 && r.q[0].t <= deadline {
+	r.halted = false
+	for r.q.Len() > 0 && r.q[0].t <= deadline && !r.halted {
 		ev := heap.Pop(&r.q).(*refEvent)
 		r.now = ev.t
 		ev.fn()
 	}
-	if deadline != math.MaxInt64 && deadline > r.now {
+	if !r.halted && deadline != math.MaxInt64 && deadline > r.now {
 		r.now = deadline
 	}
 }
@@ -240,6 +244,7 @@ type diffQueue interface {
 	Now() int64
 	At(t int64, fn func())
 	RunUntil(deadline int64)
+	Halt()
 }
 
 // dispatched is one executed event: its id and the clock it ran at.
@@ -264,6 +269,9 @@ func TestDifferentialVsHeap(t *testing.T) {
 	}
 	for _, seed := range []int64{7, 8} {
 		inputs = append(inputs, input{fmt.Sprintf("cascade/%d", seed), cascadeChunks(seed)})
+	}
+	for _, sh := range listShapes {
+		inputs = append(inputs, input{sh.name, sh.run})
 	}
 	for _, in := range inputs {
 		got := in.run(New())
@@ -394,4 +402,142 @@ func cascadeChunks(seed int64) func(diffQueue) []dispatched {
 		q.RunUntil(math.MaxInt64)
 		return order
 	}
+}
+
+// script drives the hand-written shapes of listShapes: at schedules an
+// event that records its id and clock and then runs then.
+type script struct {
+	q     diffQueue
+	order []dispatched
+	next  int
+}
+
+func (s *script) at(t int64, then func()) {
+	id := s.next
+	s.next++
+	s.q.At(t, func() {
+		s.order = append(s.order, dispatched{id, s.q.Now()})
+		if then != nil {
+			then()
+		}
+	})
+}
+
+// shape adapts a script to a differential input; the script runs its
+// queue itself.
+func shape(f func(s *script)) func(diffQueue) []dispatched {
+	return func(q diffQueue) []dispatched {
+		s := &script{q: q}
+		f(s)
+		return s.order
+	}
+}
+
+// listShapes aim at the calendar's lists: the first and last nanosecond
+// of a bucket, a handler pushing into its own nanosecond, overflow events
+// inside the open bucket, a window re-anchored at overflow events, and a
+// halt between two same-instant events.
+var listShapes = []struct {
+	name string
+	run  func(diffQueue) []dispatched
+}{
+	{"edge-offsets", shape(func(s *script) {
+		const b = 3 * bucketWidth // the first push opens [b, b+bucketWidth)
+		s.at(b, func() {
+			s.at(b+bucketWidth-1, nil) // offset 127 of the open bucket
+			s.at(b, nil)               // offset 0: its own nanosecond
+			s.at(b+bucketWidth, nil)   // offset 0 of the next bucket
+			s.at(b+2*bucketWidth-1, nil)
+		})
+		s.at(b+bucketWidth-1, func() {
+			s.at(b+bucketWidth-1, nil)
+			s.at(b+bucketWidth, nil)
+		})
+		s.at(b+bucketWidth, func() {
+			s.at(b+bucketWidth, nil)
+			s.at(b+2*bucketWidth-1, nil)
+			s.at(b+3*bucketWidth, nil)
+		})
+		s.at(b+2*bucketWidth-1, nil) // offset 127 of a bucket reached by its walk
+		s.at(b, nil)
+		s.q.RunUntil(math.MaxInt64)
+	})},
+	{"own-nanosecond", shape(func(s *script) {
+		var chain func(left int) func()
+		chain = func(left int) func() {
+			return func() {
+				if left > 0 {
+					s.at(s.q.Now(), chain(left-1))
+					s.at(s.q.Now(), nil)
+				}
+			}
+		}
+		s.at(0, chain(3)) // in the bucket the first push opens
+		s.at(0, nil)
+		s.at(500, chain(3)) // in a bucket opened later: through its walk
+		s.at(500, nil)
+		s.at(500, chain(2))
+		s.at(bucketWidth-1, chain(2))
+		s.q.RunUntil(math.MaxInt64)
+	})},
+	{"overflow-in-open-bucket", shape(func(s *script) {
+		// The timers go to the overflow heap; once the t=0 event has run,
+		// only they remain and the window re-anchors at T, so the events
+		// T's handler schedules share the open bucket with overflow
+		// events: one at T itself, one between two nanosecond lists and
+		// one in the nanosecond of two list entries.
+		const T = 2*wheelSpan + 50
+		s.at(0, nil)
+		s.at(T, func() {
+			s.at(T, nil)
+			s.at(T+5, nil)
+			s.at(T+20, nil)
+			s.at(T+20, nil)
+		})
+		s.at(T+10, func() { s.at(T+20, nil) })
+		s.at(T, nil)
+		s.at(T+20, func() { s.at(T+20, nil) })
+		s.at(T+bucketWidth-1, nil)
+		s.q.RunUntil(math.MaxInt64)
+	})},
+	{"reanchor-after-overflow", shape(func(s *script) {
+		// Each timer finds only overflow events queued, re-anchors the
+		// window at itself and fills buckets again; deadlines stop the
+		// run between timers and inside a re-anchored window.
+		var timer func(k int) func()
+		timer = func(k int) func() {
+			return func() {
+				now := s.q.Now()
+				s.at(now, nil)
+				s.at(now+1, nil)
+				s.at(now+bucketWidth, nil)
+				s.at(now+wheelSpan-1, nil)
+				if k > 0 {
+					s.at(now+3*wheelSpan+int64(k), timer(k-1))
+				}
+			}
+		}
+		s.at(wheelSpan+7, timer(4))
+		s.at(5*wheelSpan, timer(2))
+		s.at(9*wheelSpan+bucketWidth-1, nil)
+		s.q.RunUntil(wheelSpan + 8)
+		s.at(s.q.Now()+1, nil) // behind the window the run left open
+		s.q.RunUntil(4 * wheelSpan)
+		s.q.RunUntil(math.MaxInt64)
+	})},
+	{"halt-resume", shape(func(s *script) {
+		halt := func() { s.q.Halt() }
+		s.at(5, halt) // halts with two more events at t=5 queued
+		s.at(5, nil)
+		s.at(5, halt)
+		s.at(700, halt) // the same in a bucket reached by its walk
+		s.at(700, func() { s.at(700, nil) })
+		s.at(700, nil)
+		s.q.RunUntil(math.MaxInt64)
+		s.at(s.q.Now(), nil) // queued behind the halted instant's events
+		s.q.RunUntil(math.MaxInt64)
+		s.q.RunUntil(600) // the pushed event, then a deadline before 700
+		s.q.RunUntil(math.MaxInt64)
+		s.q.RunUntil(math.MaxInt64)
+	})},
 }

@@ -43,17 +43,36 @@ func buildRandomRotor(nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error)
 	return n, nodes, nil
 }
 
-// buildRandomNet builds one of three kinds of net from fuzzed parameters,
+// buildRandomNet builds one of four kinds of net from fuzzed parameters,
 // picked by kindRaw: RotorNet/VLB (buildRandomRotor); Opera on a round
-// robin with 2–3 uplinks, source-routed, MaxHop 6; or a static uniform
-// mesh with 2–3 uplinks under WCMP with per-flow multipath (Jupiter's
-// starting point).
+// robin with 2–3 uplinks, source-routed, MaxHop 6; a static uniform mesh
+// with 2–3 uplinks under WCMP with per-flow multipath (Jupiter's starting
+// point); or Clos, every pair one hop through the electrical fabric at the
+// line rate (arch.Clos's wiring).
 func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error) {
-	kind := kindRaw % 3
+	kind := kindRaw % 4
 	if kind == 0 {
 		return buildRandomRotor(nodesRaw, uplinkRaw, seed)
 	}
-	nodes := 4 + int(nodesRaw%5)   // 4..8
+	nodes := 4 + int(nodesRaw%5) // 4..8
+	if kind == 3 {
+		n, err := New(Config{
+			NodeNum:         nodes,
+			Uplink:          1,
+			LineRateGbps:    100,
+			ElectricalGbps:  100,
+			SliceDurationNs: 100_000,
+			Seed:            seed | 1,
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		paths, err := n.ElectricalPaths()
+		if err != nil {
+			return nil, 0, err
+		}
+		return n, nodes, n.DeployRouting(paths, LookupHop, MultipathNone)
+	}
 	uplink := 2 + int(uplinkRaw%2) // 2..3
 	n, err := New(Config{
 		NodeNum:         nodes,
@@ -102,8 +121,8 @@ func TestInvariants(t *testing.T) {
 // host or still in the network — nothing vanishes and nothing is created —
 // and every switch-to-host delivery is received by its host as data. The
 // auditor's probes sweep at every window close and once after the run,
-// and must stay silent. The nets are RotorNet/VLB, Opera and static WCMP
-// meshes (buildRandomNet).
+// and must stay silent. The nets are RotorNet/VLB, Opera, static WCMP
+// meshes and Clos over the electrical fabric (buildRandomNet).
 func TestPacketConservation(t *testing.T) {
 	f := func(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) bool {
 		n, nodes, err := buildRandomNet(kindRaw, nodesRaw, uplinkRaw, seed)
@@ -148,6 +167,9 @@ func TestPacketConservation(t *testing.T) {
 		}
 		drops := c.DropsNoRoute + c.DropsBuffer + c.DropsWrap + c.DropsCongest +
 			c.DropsTTL + fab.DropsGuard + fab.DropsNoCircuit + fab.DropsReconfig
+		if el := n.ElectricalFabric(); el != nil {
+			drops += el.DropsQueue + el.DropsNoRoute
+		}
 		// Still in the network: every live pool packet no host has parked —
 		// queued, on a wire or inside a pipeline stage.
 		inNet := uint64(n.PoolStats().Outstanding) - parked

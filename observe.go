@@ -211,20 +211,20 @@ func (n *Net) registerPool(reg *telemetry.Registry) {
 }
 
 // registerSched exposes the calendar queue's pressure counters: where
-// pushes land (unopened bucket, open bucket, overflow heap), bucket sorts,
+// pushes land (unopened bucket, open bucket, overflow heap), bucket walks,
 // and residency high-water marks.
 func (n *Net) registerSched(reg *telemetry.Registry) {
 	for _, c := range []struct {
 		name, help string
 		read       func(sim.SchedPressure) float64
 	}{
-		{"oo_sched_inline_pushes_total", "Events appended to a calendar bucket not yet opened.",
+		{"oo_sched_inline_pushes_total", "Events linked into a calendar bucket not yet opened.",
 			func(p sim.SchedPressure) float64 { return float64(p.InlinePushes) }},
-		{"oo_sched_spill_pushes_total", "Events pushed into the open calendar bucket.",
+		{"oo_sched_spill_pushes_total", "Events linked into the open calendar bucket's per-nanosecond lists.",
 			func(p sim.SchedPressure) float64 { return float64(p.SpillPushes) }},
 		{"oo_sched_overflow_pushes_total", "Events pushed into the overflow heap.",
 			func(p sim.SchedPressure) float64 { return float64(p.OverflowPushes) }},
-		{"oo_sched_resorts_total", "Calendar buckets sorted when the cursor opened them.",
+		{"oo_sched_resorts_total", "Calendar buckets of two or more events filed by nanosecond when the cursor opened them.",
 			func(p sim.SchedPressure) float64 { return float64(p.Resorts) }},
 		{"oo_sched_clamps_total", "Events scheduled in the virtual past and run at the current time.",
 			func(p sim.SchedPressure) float64 { return float64(p.Clamps) }},
