@@ -74,6 +74,7 @@ func (n *Net) AttachDigest(opts DigestOptions) *Auditor {
 	a.RegisterProbe("packet-conservation", a.checkPacketConservation)
 	a.RegisterProbe("vtime-monotonic", a.checkTimeMonotonic)
 	a.RegisterProbe("link-byte-conservation", a.checkLinkBytes)
+	a.RegisterProbe("switch-buffer-ledger", a.checkBufferLedgers)
 	return a
 }
 
@@ -204,6 +205,18 @@ func (a *Auditor) checkLinkBytes() string {
 		prev[2*i], prev[2*i+1] = l.BytesAB, l.BytesBA
 	}
 	return viol
+}
+
+// checkBufferLedgers audits every switch's buffer ledger: per-port bytes
+// against their queues, the switch-wide count against its ports, and the
+// count within its high water and the buffer cap.
+func (a *Auditor) checkBufferLedgers() string {
+	for _, sw := range a.net.switches {
+		if d := sw.CheckLedger(); d != "" {
+			return d
+		}
+	}
+	return ""
 }
 
 // AuditStatus is the auditor's live view, published on /snapshot and

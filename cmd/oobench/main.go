@@ -399,7 +399,7 @@ func runParallel(todo []string, ids map[string]experiment, p experiments.Params,
 	tasks := make([]runner.Task, len(todo))
 	for i, id := range todo {
 		r := ids[id]
-		tasks[i] = runner.Task{ID: id, Run: func(int) (any, error) {
+		tasks[i] = runner.Task{ID: id, Run: func() (any, error) {
 			start := time.Now()
 			res, err := r.run(p)
 			if err != nil {

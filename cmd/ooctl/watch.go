@@ -234,8 +234,8 @@ func renderSnapshot(s *openoptics.NetSnapshot, rateSuffix string) string {
 // renderProgress formats the oosweep tally.
 func renderProgress(p *runner.SweepProgress) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sweep: %d/%d done (%d ok, %d failed, %d retried), %d skipped of %d total\n",
-		p.Done, p.Pending, p.OK, p.Failed, p.Retried, p.Skipped, p.Total)
+	fmt.Fprintf(&b, "sweep: %d/%d done (%d ok, %d failed), %d skipped of %d total\n",
+		p.Done, p.Pending, p.OK, p.Failed, p.Skipped, p.Total)
 	fmt.Fprintf(&b, "elapsed %.1fs, eta %.1fs\n", p.ElapsedMs/1e3, p.EtaMs/1e3)
 	return b.String()
 }

@@ -127,7 +127,7 @@ func TestWatchFallsBackToProgress(t *testing.T) {
 	// An oosweep server publishes /progress but has no snapshot yet: watch
 	// must render the sweep tally instead of failing.
 	prog := runner.SweepProgress{Total: 10, Skipped: 2, Pending: 8, Done: 5,
-		OK: 4, Failed: 1, Retried: 1, ElapsedMs: 2000, EtaMs: 1200}
+		OK: 4, Failed: 1, ElapsedMs: 2000, EtaMs: 1200}
 	body, _ := json.Marshal(prog)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -146,7 +146,7 @@ func TestWatchFallsBackToProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"5/8 done", "4 ok", "1 failed", "1 retried",
+	for _, want := range []string{"5/8 done", "4 ok", "1 failed)",
 		"2 skipped of 10", "elapsed 2.0s", "eta 1.2s"} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("progress frame missing %q:\n%s", want, frame)

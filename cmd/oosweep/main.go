@@ -37,7 +37,7 @@ func main() {
 
 func usage() int {
 	fmt.Fprintln(os.Stderr, "usage: oosweep <run|resume|list|aggregate> [flags]")
-	fmt.Fprintln(os.Stderr, "  run       -spec FILE -out DIR [-jobs N] [-resume] [-retries N] [-metrics] [-quiet] [-http ADDR] [-cpuprofile FILE] [-memprofile FILE]")
+	fmt.Fprintln(os.Stderr, "  run       -spec FILE -out DIR [-jobs N] [-resume] [-metrics] [-quiet] [-http ADDR] [-cpuprofile FILE] [-memprofile FILE]")
 	fmt.Fprintln(os.Stderr, "  resume    -spec FILE -out DIR [-jobs N] ...   (run with -resume implied)")
 	fmt.Fprintln(os.Stderr, "  list      -spec FILE")
 	fmt.Fprintln(os.Stderr, "  aggregate -out DIR")
@@ -76,7 +76,6 @@ func runSweep(args []string, resume bool) int {
 	out := fs.String("out", "", "output directory (ledger + summaries)")
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
 	resumeFlag := fs.Bool("resume", resume, "skip jobs already completed in the ledger")
-	retries := fs.Int("retries", -1, "override spec retry count (-1 = use spec)")
 	metrics := fs.Bool("metrics", false, "write each job's telemetry registry under <out>/metrics/")
 	quiet := fs.Bool("quiet", false, "suppress the per-job progress line")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (pprof) of the whole sweep to this file")
@@ -132,7 +131,6 @@ func runSweep(args []string, resume bool) int {
 		Jobs:       *jobs,
 		LedgerPath: filepath.Join(*out, "ledger.jsonl"),
 		Resume:     *resumeFlag,
-		Retries:    *retries,
 	}
 	if !*quiet {
 		opt.Progress = os.Stderr

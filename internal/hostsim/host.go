@@ -9,7 +9,6 @@ package hostsim
 
 import (
 	"math"
-	"slices"
 
 	"openoptics/internal/core"
 	"openoptics/internal/fabric"
@@ -87,10 +86,14 @@ type Counters struct {
 	HeldByPushers uint64
 }
 
-// nodeHold is what holds traffic toward one destination node: the end of
-// its push-back pause and of its signaled circuit window, on the local
-// clock; noHold marks neither received (or the window closed).
-type nodeHold struct{ pausedUntil, circuitUntil int64 }
+// nodeHold is the host's record of one destination node: the end of its
+// push-back pause and of its signaled circuit window on the local clock
+// (noHold: none, or the window closed), and the packets held toward it.
+type nodeHold struct {
+	pausedUntil, circuitUntil int64
+	held                      []txItem
+	pending                   int64 // held bytes, the demand reports carry
+}
 
 const noHold = math.MinInt64
 
@@ -120,23 +123,19 @@ type Host struct {
 	Pool *core.PacketPool
 
 	// TX machinery.
-	ready   core.Deque[txItem]       // sendable now
-	held    map[core.NodeID][]txItem // held per destination node
-	queuedB int64                    // ready+held bytes (segment queue)
+	ready   core.Deque[txItem] // sendable now
+	queuedB int64              // ready+held bytes (segment queue)
 	busy    bool
 	waiters core.Deque[func()] // callbacks once segment-queue space frees
 
 	flowSent map[core.FlowKey]int64 // flow aging
 
-	// holds is the per-destination-node hold state, dense by node ID and
-	// grown on the first push-back or signal naming a node.
+	// holds is the per-destination-node record, dense by node ID and grown
+	// on the first push-back, signal or held packet naming a node.
 	holds []nodeHold
 
 	// Offload agent.
 	parked int
-
-	// Traffic accounting.
-	pendingByDst map[core.NodeID]int64
 
 	Counters Counters
 }
@@ -144,12 +143,10 @@ type Host struct {
 // New creates a host; call AttachLink before traffic.
 func New(eng *sim.Engine, cfg Config) *Host {
 	return &Host{
-		Cfg:          cfg,
-		eng:          eng,
-		rng:          sim.NewRand(cfg.Seed ^ 0x4057),
-		held:         make(map[core.NodeID][]txItem),
-		flowSent:     make(map[core.FlowKey]int64),
-		pendingByDst: make(map[core.NodeID]int64),
+		Cfg:      cfg,
+		eng:      eng,
+		rng:      sim.NewRand(cfg.Seed ^ 0x4057),
+		flowSent: make(map[core.FlowKey]int64),
 	}
 }
 
@@ -188,8 +185,7 @@ func (h *Host) Send(pkt *core.Packet) bool {
 	it := txItem{pkt: pkt, elephant: elephant}
 	h.queuedB += int64(pkt.Size)
 	if h.mustHold(it) {
-		h.held[pkt.DstNode] = append(h.held[pkt.DstNode], it)
-		h.pendingByDst[pkt.DstNode] += int64(pkt.Size)
+		h.holdBack(it)
 	} else {
 		h.ready.PushBack(it)
 		h.pump()
@@ -210,28 +206,36 @@ func (h *Host) mustHold(it txItem) bool {
 	if dst == h.Cfg.Node {
 		return false // intra-rack, no fabric involved
 	}
-	hd := nodeHold{noHold, noHold}
+	paused, circuit := int64(noHold), int64(noHold)
 	if dst >= 0 && int(dst) < len(h.holds) {
-		hd = h.holds[dst]
+		paused, circuit = h.holds[dst].pausedUntil, h.holds[dst].circuitUntil
 	}
-	if now < hd.pausedUntil {
+	if now < paused {
 		h.Counters.HeldByPushers++
 		return true
 	}
-	if h.Cfg.FlowPausing && it.elephant && now >= hd.circuitUntil {
+	if h.Cfg.FlowPausing && it.elephant && now >= circuit {
 		h.Counters.HeldByPause++
 		return true
 	}
 	return false
 }
 
-// hold returns node n's hold state for writing, growing holds to reach
-// it. Node IDs are non-negative.
+// hold returns node n's record for writing, growing holds to reach it.
+// Node IDs are non-negative.
 func (h *Host) hold(n core.NodeID) *nodeHold {
 	for int(n) >= len(h.holds) {
-		h.holds = append(h.holds, nodeHold{noHold, noHold})
+		h.holds = append(h.holds, nodeHold{pausedUntil: noHold, circuitUntil: noHold})
 	}
 	return &h.holds[n]
+}
+
+// holdBack parks a packet in the segment queue until its destination's
+// hold lifts.
+func (h *Host) holdBack(it txItem) {
+	hd := h.hold(it.pkt.DstNode)
+	hd.held = append(hd.held, it)
+	hd.pending += int64(it.pkt.Size)
 }
 
 // pump drives the NIC TX at line rate via the link's serialization clock.
@@ -243,8 +247,7 @@ func (h *Host) pump() {
 	// Re-check holds at transmit time: a push-back may have arrived
 	// after enqueue.
 	if h.mustHold(it) {
-		h.held[it.pkt.DstNode] = append(h.held[it.pkt.DstNode], it)
-		h.pendingByDst[it.pkt.DstNode] += int64(it.pkt.Size)
+		h.holdBack(it)
 		h.pump()
 		return
 	}
@@ -306,21 +309,21 @@ func (h *Host) wakeWaiters() {
 
 // release moves held packets for dst back to the ready queue.
 func (h *Host) release(dst core.NodeID) {
-	items := h.held[dst]
-	if len(items) == 0 {
+	if dst < 0 || int(dst) >= len(h.holds) || len(h.holds[dst].held) == 0 {
 		return
 	}
 	// Holds may still apply (e.g. paused and flow-paused); re-filter.
-	var still []txItem
-	for _, it := range items {
+	hd := &h.holds[dst]
+	still := hd.held[:0]
+	for _, it := range hd.held {
 		if h.mustHold(it) {
 			still = append(still, it)
 			continue
 		}
-		h.pendingByDst[dst] -= int64(it.pkt.Size)
+		hd.pending -= int64(it.pkt.Size)
 		h.ready.PushBack(it)
 	}
-	h.held[dst] = still
+	hd.held = still
 	h.pump()
 }
 
@@ -436,17 +439,10 @@ func (h *Host) sendReports() {
 	if h.link == nil {
 		return
 	}
-	// Report in node order: map order would shuffle the report events (and
-	// the rng draws naming them) from run to run.
-	dsts := make([]core.NodeID, 0, len(h.pendingByDst))
-	for dst, bytes := range h.pendingByDst {
-		if bytes > 0 {
-			dsts = append(dsts, dst)
+	for dst, hd := range h.holds {
+		if hd.pending <= 0 {
+			continue
 		}
-	}
-	slices.Sort(dsts)
-	for _, dst := range dsts {
-		bytes := h.pendingByDst[dst]
 		h.Counters.ReportsSent++
 		rep := h.Pool.NewPacket(core.Packet{
 			ID:       h.rng.Uint64(),
@@ -456,8 +452,8 @@ func (h *Host) sendReports() {
 			Size:     core.HeaderBytes,
 			Flags:    core.FlagReport,
 			Ctrl:     core.CtrlReport,
-			CtrlNode: dst,
-			Echo:     bytes,
+			CtrlNode: core.NodeID(dst),
+			Echo:     hd.pending,
 			Created:  h.eng.Now(),
 			TTL:      core.DefaultTTL,
 		})

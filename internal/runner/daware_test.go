@@ -104,7 +104,7 @@ func TestDawareSweepAcceptance(t *testing.T) {
 	run := func(jobs int) (csv, summary []byte, recs []Record) {
 		t.Helper()
 		ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
-		sr, err := Sweep(spec, SweepOptions{Jobs: jobs, LedgerPath: ledger, Retries: -1})
+		sr, err := Sweep(spec, SweepOptions{Jobs: jobs, LedgerPath: ledger})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestSweepEventDigestDeterminism(t *testing.T) {
 	run := func(spec *Spec, jobs int) (map[string]*Result, []byte) {
 		t.Helper()
 		ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
-		sr, err := Sweep(spec, SweepOptions{Jobs: jobs, LedgerPath: ledger, Retries: -1})
+		sr, err := Sweep(spec, SweepOptions{Jobs: jobs, LedgerPath: ledger})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ type Record struct {
 	Error    string    `json:"error,omitempty"`
 	Attempts int       `json:"attempts"`
 	Panicked bool      `json:"panicked,omitempty"`
-	// ElapsedMs is the job's wall-clock time across all attempts.
+	// ElapsedMs is the job's wall-clock time.
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 

@@ -1,56 +1,42 @@
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 )
 
-// Task is one unit of pool work. Run receives the 1-based attempt number
-// so callers can implement attempt-dependent behavior (tests exercise the
-// retry machinery with it; simulation jobs ignore it — they are
-// deterministic per seed).
+// Task is one unit of pool work. Simulation jobs are deterministic per
+// seed, so a failed task would fail again: the pool runs each task once.
 type Task struct {
 	ID  string
-	Run func(attempt int) (any, error)
+	Run func() (any, error)
 }
 
-// TaskResult is the terminal outcome of one task after all attempts.
+// TaskResult is the outcome of one task.
 type TaskResult struct {
 	ID       string
 	Index    int // position in the submitted slice
 	Value    any
 	Err      error // nil on success
-	Attempts int
+	Attempts int   // 1 once dispatched; 0 marks a task the stop cut off
 	Elapsed  time.Duration
-	Panicked bool // at least one attempt panicked
+	Panicked bool
 }
 
-// errNoRetry wraps errors the pool must not retry (a deterministic
-// simulation that timed out will time out again).
-var errNoRetry = errors.New("runner: permanent failure")
-
-// Pool executes tasks with bounded parallelism. Each attempt runs under
-// panic recovery — a crashing task is recorded as failed, never fatal to
-// the pool — and failed attempts retry up to Retries times with
-// exponential backoff, except errors wrapping ErrTimeout.
+// Pool executes tasks with bounded parallelism. Each task runs under panic
+// recovery — a crashing task is recorded as failed, never fatal to the
+// pool.
 type Pool struct {
 	// Workers bounds concurrency (<= 0: runtime.NumCPU()).
 	Workers int
-	// Retries is the number of re-attempts after the first failure.
-	Retries int
-	// Backoff is the sleep before the first retry; it doubles per retry
-	// (0: 100 ms).
-	Backoff time.Duration
 	// OnDone, when set, observes each terminal result in completion
 	// order. Calls are serialized; ledger writers hang here.
 	OnDone func(TaskResult)
 	// Stop, when closed, makes Run stop dispatching new tasks; in-flight
-	// tasks finish normally (including their retries). Undispatched tasks
-	// come back with Attempts == 0, which is the aborted marker — a
-	// dispatched task always records at least one attempt.
+	// tasks finish normally. Undispatched tasks come back with
+	// Attempts == 0, which is the aborted marker.
 	Stop <-chan struct{}
 }
 
@@ -76,7 +62,7 @@ func (p *Pool) Run(tasks []Task) []TaskResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				r := p.runOne(i, tasks[i])
+				r := runOne(i, tasks[i])
 				results[i] = r
 				if p.OnDone != nil {
 					done.Lock()
@@ -106,37 +92,18 @@ feed:
 	return results
 }
 
-func (p *Pool) runOne(i int, t Task) TaskResult {
+// runOne executes a task with panic isolation: a panicking task becomes
+// an error result carrying the panic value.
+func runOne(i int, t Task) (res TaskResult) {
 	start := time.Now()
-	res := TaskResult{ID: t.ID, Index: i}
-	backoff := p.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		val, panicked, err := runRecovered(t, attempt)
-		res.Value, res.Err = val, err
-		res.Panicked = res.Panicked || panicked
-		if err == nil || attempt > p.Retries || errors.Is(err, errNoRetry) || errors.Is(err, ErrTimeout) {
-			break
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// runRecovered executes one attempt with panic isolation: a panicking task
-// becomes an error result carrying the panic value.
-func runRecovered(t Task, attempt int) (val any, panicked bool, err error) {
+	res = TaskResult{ID: t.ID, Index: i, Attempts: 1}
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
-			err = fmt.Errorf("panic: %v", r)
+			res.Panicked = true
+			res.Err = fmt.Errorf("panic: %v", r)
 		}
+		res.Elapsed = time.Since(start)
 	}()
-	val, err = t.Run(attempt)
-	return val, false, err
+	res.Value, res.Err = t.Run()
+	return res
 }

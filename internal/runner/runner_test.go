@@ -51,20 +51,25 @@ func TestExpandDeterministic(t *testing.T) {
 func TestPoolPanicIsolation(t *testing.T) {
 	const n = 8
 	tasks := make([]Task, n)
+	var poisonCalls atomic.Int32
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{ID: fmt.Sprintf("t%d", i), Run: func(int) (any, error) {
+		tasks[i] = Task{ID: fmt.Sprintf("t%d", i), Run: func() (any, error) {
 			if i == 3 {
+				poisonCalls.Add(1)
 				panic("poisoned job")
 			}
 			return i, nil
 		}}
 	}
-	results := (&Pool{Workers: 4, Backoff: time.Microsecond}).Run(tasks)
+	results := (&Pool{Workers: 4}).Run(tasks)
 	for i, r := range results {
 		if i == 3 {
 			if r.Err == nil || !r.Panicked || !strings.Contains(r.Err.Error(), "poisoned job") {
 				t.Fatalf("poisoned job not recorded as panicked failure: %+v", r)
+			}
+			if r.Attempts != 1 || poisonCalls.Load() != 1 {
+				t.Fatalf("poisoned job ran %d times (attempts %d), want once", poisonCalls.Load(), r.Attempts)
 			}
 			continue
 		}
@@ -77,40 +82,13 @@ func TestPoolPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestPoolRetryThenSucceed(t *testing.T) {
-	var calls atomic.Int32
-	tasks := []Task{{ID: "flaky", Run: func(attempt int) (any, error) {
-		calls.Add(1)
-		if attempt < 3 {
-			return nil, fmt.Errorf("transient failure on attempt %d", attempt)
-		}
-		return "ok", nil
-	}}}
-	r := (&Pool{Workers: 1, Retries: 3, Backoff: time.Microsecond}).Run(tasks)[0]
-	if r.Err != nil || r.Attempts != 3 || calls.Load() != 3 {
-		t.Fatalf("want success on attempt 3, got err=%v attempts=%d calls=%d", r.Err, r.Attempts, calls.Load())
-	}
-}
-
-func TestPoolRetryExhausted(t *testing.T) {
-	var calls atomic.Int32
-	tasks := []Task{{ID: "doomed", Run: func(int) (any, error) {
-		calls.Add(1)
-		return nil, errors.New("always fails")
-	}}}
-	r := (&Pool{Workers: 1, Retries: 2, Backoff: time.Microsecond}).Run(tasks)[0]
-	if r.Err == nil || r.Attempts != 3 || calls.Load() != 3 {
-		t.Fatalf("want 3 exhausted attempts, got err=%v attempts=%d calls=%d", r.Err, r.Attempts, calls.Load())
-	}
-}
-
 func TestPoolTimeoutNotRetried(t *testing.T) {
 	var calls atomic.Int32
-	tasks := []Task{{ID: "slow", Run: func(int) (any, error) {
+	tasks := []Task{{ID: "slow", Run: func() (any, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("job: %w", ErrTimeout)
 	}}}
-	r := (&Pool{Workers: 1, Retries: 5, Backoff: time.Microsecond}).Run(tasks)[0]
+	r := (&Pool{Workers: 1}).Run(tasks)[0]
 	if !errors.Is(r.Err, ErrTimeout) || calls.Load() != 1 {
 		t.Fatalf("timeout must be permanent: err=%v calls=%d", r.Err, calls.Load())
 	}
@@ -172,7 +150,7 @@ func TestSweepResume(t *testing.T) {
 	spec := tinySpec()
 
 	// First: full run to harvest genuine records.
-	if _, err := Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: ledger, Retries: -1}); err != nil {
+	if _, err := Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: ledger}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadLedger(ledger)
@@ -204,11 +182,11 @@ func TestSweepResume(t *testing.T) {
 	l.Close()
 
 	// Without -resume a non-empty ledger must refuse to run.
-	if _, err := Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: part, Retries: -1}); err == nil {
+	if _, err := Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: part}); err == nil {
 		t.Fatal("sweep over existing ledger without resume must fail")
 	}
 
-	sr, err := Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: part, Resume: true, Retries: -1})
+	sr, err := Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: part, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +201,7 @@ func TestSweepResume(t *testing.T) {
 		t.Fatalf("resumed ledger has %d records, want 2", len(all))
 	}
 	// A second resume is a no-op: everything is checkpointed.
-	sr, err = Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: part, Resume: true, Retries: -1})
+	sr, err = Sweep(spec, SweepOptions{Jobs: 2, LedgerPath: part, Resume: true})
 	if err != nil || sr.Skipped != 2 || sr.OK != 0 {
 		t.Fatalf("second resume should skip all: %+v err=%v", sr, err)
 	}
@@ -235,7 +213,7 @@ func TestSweepDeterminism(t *testing.T) {
 	render := func(jobs int) (csv, js []byte) {
 		t.Helper()
 		ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
-		sr, err := Sweep(tinySpec(), SweepOptions{Jobs: jobs, LedgerPath: ledger, Retries: -1})
+		sr, err := Sweep(tinySpec(), SweepOptions{Jobs: jobs, LedgerPath: ledger})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,6 +275,15 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// Jobs run once, so a spec that still asks for retries names the key it
+// no longer has.
+func TestSpecRetriesKeyRejected(t *testing.T) {
+	_, err := ReadSpec(strings.NewReader(`{"architectures": ["rotornet"], "retries": 1}`))
+	if err == nil || !strings.Contains(err.Error(), `"retries"`) {
+		t.Fatalf("spec with retries: err = %v, want an unknown-key error naming it", err)
+	}
+}
+
 func TestSortRecordsDedupes(t *testing.T) {
 	recs := []Record{
 		{JobID: "b", Status: StatusFailed},
@@ -319,7 +306,7 @@ func TestPoolStopDrainsInFlight(t *testing.T) {
 	var ran atomic.Int32
 	p := &Pool{Workers: 1, Stop: stop}
 	mk := func(id string) Task {
-		return Task{ID: id, Run: func(int) (any, error) {
+		return Task{ID: id, Run: func() (any, error) {
 			ran.Add(1)
 			if id == "a" {
 				close(stop)
@@ -351,7 +338,7 @@ func TestPoolNilStopRunsEverything(t *testing.T) {
 	p := &Pool{Workers: 2}
 	tasks := make([]Task, 8)
 	for i := range tasks {
-		tasks[i] = Task{ID: fmt.Sprint(i), Run: func(int) (any, error) {
+		tasks[i] = Task{ID: fmt.Sprint(i), Run: func() (any, error) {
 			ran.Add(1)
 			return nil, nil
 		}}
@@ -374,7 +361,7 @@ func TestSweepStopAbortsAndResumes(t *testing.T) {
 	stop := make(chan struct{})
 	var progs []SweepProgress
 	sr, err := Sweep(spec, SweepOptions{
-		Jobs: 1, LedgerPath: ledger, Retries: -1, Stop: stop,
+		Jobs: 1, LedgerPath: ledger, Stop: stop,
 		OnProgress: func(p SweepProgress) {
 			progs = append(progs, p)
 			if len(progs) == 1 {
@@ -401,7 +388,7 @@ func TestSweepStopAbortsAndResumes(t *testing.T) {
 
 	// The aborted job was never written to the ledger, so a resumed sweep
 	// picks it up and completes the spec.
-	sr2, err := Sweep(spec, SweepOptions{Jobs: 1, LedgerPath: ledger, Resume: true, Retries: -1})
+	sr2, err := Sweep(spec, SweepOptions{Jobs: 1, LedgerPath: ledger, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +409,7 @@ func TestSweepProgressFullRun(t *testing.T) {
 	spec := tinySpec()
 	var progs []SweepProgress
 	sr, err := Sweep(spec, SweepOptions{
-		Jobs: 1, LedgerPath: filepath.Join(dir, "l.jsonl"), Retries: -1,
+		Jobs: 1, LedgerPath: filepath.Join(dir, "l.jsonl"),
 		OnProgress: func(p SweepProgress) { progs = append(progs, p) },
 	})
 	if err != nil || sr.OK != 2 {

@@ -160,14 +160,12 @@ type Result struct {
 	InvariantViolations uint64 `json:"invariant_violations,omitempty"`
 }
 
-// ErrTimeout marks a job attempt that exceeded its wall-clock budget. It
-// is permanent: the pool does not retry it (the same simulation would
-// exceed the same budget again).
+// ErrTimeout marks a job that exceeded its wall-clock budget.
 var ErrTimeout = errors.New("runner: job wall-clock timeout exceeded")
 
 // RunOpts tunes one job execution.
 type RunOpts struct {
-	// Timeout bounds the attempt's wall-clock time (<= 0: none).
+	// Timeout bounds the job's wall-clock time (<= 0: none).
 	Timeout time.Duration
 	// Metrics, when non-nil, receives the job network's telemetry
 	// registry (PR 1) as JSON after the run.

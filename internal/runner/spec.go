@@ -125,9 +125,7 @@ type Spec struct {
 	// seeds (replication index r contributes to the fork label). Default 1.
 	Replications int `json:"replications,omitempty"`
 
-	// Retries is the number of re-attempts after a failed attempt.
-	Retries int `json:"retries,omitempty"`
-	// TimeoutMs bounds one job attempt's wall-clock time (0 = none). A
+	// TimeoutMs bounds one job's wall-clock time (0 = none). A
 	// watchdog interrupts the job's engine, which stops within about a
 	// thousand events.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
@@ -297,9 +295,9 @@ func (s *Spec) Validate() error {
 	if s.HotFrac < 0 || s.HotFrac >= 1 {
 		return fmt.Errorf("runner: spec key %q: fraction %g out of [0,1)", "hot_frac", s.HotFrac)
 	}
-	if s.Replications < 0 || s.Retries < 0 || s.TimeoutMs < 0 || s.DurationMs < 0 ||
+	if s.Replications < 0 || s.TimeoutMs < 0 || s.DurationMs < 0 ||
 		s.ReconfigDrainUs < 0 || s.ShapePeriodMs < 0 || s.HotPairs < 0 {
-		return fmt.Errorf("runner: negative replications/retries/timeout/duration/drain/period/pairs")
+		return fmt.Errorf("runner: negative replications/timeout/duration/drain/period/pairs")
 	}
 	if s.TraceSample < 0 || s.TraceSample > 1 {
 		return fmt.Errorf("runner: trace_sample %g out of [0,1]", s.TraceSample)

@@ -21,10 +21,6 @@ type SweepOptions struct {
 	// it, a pre-existing non-empty ledger is an error — mixing two sweeps'
 	// records silently would corrupt aggregation.
 	Resume bool
-	// Retries overrides the spec's retry count when >= 0.
-	Retries int
-	// Backoff is the base retry backoff (0: pool default).
-	Backoff time.Duration
 	// Progress, when set, receives one line per job completion in the
 	// sim progress-reporting convention (virtual/real speed ratio).
 	Progress io.Writer
@@ -62,7 +58,6 @@ type SweepProgress struct {
 	Done    int `json:"done"`    // completed so far (ok + failed)
 	OK      int `json:"ok"`
 	Failed  int `json:"failed"`
-	Retried int `json:"retried"` // jobs that needed more than one attempt
 	// ElapsedMs is wall time since the first dispatch; EtaMs extrapolates
 	// the remaining jobs from the mean completion rate so far.
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -70,7 +65,7 @@ type SweepProgress struct {
 }
 
 // Sweep expands the spec and executes it: bounded worker pool, per-job
-// panic isolation and retry, JSONL checkpointing, optional resume. It
+// panic isolation, JSONL checkpointing, optional resume. It
 // returns a summary; per-job outcomes are in the ledger. A sweep with
 // failed jobs is not itself an error — callers decide via SweepResult.
 func Sweep(spec *Spec, opt SweepOptions) (*SweepResult, error) {
@@ -129,17 +124,13 @@ func Sweep(spec *Spec, opt SweepOptions) (*SweepResult, error) {
 	if err := ledger.WriteHeader(&manifest); err != nil {
 		return nil, fmt.Errorf("runner: ledger header: %w", err)
 	}
-	retries := d.Retries
-	if opt.Retries >= 0 {
-		retries = opt.Retries
-	}
 	timeout := time.Duration(d.TimeoutMs) * time.Millisecond
 	virtual := time.Duration(d.DurationMs) * time.Millisecond
 
 	tasks := make([]Task, len(pending))
 	for i, j := range pending {
 		sc := j.Scenario
-		tasks[i] = Task{ID: j.ID, Run: func(int) (any, error) {
+		tasks[i] = Task{ID: j.ID, Run: func() (any, error) {
 			ro := RunOpts{Timeout: timeout, Manifest: &manifest}
 			if opt.MetricsDir != "" {
 				f, err := os.Create(filepath.Join(opt.MetricsDir, sanitize(sc.ID)+".json"))
@@ -157,7 +148,7 @@ func Sweep(spec *Spec, opt SweepOptions) (*SweepResult, error) {
 	var ledgerErr error
 	prog := SweepProgress{Total: sr.Total, Skipped: sr.Skipped, Pending: len(pending)}
 	start := time.Now()
-	pool := &Pool{Workers: opt.Jobs, Retries: retries, Backoff: opt.Backoff, Stop: opt.Stop,
+	pool := &Pool{Workers: opt.Jobs, Stop: opt.Stop,
 		OnDone: func(tr TaskResult) {
 			completed++
 			sc := pending[tr.Index].Scenario
@@ -188,9 +179,6 @@ func Sweep(spec *Spec, opt SweepOptions) (*SweepResult, error) {
 				} else {
 					prog.OK++
 				}
-				if tr.Attempts > 1 {
-					prog.Retried++
-				}
 				elapsed := time.Since(start)
 				prog.ElapsedMs = float64(elapsed.Nanoseconds()) / 1e6
 				prog.EtaMs = prog.ElapsedMs / float64(completed) * float64(len(pending)-completed)
@@ -220,12 +208,8 @@ func progressLine(w io.Writer, done, total int, rec Record, virtual, elapsed tim
 	if elapsed > 0 {
 		ratio = float64(virtual) / float64(elapsed)
 	}
-	status := rec.Status
-	if rec.Attempts > 1 {
-		status = fmt.Sprintf("%s(x%d)", rec.Status, rec.Attempts)
-	}
 	fmt.Fprintf(w, "sweep: [%d/%d] %-9s %-40s %6.1fs %8.3gx real\n",
-		done, total, status, rec.JobID, elapsed.Seconds(), ratio)
+		done, total, rec.Status, rec.JobID, elapsed.Seconds(), ratio)
 }
 
 // sanitize maps a job ID to a filesystem-safe name.

@@ -16,13 +16,13 @@ import (
 // switch schedule that stage themselves (Pipeline); Receive is the entry
 // for packets injected straight into a switch.
 func (s *Switch) Receive(pkt *core.Packet, inPort core.PortID) {
-	s.eng.AfterEvent(s.Cfg.pipeline(), sim.ClassSwitchIngress, (*ingressAction)(s), pkt, int64(inPort))
+	s.eng.AfterEvent(s.pipeline, sim.ClassSwitchIngress, (*ingressAction)(s), pkt, int64(inPort))
 }
 
 // Pipeline implements fabric.Pipelined: a link delivers straight into the
 // ingress stage, one pipeline delay after the packet's arrival.
 func (s *Switch) Pipeline() (int64, sim.Class, sim.Action) {
-	return s.Cfg.pipeline(), sim.ClassSwitchIngress, (*ingressAction)(s)
+	return s.pipeline, sim.ClassSwitchIngress, (*ingressAction)(s)
 }
 
 // ingressAction is the ingress stage, run one pipeline delay after the
@@ -36,7 +36,7 @@ func (a *ingressAction) RunEvent(arg any, v int64) {
 	s.Counters.RxPkts++
 	if s.WireDelaySampler != nil && pkt.Enqueued > 0 {
 		if p := s.portAt(inPort); p != nil && p.kind == portUplink {
-			arrived := s.eng.Now() - s.Cfg.pipeline()
+			arrived := s.eng.Now() - s.pipeline
 			s.WireDelaySampler(arrived-pkt.Enqueued, pkt.Size)
 		}
 	}
@@ -55,7 +55,7 @@ func (s *Switch) process(pkt *core.Packet, inPort core.PortID) {
 	// Traffic accounting for collect(): bytes entering from local hosts,
 	// keyed by destination node.
 	if p := s.portAt(inPort); p != nil && p.kind == portDownlink {
-		s.tm.Add(s.Cfg.ID, pkt.DstNode, float64(pkt.Size))
+		s.tmAdd(pkt.DstNode, float64(pkt.Size))
 	}
 
 	// Local delivery: packets for hosts under this switch skip the
@@ -119,30 +119,27 @@ func (s *Switch) forward(pkt *core.Packet, inPort, egress core.PortID, dep core.
 		s.dropPkt(pkt, core.DropNoRoute)
 		return
 	}
-	if p.kind != portUplink || !s.Cfg.calendarOn() {
+	if p.kind != portUplink || !s.cal {
 		s.traceHop(pkt, inPort, egress, arr, dep, p.bytes)
 		s.enqueue(p, 0, pkt)
 		return
 	}
 	rank := s.Cfg.Schedule.SlicesUntil(arr, dep)
-	k := s.effQueues()
 	// Buffer offloading (§5.2): ranks beyond the kept calendar horizon
 	// are parked on a host until shortly before their slice.
 	if s.Cfg.OffloadRank > 0 && rank >= s.Cfg.OffloadRank && !pkt.HasFlag(core.FlagOffloaded) {
 		s.offload(pkt, egress, dep)
 		return
 	}
-	if rank >= k {
+	if rank >= s.k {
 		// Wrap-around would alias an earlier slice: never enqueue.
 		s.dropPkt(pkt, core.DropWrap)
 		return
 	}
-	qi := (s.active + rank) % k
-	if s.Cfg.CongestionDetection {
-		if s.queueFull(p, qi, rank, pkt.Size) {
-			s.congested(pkt, inPort, p, dep, arr, rank)
-			return
-		}
+	qi := (s.active + rank) % s.k
+	if s.Cfg.CongestionDetection && s.queueFull(p, qi, rank, pkt.Size) {
+		s.congested(pkt, inPort, p, qi, dep, arr, rank)
+		return
 	}
 	pkt.Flags &^= core.FlagOffloaded
 	s.traceHop(pkt, inPort, egress, arr, dep, p.queues[qi].bytes)
@@ -167,27 +164,19 @@ func (s *Switch) queueFull(p *outPort, qi, rank int, size int32) bool {
 }
 
 func (s *Switch) admissible(p *outPort, rank int) int64 {
-	sd := int64(s.Cfg.Schedule.SliceDuration)
-	guard := int64(s.Cfg.Schedule.Guard)
-	usable := sd - guard - txTail
+	usable := s.sd - s.guard - txTail
 	if rank == 0 {
-		local := s.localNow()
-		elapsed := local % sd
-		remain := sd - elapsed - txTail
-		if remain < 0 {
-			remain = 0
-		}
-		if remain < usable {
-			usable = remain
-		}
+		_, until := s.drainWindow(s.localNow())
+		usable = min(usable, max(until-s.eng.Now(), 0))
 	}
 	return p.link.BandwidthBps * usable / 8 / 1e9
 }
 
-// congested applies the architecture's congestion response and, if
+// congested applies the architecture's congestion response to a packet
+// whose planned calendar queue qi (rank after arrival) is full and, if
 // enabled, originates a traffic push-back message toward the sender
 // switch (§5.2).
-func (s *Switch) congested(pkt *core.Packet, inPort core.PortID, p *outPort, dep, arr core.Slice, rank int) {
+func (s *Switch) congested(pkt *core.Packet, inPort core.PortID, p *outPort, qi int, dep, arr core.Slice, rank int) {
 	if s.Cfg.PushBack {
 		s.sendPushBack(pkt.SrcNode, pkt.DstNode, dep)
 	}
@@ -199,8 +188,6 @@ func (s *Switch) congested(pkt *core.Packet, inPort core.PortID, p *outPort, dep
 			pkt.Payload = 0
 			pkt.Flags |= core.FlagTrimmed
 			s.Counters.Trims++
-			k := s.effQueues()
-			qi := (s.active + rank) % k
 			s.traceHop(pkt, inPort, p.id, arr, dep, p.queues[qi].bytes)
 			s.enqueue(p, qi, pkt)
 			return
@@ -209,21 +196,16 @@ func (s *Switch) congested(pkt *core.Packet, inPort core.PortID, p *outPort, dep
 	case RespDefer:
 		// Defer to the next time slice that can still fit the packet
 		// (UCMP/HOHO slice-miss handling).
-		k := s.effQueues()
-		lim := k
+		lim := s.k
 		if s.Cfg.OffloadRank > 0 && s.Cfg.OffloadRank < lim {
 			lim = s.Cfg.OffloadRank
 		}
-		ns := 1
-		if s.Cfg.calendarOn() {
-			ns = s.Cfg.Schedule.NumSlices
-		}
 		for r := rank + 1; r < lim; r++ {
-			qi := (s.active + r) % k
+			qi := (s.active + r) % s.k
 			if !s.queueFull(p, qi, r, pkt.Size) {
 				s.Counters.Defers++
 				// The deferred departure slice is r ranks after arrival.
-				dep2 := core.Slice((int(arr) + r) % ns)
+				dep2 := core.Slice((int(arr) + r) % s.ns)
 				s.traceHop(pkt, inPort, p.id, arr, dep2, p.queues[qi].bytes)
 				s.enqueue(p, qi, pkt)
 				return
@@ -286,7 +268,7 @@ func (s *Switch) earliestCircuit(dst core.NodeID, arr core.Slice) (core.Slice, c
 		arr = 0
 	}
 	dep, eg, ok := s.ix.EarliestDirect(s.Cfg.ID, dst, arr)
-	if ok && !s.Cfg.calendarOn() {
+	if ok && !s.cal {
 		dep = core.WildcardSlice
 	}
 	return dep, eg, ok
@@ -329,7 +311,7 @@ func (s *Switch) handleCtrl(pkt *core.Packet, inPort core.PortID) {
 		// Host traffic-collection report: pending bytes toward a
 		// destination node, merged into the collect() matrix. The report's
 		// life ends here.
-		s.tm.Add(s.Cfg.ID, pkt.CtrlNode, float64(pkt.Echo))
+		s.tmAdd(pkt.CtrlNode, float64(pkt.Echo))
 		pkt.Free()
 	default:
 		// Signals terminate at hosts; a switch receiving one on the data

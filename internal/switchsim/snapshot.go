@@ -73,7 +73,7 @@ func (s *Switch) Snapshot() Snapshot {
 		Node:          s.Cfg.ID,
 		ActiveQueue:   s.active,
 		Rotations:     s.rotations,
-		BufferedBytes: s.totalBuffered(),
+		BufferedBytes: s.buffered,
 		Counters:      s.Counters,
 		Ports:         make([]PortSnapshot, 0, len(s.ports)),
 	}
@@ -94,7 +94,7 @@ func (s *Switch) Snapshot() Snapshot {
 				Bytes:   p.queues[qi].bytes,
 				Packets: p.queues[qi].fifo.Len(),
 			}
-			if p.kind == portUplink && qi < len(p.estOcc) {
+			if p.kind == portUplink {
 				q.EstBytes = s.eqoRead(p, qi)
 			}
 			ps.Queues[qi] = q
@@ -122,14 +122,8 @@ func portKindName(k portKind) string {
 // flight recorder's estimation-error trigger.
 func (s *Switch) MaxEQOErrorBytes() int64 {
 	var worst int64
-	for _, p := range s.ports {
-		if p.kind != portUplink {
-			continue
-		}
+	for _, p := range s.uplinks {
 		for qi := range p.queues {
-			if qi >= len(p.estOcc) {
-				break
-			}
 			err := s.eqoRead(p, qi) - p.queues[qi].bytes
 			if err < 0 {
 				err = -err

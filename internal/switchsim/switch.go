@@ -87,34 +87,6 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) queues() int {
-	if c.NumCalendarQueues <= 0 {
-		return 32
-	}
-	return c.NumCalendarQueues
-}
-
-func (c *Config) buffer() int64 {
-	if c.BufferBytes <= 0 {
-		return 64 << 20
-	}
-	return c.BufferBytes
-}
-
-func (c *Config) pipeline() int64 {
-	if c.PipelineDelay <= 0 {
-		return 600
-	}
-	return c.PipelineDelay
-}
-
-func (c *Config) eqoInterval() int64 {
-	if c.EQOUpdateInterval == 0 {
-		return 50
-	}
-	return c.EQOUpdateInterval
-}
-
 // Timing constants of the slice machinery, in ns.
 const (
 	// txTail is the headroom before the slice end within which a
@@ -125,10 +97,6 @@ const (
 	// signals are broadcast to hosts.
 	signalLead int64 = 2000
 )
-
-func (c *Config) calendarOn() bool {
-	return c.Schedule != nil && c.Schedule.NumSlices > 1
-}
 
 type portKind uint8
 
@@ -150,16 +118,15 @@ type outPort struct {
 	link *fabric.Link
 
 	queues []calQueue
-	estOcc []int64 // ingress-side estimated occupancy registers (uplinks)
+	estOcc []int64 // ingress-side estimated occupancy registers (uplinks only)
 	// lastDecay is the last time the active queue's EQO register was
 	// decayed (quantized to the update interval).
 	lastDecay int64
 	busy      bool
 
-	bytes    int64 // total buffered on this port
-	txBytes  uint64
-	txPkts   uint64
-	maxBytes int64
+	bytes   int64 // total buffered on this port
+	txBytes uint64
+	txPkts  uint64
 }
 
 // Counters aggregates the switch's observable behaviour for experiments.
@@ -198,6 +165,9 @@ type Switch struct {
 	ix    *core.ConnIndex
 
 	ports []*outPort
+	// uplinks are the optical uplink ports in attach order: the calendar
+	// ports once Start turns the calendar on.
+	uplinks []*outPort
 	// byPort and downByHost are dense lookup tables indexed by port id and
 	// host id (both small, contiguous in every deployment). The forwarding
 	// path resolves a port on every hop; a slice index replaces the map
@@ -210,11 +180,30 @@ type Switch struct {
 	active    int
 	rotations int64
 
-	cp      *ControlPlane
-	tm      core.TM       // per-destination-node byte counts since last collect
-	tmTotal core.TM       // collected windows folded in at every CollectTM
-	n       int           // node count for the TM
-	taPeers []core.NodeID // TA-mode circuit peers in node order (InstallConnIndex)
+	// pipeline, bufCap and eqoIv are the ingress-pipeline delay, the
+	// shared buffer cap and the EQO update interval, Cfg's defaults
+	// resolved in New: links read the pipeline delay when they are wired,
+	// and a TA deployment enqueues circuit signals, both before Start.
+	pipeline, bufCap, eqoIv int64
+	// The calendar geometry, fixed in Start from the deployed schedule,
+	// whose cycle length cannot change once the network runs: whether the
+	// uplinks run calendar queues, their depth k = min(NumCalendarQueues,
+	// cycle), the cycle length ns (1 with the calendar off), and the slice
+	// duration and guard in ns.
+	cal       bool
+	k, ns     int
+	sd, guard int64
+
+	// buffered is the switch-wide occupancy of the shared buffer and
+	// bufMax its high water.
+	buffered, bufMax int64
+
+	cp *ControlPlane
+	// tm and tmTotal are this switch's row of the traffic matrix (bytes
+	// from Cfg.ID by destination node): the window since the last
+	// CollectTM, and the collected windows folded in at every CollectTM.
+	tm, tmTotal []float64
+	taPeers     []core.NodeID // TA-mode circuit peers in node order (InstallConnIndex)
 
 	// DelaySampler, when set, receives the queueing delay of every packet
 	// the switch transmits on an uplink (Table 4 delay rows).
@@ -320,10 +309,21 @@ func New(eng *sim.Engine, cfg Config, nodeCount int) *Switch {
 		eng:        eng,
 		rng:        sim.NewRand(cfg.Seed ^ 0x5eed5eed),
 		table:      core.NewTable(),
-		n:          nodeCount,
-		tm:         core.NewTM(nodeCount),
-		tmTotal:    core.NewTM(nodeCount),
+		pipeline:   600,
+		bufCap:     64 << 20,
+		eqoIv:      50,
+		tm:         make([]float64, nodeCount),
+		tmTotal:    make([]float64, nodeCount),
 		bufferHist: stats.NewHistogram(1024, 64<<20),
+	}
+	if cfg.PipelineDelay > 0 {
+		s.pipeline = cfg.PipelineDelay
+	}
+	if cfg.BufferBytes > 0 {
+		s.bufCap = cfg.BufferBytes
+	}
+	if cfg.EQOUpdateInterval != 0 {
+		s.eqoIv = cfg.EQOUpdateInterval
 	}
 	return s
 }
@@ -331,13 +331,14 @@ func New(eng *sim.Engine, cfg Config, nodeCount int) *Switch {
 // ID returns the switch's endpoint node id.
 func (s *Switch) ID() core.NodeID { return s.Cfg.ID }
 
+// addPort wires a port with one FIFO queue; Start turns uplinks into
+// calendars.
 func (s *Switch) addPort(id core.PortID, kind portKind, host core.HostID, link *fabric.Link) *outPort {
-	nq := 1
-	if kind == portUplink && s.Cfg.calendarOn() {
-		nq = s.Cfg.queues()
+	p := &outPort{id: id, kind: kind, host: host, link: link, queues: make([]calQueue, 1)}
+	if kind == portUplink {
+		p.estOcc = make([]int64, 1)
+		s.uplinks = append(s.uplinks, p)
 	}
-	p := &outPort{id: id, kind: kind, host: host, link: link,
-		queues: make([]calQueue, nq), estOcc: make([]int64, nq)}
 	s.ports = append(s.ports, p)
 	for int(id) >= len(s.byPort) {
 		s.byPort = append(s.byPort, nil)
@@ -404,7 +405,7 @@ func (s *Switch) Table() *core.Table { return s.table }
 // that came up or went away, so flow pausing tracks the static topology.
 func (s *Switch) InstallConnIndex(ix *core.ConnIndex) {
 	s.ix = ix
-	if s.Cfg.calendarOn() {
+	if s.Cfg.Schedule != nil && s.Cfg.Schedule.NumSlices > 1 {
 		return
 	}
 	// Both peer lists are sorted, so the signals go out in node order and
@@ -443,55 +444,52 @@ func (s *Switch) signalHosts(peer core.NodeID, ts core.Slice, kind core.CtrlKind
 	}
 }
 
-// effQueues returns the effective calendar depth: at most the configured
-// hardware queue count, and no more than the optical cycle length — one
-// queue per slice keeps the slice↔queue mapping exact, so a packet that
-// misses its slice waits exactly one cycle instead of aliasing onto a
-// different circuit.
-func (s *Switch) effQueues() int {
-	k := s.Cfg.queues()
-	if s.Cfg.calendarOn() && s.Cfg.Schedule.NumSlices < k {
-		k = s.Cfg.Schedule.NumSlices
-	}
-	return k
-}
-
-// Start arms the periodic machinery: queue rotation at every slice
-// boundary (the on-chip packet generator), EQO decay, and signal
-// broadcasts. Must be called once, after topology deployment fixes the
-// cycle length and before traffic.
+// Start fixes the calendar geometry from the deployed schedule and arms
+// the periodic machinery: queue rotation at every slice boundary (the
+// on-chip packet generator), EQO decay, and signal broadcasts. Must be
+// called once, after topology deployment fixes the cycle length and
+// before traffic.
 func (s *Switch) Start() {
 	if s.started {
 		panic("switchsim: Start called twice")
 	}
 	s.started = true
-	ns := 1
-	if s.Cfg.calendarOn() {
-		ns = s.Cfg.Schedule.NumSlices
+	sch := s.Cfg.Schedule
+	s.cal = sch != nil && sch.NumSlices > 1
+	s.ns = 1
+	if s.cal {
+		s.ns = sch.NumSlices
+		s.sd = int64(sch.SliceDuration)
+		s.guard = int64(sch.Guard)
+		// The effective depth: at most the hardware queue count (default
+		// 32, Tofino2), and no more than the cycle — one queue per slice
+		// keeps the slice↔queue mapping exact, so a packet that misses
+		// its slice waits exactly one cycle instead of aliasing onto a
+		// different circuit.
+		s.k = 32
+		if s.Cfg.NumCalendarQueues > 0 {
+			s.k = s.Cfg.NumCalendarQueues
+		}
+		s.k = min(s.k, s.ns)
 	}
 	for r := range s.dropsBySlice {
-		s.dropsBySlice[r] = make([]uint64, ns)
+		s.dropsBySlice[r] = make([]uint64, s.ns)
 	}
-	s.missesBySlice = make([]uint64, ns)
-	if !s.Cfg.calendarOn() {
+	s.missesBySlice = make([]uint64, s.ns)
+	if !s.cal {
 		return
 	}
-	// Size uplink calendars now that the cycle length is known.
-	k := s.effQueues()
-	for _, p := range s.ports {
-		if p.kind == portUplink && len(p.queues) != k {
-			p.queues = make([]calQueue, k)
-			p.estOcc = make([]int64, k)
-		}
+	for _, p := range s.uplinks {
+		p.queues = make([]calQueue, s.k)
+		p.estOcc = make([]int64, s.k)
 	}
-	sd := int64(s.Cfg.Schedule.SliceDuration)
 	// Queue rotation: the generator fires at each local slice boundary.
 	// ClockOffset shifts the local boundary relative to global time.
-	first := sd - s.Cfg.ClockOffset
+	first := s.sd - s.Cfg.ClockOffset
 	for first < 0 {
-		first += sd
+		first += s.sd
 	}
-	s.eng.EveryClass(first, sd, sim.ClassSwitchRotate, func() bool {
+	s.eng.EveryClass(first, s.sd, sim.ClassSwitchRotate, func() bool {
 		s.rotate()
 		return true
 	})
@@ -499,9 +497,9 @@ func (s *Switch) Start() {
 	if s.ix != nil {
 		firstSig := first - signalLead
 		for firstSig < 0 {
-			firstSig += sd
+			firstSig += s.sd
 		}
-		s.eng.EveryClass(firstSig, sd, sim.ClassSwitchSignal, func() bool {
+		s.eng.EveryClass(firstSig, s.sd, sim.ClassSwitchSignal, func() bool {
 			s.broadcastSignals()
 			return true
 		})
@@ -513,22 +511,26 @@ func (s *Switch) localNow() int64 { return s.eng.Now() + s.Cfg.ClockOffset }
 
 // localSlice returns the current slice per the local clock.
 func (s *Switch) localSlice() core.Slice {
-	if !s.Cfg.calendarOn() {
+	if !s.cal {
 		return 0
 	}
 	return s.Cfg.Schedule.SliceAt(s.localNow())
+}
+
+// drainWindow returns, in global time, the part of the slice holding
+// local time t in which the active calendar queue transmits: after the
+// guardband, before the end-of-slice transmit cutoff.
+func (s *Switch) drainWindow(t int64) (from, until int64) {
+	start := t - t%s.sd
+	return start + s.guard - s.Cfg.ClockOffset, start + s.sd - txTail - s.Cfg.ClockOffset
 }
 
 // rotate pauses the active calendar queue and resumes the next one on
 // every egress port (§5.1). Packets left in the outgoing queue have missed
 // their slice and wait a full calendar rotation.
 func (s *Switch) rotate() {
-	k := s.effQueues()
 	endedSlice := s.Cfg.Schedule.SliceAt(s.localNow() - 1)
-	for _, p := range s.ports {
-		if p.kind != portUplink {
-			continue
-		}
+	for _, p := range s.uplinks {
 		if left := p.queues[s.active].fifo.Len(); left > 0 {
 			s.Counters.SliceMisses += uint64(left)
 			if int(endedSlice) >= 0 && int(endedSlice) < len(s.missesBySlice) {
@@ -542,11 +544,9 @@ func (s *Switch) rotate() {
 		p.lastDecay = s.eng.Now()
 	}
 	s.rotations++
-	s.active = int(s.rotations % int64(k))
-	for _, p := range s.ports {
-		if p.kind == portUplink {
-			s.drain(p)
-		}
+	s.active = int(s.rotations % int64(s.k))
+	for _, p := range s.uplinks {
+		s.drain(p)
 	}
 	if s.OnRotate != nil {
 		s.OnRotate(endedSlice)
@@ -560,8 +560,9 @@ func (s *Switch) drain(p *outPort) {
 	if p.busy {
 		return
 	}
+	cal := p.kind == portUplink && s.cal
 	qi := 0
-	if p.kind == portUplink && s.Cfg.calendarOn() {
+	if cal {
 		qi = s.active
 	}
 	q := &p.queues[qi]
@@ -570,18 +571,13 @@ func (s *Switch) drain(p *outPort) {
 	}
 	pkt := q.fifo.Front()
 	ser := p.link.SerializationDelay(pkt.Size)
-	if p.kind == portUplink && s.Cfg.calendarOn() {
-		sd := int64(s.Cfg.Schedule.SliceDuration)
-		local := s.localNow()
-		sliceStart := local - local%sd
-		guardEnd := sliceStart + int64(s.Cfg.Schedule.Guard)
-		sliceEnd := sliceStart + sd
-		if local < guardEnd {
-			wait := guardEnd - local
-			s.eng.AfterEvent(wait, sim.ClassSwitchDrain, (*drainAction)(s), p, 0)
+	if cal {
+		from, until := s.drainWindow(s.localNow())
+		if now := s.eng.Now(); now < from {
+			s.eng.AfterEvent(from-now, sim.ClassSwitchDrain, (*drainAction)(s), p, 0)
 			return
 		}
-		if local+ser+txTail > sliceEnd {
+		if s.eng.Now()+ser > until {
 			// Would overrun the circuit: the head packet misses this
 			// pass; the queue resumes when its slice comes around again.
 			return
@@ -632,25 +628,21 @@ func (a *txDoneAction) RunEvent(arg any, v int64) {
 	size := v & 0xffffffff
 	q.bytes -= size
 	p.bytes -= size
+	s.buffered -= size
 	p.busy = false
 	s.drain(p)
 }
 
-// eqoSettle finalizes queue qi's generator decay over the slice that just
-// ended. rotate calls it at the boundary, where eqoRead's current-slice
-// window would be empty.
+// eqoSettle finalizes calendar queue qi's generator decay over the slice
+// that just ended. rotate calls it at the boundary, where eqoRead's
+// current-slice window would be empty.
 func (s *Switch) eqoSettle(p *outPort, qi int) {
-	iv := s.Cfg.eqoInterval()
-	if iv <= 0 || p.kind != portUplink || !s.Cfg.calendarOn() || qi >= len(p.estOcc) {
+	if s.eqoIv <= 0 {
 		return
 	}
-	sd := int64(s.Cfg.Schedule.SliceDuration)
-	local := s.localNow()
 	// The ended slice is the one containing local-1.
-	sliceStart := ((local - 1) / sd) * sd
-	off := local - s.eng.Now()
-	from := max(sliceStart+int64(s.Cfg.Schedule.Guard)-off, p.lastDecay)
-	p.eqoDecay(qi, from, sliceStart+sd-txTail-off, iv)
+	from, until := s.drainWindow(s.localNow() - 1)
+	p.eqoDecay(qi, max(from, p.lastDecay), until, s.eqoIv)
 }
 
 // eqoDecay applies the generator ticks of interval iv (> 0) that fit in
@@ -679,43 +671,26 @@ func (p *outPort) eqoDecay(qi int, from, until, iv int64) {
 // sub-interval staleness that Fig. 12 measures — without simulating 20M
 // generator events per second.
 func (s *Switch) eqoRead(p *outPort, qi int) int64 {
-	iv := s.Cfg.eqoInterval()
-	if iv <= 0 || p.kind != portUplink {
+	if s.eqoIv <= 0 || p.kind != portUplink {
 		// Estimation disabled: perfect ingress knowledge (ablation mode).
-		if qi < len(p.queues) {
-			return p.queues[qi].bytes
-		}
-		return 0
+		return p.queues[qi].bytes
 	}
 	activeIdx := 0
-	if s.Cfg.calendarOn() {
+	if s.cal {
 		activeIdx = s.active
 	}
 	if qi != activeIdx {
 		return p.estOcc[qi]
 	}
 	// Decay only across the window in which the active queue actually
-	// drains: after the guardband, before the end-of-slice transmit
-	// cutoff. Decaying through paused periods would systematically
+	// drains. Decaying through paused periods would systematically
 	// under-estimate by guard+tail × line rate.
-	now := s.eng.Now()
-	until := now
-	from := p.lastDecay
-	if s.Cfg.calendarOn() {
-		sd := int64(s.Cfg.Schedule.SliceDuration)
-		local := s.localNow()
-		sliceStart := local - local%sd
-		off := local - now // local-to-global conversion
-		gEnd := sliceStart + int64(s.Cfg.Schedule.Guard) - off
-		tEnd := sliceStart + sd - txTail - off
-		if from < gEnd {
-			from = gEnd
-		}
-		if until > tEnd {
-			until = tEnd
-		}
+	from, until := p.lastDecay, s.eng.Now()
+	if s.cal {
+		gEnd, tEnd := s.drainWindow(s.localNow())
+		from, until = max(from, gEnd), min(until, tEnd)
 	}
-	p.eqoDecay(qi, from, until, iv)
+	p.eqoDecay(qi, from, until, s.eqoIv)
 	return p.estOcc[qi]
 }
 
@@ -725,8 +700,7 @@ func (s *Switch) broadcastSignals() {
 	if s.ix == nil {
 		return
 	}
-	sd := int64(s.Cfg.Schedule.SliceDuration)
-	next := s.Cfg.Schedule.SliceAt(s.localNow() + sd)
+	next := s.Cfg.Schedule.SliceAt(s.localNow() + s.sd)
 	for _, peer := range s.ix.Neighbors(s.Cfg.ID, next) {
 		s.signalHosts(peer, next, core.CtrlSignal)
 	}
@@ -744,45 +718,37 @@ func (s *Switch) toHost(h core.HostID, pkt *core.Packet) {
 
 // enqueue places pkt on queue qi of port p with buffer accounting.
 func (s *Switch) enqueue(p *outPort, qi int, pkt *core.Packet) {
-	if s.totalBuffered()+int64(pkt.Size) > s.Cfg.buffer() {
+	size := int64(pkt.Size)
+	if s.buffered+size > s.bufCap {
 		s.dropPkt(pkt, core.DropBuffer)
 		return
 	}
 	pkt.Enqueued = s.eng.Now()
 	q := &p.queues[qi]
 	q.fifo.PushBack(pkt)
-	q.bytes += int64(pkt.Size)
-	p.bytes += int64(pkt.Size)
-	if p.bytes > p.maxBytes {
-		p.maxBytes = p.bytes
-	}
+	q.bytes += size
+	p.bytes += size
+	s.buffered += size
+	s.bufMax = max(s.bufMax, s.buffered)
 	s.Counters.EnqueuedBytes += uint64(pkt.Size)
-	s.bufferHist.Add(float64(s.totalBuffered()))
-	if qi < len(p.estOcc) {
-		p.estOcc[qi] += int64(pkt.Size)
-	}
+	s.bufferHist.Add(float64(s.buffered))
 	active := 0
-	if p.kind == portUplink && s.Cfg.calendarOn() {
-		active = s.active
+	if p.kind == portUplink {
+		p.estOcc[qi] += size
+		if s.cal {
+			active = s.active
+		}
 	}
 	if qi == active {
 		s.drain(p)
 	}
 }
 
-func (s *Switch) totalBuffered() int64 {
-	var t int64
-	for _, p := range s.ports {
-		t += p.bytes
-	}
-	return t
-}
-
 // BufferUsage implements the buffer_usage() telemetry API: bytes currently
 // buffered on the given port (NoPort = whole switch).
 func (s *Switch) BufferUsage(port core.PortID) int64 {
 	if port == core.NoPort {
-		return s.totalBuffered()
+		return s.buffered
 	}
 	if p := s.portAt(port); p != nil {
 		return p.bytes
@@ -790,13 +756,34 @@ func (s *Switch) BufferUsage(port core.PortID) int64 {
 	return 0
 }
 
-// MaxBufferUsage returns the switch-wide buffer high-water mark.
-func (s *Switch) MaxBufferUsage() int64 {
-	var t int64
+// MaxBufferUsage returns the switch-wide buffer high-water mark: the most
+// bytes the shared buffer ever held at once.
+func (s *Switch) MaxBufferUsage() int64 { return s.bufMax }
+
+// CheckLedger audits the buffer ledger: every port holds the sum of its
+// queues' bytes, the switch-wide count is the sum over the ports, and
+// 0 <= count <= high water <= buffer cap. It returns "" while the ledger
+// holds, else the first broken identity.
+func (s *Switch) CheckLedger() string {
+	var sum int64
 	for _, p := range s.ports {
-		t += p.maxBytes
+		var qs int64
+		for i := range p.queues {
+			qs += p.queues[i].bytes
+		}
+		if qs != p.bytes {
+			return fmt.Sprintf("node %d port %d holds %d bytes, its queues %d", s.Cfg.ID, p.id, p.bytes, qs)
+		}
+		sum += p.bytes
 	}
-	return t
+	if sum != s.buffered {
+		return fmt.Sprintf("node %d buffers %d bytes, its ports %d", s.Cfg.ID, s.buffered, sum)
+	}
+	if s.buffered < 0 || s.buffered > s.bufMax || s.bufMax > s.bufCap {
+		return fmt.Sprintf("node %d buffer out of order: 0 <= %d <= high water %d <= cap %d",
+			s.Cfg.ID, s.buffered, s.bufMax, s.bufCap)
+	}
+	return ""
 }
 
 // BufferPercentile returns the q-quantile (0..1) of the buffered-bytes
@@ -812,32 +799,34 @@ func (s *Switch) BWUsage(port core.PortID) uint64 {
 	return 0
 }
 
-// CollectTM returns the per-destination traffic matrix *window* tracked
-// since the previous CollectTM — delta, not cumulative, semantics (the
-// collect() API's switch-side path). The returned window is folded into
-// the cumulative matrix before the tracker resets, so consecutive windows
-// always sum to CumulativeTM.
-func (s *Switch) CollectTM() core.TM {
-	out := s.tm
-	for i := range out {
-		for j := range out[i] {
-			s.tmTotal[i][j] += out[i][j]
-		}
+// tmAdd counts vol bytes toward node dst in the open traffic window; self
+// and out-of-range destinations are ignored, as in core.TM.Add.
+func (s *Switch) tmAdd(dst core.NodeID, vol float64) {
+	if dst != s.Cfg.ID && dst >= 0 && int(dst) < len(s.tm) {
+		s.tm[dst] += vol
 	}
-	s.tm = core.NewTM(s.n)
-	return out
 }
 
-// CumulativeTM returns the all-time traffic matrix: every window CollectTM
-// has returned plus the still-open one. It copies and never resets.
-func (s *Switch) CumulativeTM() core.TM {
-	out := s.tmTotal.Clone()
-	for i := range s.tm {
-		for j := range s.tm[i] {
-			out[i][j] += s.tm[i][j]
-		}
+// CollectTM moves the traffic window tracked since the previous CollectTM
+// into row, this switch's row of the traffic matrix (bytes from Cfg.ID by
+// destination node) — delta, not cumulative, semantics (the collect()
+// API's switch-side path). The window is folded into the cumulative row
+// before the tracker resets, so consecutive windows always sum to
+// CumulativeTM.
+func (s *Switch) CollectTM(row []float64) {
+	for j, v := range s.tm {
+		s.tmTotal[j] += v
+		row[j] = v
+		s.tm[j] = 0
 	}
-	return out
+}
+
+// CumulativeTM writes the all-time row into row: every window CollectTM
+// has moved out plus the still-open one. It resets nothing.
+func (s *Switch) CumulativeTM(row []float64) {
+	for j, v := range s.tm {
+		row[j] = s.tmTotal[j] + v
+	}
 }
 
 // ActiveQueue exposes the current calendar queue index (tests, Fig. 6).
@@ -852,9 +841,9 @@ func (s *Switch) QueueBytes(id core.PortID, qi int) int64 {
 }
 
 // EstimatedQueueBytes returns the ingress-side EQO register value as the
-// pipeline would read it right now.
+// pipeline would read it right now (the true bytes on ports without one).
 func (s *Switch) EstimatedQueueBytes(id core.PortID, qi int) int64 {
-	if p := s.portAt(id); p != nil && qi < len(p.estOcc) {
+	if p := s.portAt(id); p != nil && qi < len(p.queues) {
 		return s.eqoRead(p, qi)
 	}
 	return 0

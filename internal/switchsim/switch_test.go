@@ -418,6 +418,85 @@ func TestBufferCap(t *testing.T) {
 	}
 }
 
+func TestMaxBufferUsageIsTruePeak(t *testing.T) {
+	// The uplink holds 15 kB for slice 2 and drains in it; later a 20 kB
+	// burst lands on the downlink. The two ports peak at different times,
+	// so the switch's high water is the larger peak, not their sum.
+	r := newRig(t, 3, Config{})
+	r.sw.Start()
+	mustAdd(t, r.sw.Table(), core.Entry{
+		Match:   core.Match{ArrSlice: core.WildcardSlice, Src: core.NoNode, Dst: 2},
+		Actions: []core.Action{{Egress: 0, DepSlice: 2}},
+	})
+	r.eng.At(5_000, func() {
+		for i := 0; i < 10; i++ {
+			r.sw.Receive(dataPkt(uint64(i), 2, 1500), 1)
+		}
+	})
+	r.eng.At(350_000, func() {
+		for i := 0; i < 20; i++ {
+			r.sw.Receive(dataPkt(uint64(100+i), 0, 1000), 0)
+		}
+	})
+	// Every level lasts at least one serialization (80 ns), so sampling
+	// every 10 ns sees each one.
+	var peak int64
+	r.eng.Every(0, 10, func() bool {
+		peak = max(peak, r.sw.BufferUsage(core.NoPort))
+		return true
+	})
+	r.eng.RunUntil(400_000)
+	data := 0 // the host also receives circuit signals
+	for _, pkt := range r.host.pkts {
+		if pkt.Ctrl == core.CtrlNone {
+			data++
+		}
+	}
+	if len(r.up.pkts) != 10 || data != 20 {
+		t.Fatalf("%d uplink and %d host data packets, want 10 and 20", len(r.up.pkts), data)
+	}
+	if peak != 20_000 {
+		t.Fatalf("sampled peak %d, want the 20000-byte downlink burst", peak)
+	}
+	if got := r.sw.MaxBufferUsage(); got != peak {
+		t.Fatalf("MaxBufferUsage = %d, want the true peak %d (the sum of port peaks is 35000)", got, peak)
+	}
+	if d := r.sw.CheckLedger(); d != "" {
+		t.Fatal(d)
+	}
+}
+
+func TestCheckLedgerCatchesDrift(t *testing.T) {
+	r := newRig(t, 3, Config{})
+	r.sw.Start()
+	mustAdd(t, r.sw.Table(), core.Entry{
+		Match:   core.Match{ArrSlice: core.WildcardSlice, Src: core.NoNode, Dst: 2},
+		Actions: []core.Action{{Egress: 0, DepSlice: 2}},
+	})
+	r.eng.At(5_000, func() { r.sw.Receive(dataPkt(1, 2, 1500), 1) })
+	r.eng.RunUntil(50_000) // queued for slice 2
+	if d := r.sw.CheckLedger(); d != "" {
+		t.Fatal(d)
+	}
+	up := r.sw.portAt(0)
+	for _, drift := range []struct {
+		name string
+		v    *int64
+		by   int64
+	}{
+		{"queue", &up.queues[2].bytes, 1},
+		{"port", &up.bytes, -1},
+		{"switch", &r.sw.buffered, 1},
+		{"high water", &r.sw.bufMax, -1},
+	} {
+		*drift.v += drift.by
+		if r.sw.CheckLedger() == "" {
+			t.Errorf("%s drift went unnoticed", drift.name)
+		}
+		*drift.v -= drift.by
+	}
+}
+
 func TestSliceMissWaitsFullCycle(t *testing.T) {
 	// A packet enqueued too late to fit its slice must wait one full
 	// rotation, not leak into the next slice's circuit.
@@ -511,13 +590,18 @@ func TestBWUsageAndCollect(t *testing.T) {
 	if r.sw.BWUsage(0) == 0 {
 		t.Fatal("BWUsage stayed zero after a transmission")
 	}
-	tm := r.sw.CollectTM()
-	if tm[0][1] != 1000 {
-		t.Fatalf("TM[0][1] = %g, want 1000", tm[0][1])
+	row := make([]float64, 4)
+	r.sw.CollectTM(row)
+	if row[1] != 1000 {
+		t.Fatalf("TM[0][1] = %g, want 1000", row[1])
 	}
-	tm2 := r.sw.CollectTM()
-	if tm2[0][1] != 0 {
+	r.sw.CollectTM(row)
+	if row[1] != 0 {
 		t.Fatal("CollectTM did not reset")
+	}
+	r.sw.CumulativeTM(row)
+	if row[1] != 1000 {
+		t.Fatalf("cumulative TM[0][1] = %g, want 1000", row[1])
 	}
 }
 

@@ -445,12 +445,7 @@ func (n *Net) Collect(interval time.Duration) core.TM {
 	n.Run(interval)
 	tm := core.NewTM(n.Cfg.NodeNum)
 	for _, sw := range n.switches {
-		part := sw.CollectTM()
-		for i := range part {
-			for j := range part[i] {
-				tm[i][j] += part[i][j]
-			}
-		}
+		sw.CollectTM(tm[sw.ID()]) // a switch only counts its own row
 	}
 	return tm
 }
@@ -461,12 +456,7 @@ func (n *Net) Collect(interval time.Duration) core.TM {
 func (n *Net) CollectTotal() core.TM {
 	tm := core.NewTM(n.Cfg.NodeNum)
 	for _, sw := range n.switches {
-		part := sw.CumulativeTM()
-		for i := range part {
-			for j := range part[i] {
-				tm[i][j] += part[i][j]
-			}
-		}
+		sw.CumulativeTM(tm[sw.ID()])
 	}
 	return tm
 }
