@@ -55,6 +55,11 @@ unit_gate = awk '/^$(1)/ { for (i = 3; i <= NF; i++) if ($$i == "$(2)") { seen=1
 #     allocs/op, mostly the connections themselves; a closure per RTO arm
 #     (891) or a per-flow receive map (+~1,100) trips the 400 ceiling, and
 #     one more event per packet the 255,000 one;
+#   - the same TCP path under TDTCP at seven divisions
+#     (BenchmarkTCPHotPathTDTCP): 251,916 events/op under the same
+#     ceiling and 1,409 allocs/op, a few per connection for its division
+#     states and in-flight FIFO; a map per connection or per ACK for the
+#     division bookkeeping (1,931) trips the 1,450 ceiling;
 #   - the HOHO compile of the 12-node round robin: ~12k allocs/op with one
 #     reused search per (source, slice); per-destination searches or
 #     unreused search buffers take it past 30k;
@@ -74,6 +79,9 @@ bench-smoke:
 	$(call bench_run,BenchmarkTCPHotPath,.,20x)
 	$(call unit_gate,BenchmarkTCPHotPath,allocs/op,400)
 	$(call unit_gate,BenchmarkTCPHotPath,events/op,255000)
+	$(call bench_run,BenchmarkTCPHotPathTDTCP,.,20x)
+	$(call unit_gate,BenchmarkTCPHotPathTDTCP,allocs/op,1450)
+	$(call unit_gate,BenchmarkTCPHotPathTDTCP,events/op,255000)
 	$(call bench_run,BenchmarkHOHO,./internal/routing,3x)
 	$(call unit_gate,BenchmarkHOHO,allocs/op,30000)
 	$(call bench_run,BenchmarkOpera,./internal/routing,3x)

@@ -263,8 +263,16 @@ func BenchmarkEndToEndPacketRate(b *testing.B) {
 // virtual millisecond per iteration, so every op opens connections,
 // demultiplexes data and ACKs and arms RTO timers. events/op and
 // allocs/op are exact at a given b.N, so `make bench-smoke` gates both.
-func BenchmarkTCPHotPath(b *testing.B) {
-	n, err := openoptics.New(openoptics.Config{NodeNum: 8, Uplink: 1, SliceDurationNs: 100_000, Seed: 1})
+func BenchmarkTCPHotPath(b *testing.B) { benchTCP(b, 0) }
+
+// BenchmarkTCPHotPathTDTCP runs the same net with TDTCP at seven
+// divisions, one per slice of the 8-node cycle, so the division
+// bookkeeping runs on every segment and ACK.
+func BenchmarkTCPHotPathTDTCP(b *testing.B) { benchTCP(b, 7) }
+
+func benchTCP(b *testing.B, divisions int) {
+	n, err := openoptics.New(openoptics.Config{NodeNum: 8, Uplink: 1, SliceDurationNs: 100_000,
+		TDTCPDivisions: divisions, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestPerHopEventCounts(t *testing.T) {
 	build := map[string]func() (*Net, error){
 		"rotornet-vlb": func() (*Net, error) {
-			n, _, err := buildRandomRotor(2, 1, 11) // 6 nodes, 2 uplinks
+			n, _, err := buildRandomRotor(2, 1, 11, 0) // 6 nodes, 2 uplinks
 			return n, err
 		},
 		"clos": func() (*Net, error) {

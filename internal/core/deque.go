@@ -32,6 +32,9 @@ func (d *Deque[T]) PushBack(v T) {
 // non-empty.
 func (d *Deque[T]) Front() T { return d.buf[d.head] }
 
+// SetFront replaces the head element. The deque must be non-empty.
+func (d *Deque[T]) SetFront(v T) { d.buf[d.head] = v }
+
 // PopFront removes and returns the head element. The deque must be
 // non-empty.
 func (d *Deque[T]) PopFront() T {

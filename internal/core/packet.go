@@ -112,9 +112,6 @@ type Packet struct {
 	SR    []SRHop
 	SRIdx int
 
-	// HopCount counts endpoint-node hops taken, for path-length telemetry.
-	HopCount int
-
 	// Ctrl describes control messages (ProtoCtrl).
 	Ctrl      CtrlKind
 	CtrlNode  NodeID // subject node of the control message

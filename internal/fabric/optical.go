@@ -40,17 +40,6 @@ type OpticalFabric struct {
 	// CutThroughDelay models the emulating device's cut-through
 	// forwarding latency.
 	CutThroughDelay int64
-	// Guard is the reconfiguration guardband at the start of each slice;
-	// packets arriving within it are dropped.
-	Guard int64
-	// ClockOffset shifts this fabric's view of the slice clock, modeling
-	// synchronization error against the optical controller.
-	ClockOffset int64
-	// ReconfDelay is the device-class circuit re-setup time applied when
-	// a *static* (TA) topology is re-deployed mid-run: packets entering
-	// during the blackout drop, as on a real MEMS switch.
-	ReconfDelay int64
-	blockUntil  int64
 
 	// dark is the set of fabric ports whose circuits changed in the most
 	// recent hot-swap (Net.Reprogram); until darkUntil, packets entering or
@@ -67,7 +56,7 @@ type OpticalFabric struct {
 	Forwarded      uint64
 
 	// Tracer, when set, flushes in-band traces of sampled packets the
-	// fabric drops (guardband, blackout, no live circuit).
+	// fabric drops (guardband, hot-swap drain, no live circuit).
 	Tracer *telemetry.Tracer
 }
 
@@ -126,11 +115,6 @@ func (f *OpticalFabric) ApplySchedule(sched *core.Schedule) error {
 		}
 		conn[row*np+pa], conn[row*np+pb] = int32(pb), int32(pa)
 	}
-	// A TA re-deployment on a live fabric tears circuits down and sets
-	// new ones up; the device is dark for its reconfiguration delay.
-	if f.sched != nil && sched.NumSlices <= 1 && f.ReconfDelay > 0 && f.eng.Now() > 0 {
-		f.blockUntil = f.eng.Now() + f.ReconfDelay
-	}
 	f.sched = sched
 	f.conn, f.connSlices, f.connPorts = conn, ns, np
 	return nil
@@ -162,33 +146,22 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		pkt.Free()
 		return
 	}
-	if f.blockUntil > 0 && f.eng.Now() < f.blockUntil {
-		f.DropsGuard++ // reconfiguration blackout
-		f.traceDrop(pkt, core.DropGuard)
-		pkt.Free()
-		return
-	}
 	if f.portDark(int(port)) {
 		f.DropsReconfig++ // hot-swap drain window on the ingress port
 		f.traceDrop(pkt, core.DropReconfig)
 		pkt.Free()
 		return
 	}
-	now := f.eng.Now() + f.ClockOffset
+	now := f.eng.Now()
 	ts := f.sched.SliceAt(now)
-	// Guardband: reconfiguration window at the head of the slice.
-	guard := f.Guard
-	if guard == 0 {
-		guard = int64(f.sched.Guard)
-	}
-	if guard > 0 && f.sched.NumSlices > 1 {
-		sliceStart := now - now%int64(f.sched.SliceDuration)
-		if now-sliceStart < guard {
-			f.DropsGuard++
-			f.traceDrop(pkt, core.DropGuard)
-			pkt.Free()
-			return
-		}
+	// Guardband: the schedule's reconfiguration window at the head of
+	// every slice.
+	if g := int64(f.sched.Guard); g > 0 && f.sched.NumSlices > 1 &&
+		now%int64(f.sched.SliceDuration) < g {
+		f.DropsGuard++
+		f.traceDrop(pkt, core.DropGuard)
+		pkt.Free()
+		return
 	}
 	out := int32(-1)
 	if p := int(port); p >= 0 && p < f.connPorts {

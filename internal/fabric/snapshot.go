@@ -24,8 +24,8 @@ type CircuitSnapshot struct {
 // OpticalSnapshot is the OCS fabric's instantaneous state: the circuits
 // the lookup table would serve right now, plus the drop counters.
 type OpticalSnapshot struct {
-	// Slice is the fabric-local current slice (fabric clock offset
-	// applied), the slice the Circuits list was resolved against.
+	// Slice is the current slice, the one the Circuits list was resolved
+	// against.
 	Slice     core.Slice `json:"slice"`
 	NumSlices int        `json:"num_slices"`
 	// Circuits lists each live circuit once (not once per direction).
@@ -36,7 +36,7 @@ type OpticalSnapshot struct {
 	Forwarded      uint64            `json:"forwarded"`
 }
 
-// Snapshot renders the fabric's circuit state at its current local time.
+// Snapshot renders the fabric's circuit state at the current time.
 // An unprogrammed fabric reports no circuits.
 func (f *OpticalFabric) Snapshot() OpticalSnapshot {
 	snap := OpticalSnapshot{Slice: core.WildcardSlice}
@@ -47,7 +47,7 @@ func (f *OpticalFabric) Snapshot() OpticalSnapshot {
 	if f.sched == nil {
 		return snap
 	}
-	ts := f.sched.SliceAt(f.eng.Now() + f.ClockOffset)
+	ts := f.sched.SliceAt(f.eng.Now())
 	snap.Slice = ts
 	snap.NumSlices = f.sched.NumSlices
 	np := f.connPorts

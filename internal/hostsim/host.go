@@ -35,9 +35,6 @@ type Config struct {
 	// treated as an elephant (default 1 MB).
 	ElephantBytes int64
 
-	// OffloadLead is how early parked packets return to the switch ahead
-	// of their departure slice (default 3 µs).
-	OffloadLead int64
 	// ReturnJitterNs adds uniform [0, J) jitter to offload returns. The
 	// libvma stack keeps this near zero; the Fig. 14 kernel-module
 	// baseline sets tens of microseconds.
@@ -50,26 +47,9 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) segCap() int64 {
-	if c.SegmentQueueBytes <= 0 {
-		return 4 << 20
-	}
-	return c.SegmentQueueBytes
-}
-
-func (c *Config) elephant() int64 {
-	if c.ElephantBytes <= 0 {
-		return 1 << 20
-	}
-	return c.ElephantBytes
-}
-
-func (c *Config) offloadLead() int64 {
-	if c.OffloadLead <= 0 {
-		return 3000
-	}
-	return c.OffloadLead
-}
+// offloadLead is how early parked packets return to the switch ahead of
+// their departure slice, in ns.
+const offloadLead = 3000
 
 // Counters aggregates observable host behaviour.
 type Counters struct {
@@ -109,6 +89,10 @@ type Host struct {
 	rng  *sim.Rand
 	link *fabric.Link
 
+	// The segment-queue cap and the elephant threshold, defaults resolved
+	// by New.
+	segCap, elephant int64
+
 	// Handler receives data packets (transport demux). Must be set
 	// before traffic arrives.
 	Handler func(pkt *core.Packet)
@@ -142,12 +126,21 @@ type Host struct {
 
 // New creates a host; call AttachLink before traffic.
 func New(eng *sim.Engine, cfg Config) *Host {
-	return &Host{
+	h := &Host{
 		Cfg:      cfg,
 		eng:      eng,
 		rng:      sim.NewRand(cfg.Seed ^ 0x4057),
+		segCap:   4 << 20,
+		elephant: 1 << 20,
 		flowSent: make(map[core.FlowKey]int64),
 	}
+	if cfg.SegmentQueueBytes > 0 {
+		h.segCap = cfg.SegmentQueueBytes
+	}
+	if cfg.ElephantBytes > 0 {
+		h.elephant = cfg.ElephantBytes
+	}
+	return h
 }
 
 // AttachLink wires the NIC to its ToR downlink.
@@ -169,7 +162,7 @@ func (h *Host) localNow() int64 { return h.eng.Now() + h.Cfg.ClockOffset }
 // queue is full — the socket-interface backpressure that suspends the
 // application with no extra buffering (§5.2).
 func (h *Host) Send(pkt *core.Packet) bool {
-	if h.queuedB+int64(pkt.Size) > h.Cfg.segCap() {
+	if h.queuedB+int64(pkt.Size) > h.segCap {
 		h.Counters.RejectedFull++
 		// A rejected packet never enters the network; its life ends here.
 		pkt.Free()
@@ -180,7 +173,7 @@ func (h *Host) Send(pkt *core.Packet) bool {
 	elephant := false
 	if h.Cfg.FlowPausing {
 		h.flowSent[pkt.Flow] += int64(pkt.Payload)
-		elephant = h.flowSent[pkt.Flow] > h.Cfg.elephant()
+		elephant = h.flowSent[pkt.Flow] > h.elephant
 	}
 	it := txItem{pkt: pkt, elephant: elephant}
 	h.queuedB += int64(pkt.Size)
@@ -301,7 +294,7 @@ func (h *Host) wakeWaiters() {
 	if h.waiters.Len() == 0 {
 		return
 	}
-	for h.waiters.Len() > 0 && h.queuedB+core.MTU <= h.Cfg.segCap() {
+	for h.waiters.Len() > 0 && h.queuedB+core.MTU <= h.segCap {
 		fn := h.waiters.PopFront()
 		fn()
 	}
@@ -407,14 +400,14 @@ func (h *Host) onPushBack(pkt *core.Packet) {
 func (h *Host) park(pkt *core.Packet) {
 	h.Counters.Parked++
 	h.parked++
-	ret := h.eng.Now() + h.Cfg.offloadLead()
+	ret := h.eng.Now() + offloadLead
 	switch {
 	case pkt.CtrlSlice.IsWildcard():
 		// No target slice: bounce straight back (the Fig. 14 probe mode).
 		ret = h.eng.Now()
 	case h.Cfg.Schedule != nil && h.Cfg.Schedule.NumSlices > 1:
 		start := h.Cfg.Schedule.SliceStart(h.localNow(), pkt.CtrlSlice)
-		ret = start - h.Cfg.offloadLead() - h.Cfg.ClockOffset
+		ret = start - offloadLead - h.Cfg.ClockOffset
 	}
 	if j := h.Cfg.ReturnJitterNs; j > 0 {
 		ret += int64(h.rng.Uint64() % uint64(j))

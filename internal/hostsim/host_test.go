@@ -177,7 +177,7 @@ func TestPushBackPausesDestination(t *testing.T) {
 }
 
 func TestOffloadParkAndReturn(t *testing.T) {
-	eng, h, tor := newHostRig(Config{OffloadLead: 5_000})
+	eng, h, tor := newHostRig(Config{})
 	parked := &core.Packet{
 		Flow:    core.FlowKey{SrcHost: 4, DstHost: 9, Proto: core.ProtoUDP},
 		SrcNode: 3, DstNode: 2,

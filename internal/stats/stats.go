@@ -71,7 +71,9 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Max() float64 { return h.maxV }
 
 // Quantile returns the q-quantile (q in [0,1]) as the upper edge of the
-// bin containing it — a conservative (over-)estimate within one bin width.
+// bin containing it, or the largest observation when that is lower — a
+// conservative (over-)estimate within one bin width that never exceeds
+// the observed maximum.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
@@ -90,7 +92,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.bins {
 		cum += c
 		if cum >= target {
-			return float64(i+1) / float64(len(h.bins)) * h.max
+			return math.Min(float64(i+1)/float64(len(h.bins))*h.max, h.maxV)
 		}
 	}
 	return h.max

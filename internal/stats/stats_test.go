@@ -181,8 +181,8 @@ func TestHistogramRejectsNonFinite(t *testing.T) {
 	if h.Mean() != 50 {
 		t.Fatalf("mean = %g, non-finite values poisoned the sum", h.Mean())
 	}
-	if q := h.Quantile(0.5); math.IsNaN(q) || q != 60 {
-		t.Fatalf("q50 = %g, want 60 (upper edge of bin holding 50)", q)
+	if q := h.Quantile(0.5); math.IsNaN(q) || q != 50 {
+		t.Fatalf("q50 = %g, want 50 (the observed max, below its bin's upper edge 60)", q)
 	}
 	if h.Max() != 50 {
 		t.Fatalf("max = %g", h.Max())
@@ -213,15 +213,29 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := h.Quantile(0); got != 40 {
 		t.Errorf("Quantile(0) = %g, want 40", got)
 	}
-	if got := h.Quantile(1); got != 80 {
-		t.Errorf("Quantile(1) = %g, want 80", got)
+	// q=1 is the observed max, not its bin's upper edge 80.
+	if got := h.Quantile(1); got != 75 {
+		t.Errorf("Quantile(1) = %g, want 75", got)
 	}
 	// Out-of-range q clamps rather than extrapolating.
 	if got := h.Quantile(-3); got != 40 {
 		t.Errorf("Quantile(-3) = %g, want 40", got)
 	}
-	if got := h.Quantile(7); got != 80 {
-		t.Errorf("Quantile(7) = %g, want 80", got)
+	if got := h.Quantile(7); got != 75 {
+		t.Errorf("Quantile(7) = %g, want 75", got)
+	}
+}
+
+// TestHistogramQuantileNeverExceedsMax: a lone 100 B observation in the
+// switch's buffer histogram (1024 bins over 64 MB, 64 KiB each) reports
+// every quantile as 100, not the 65,536 B edge of its bin.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	h := NewHistogram(1024, 64<<20)
+	h.Add(100)
+	for _, q := range []float64{0.5, 0.999, 1} {
+		if got := h.Quantile(q); got != 100 {
+			t.Errorf("Quantile(%g) = %g, want 100", q, got)
+		}
 	}
 }
 

@@ -76,7 +76,6 @@ func (s *Switch) process(pkt *core.Packet, inPort core.PortID) {
 		return
 	}
 	pkt.TTL--
-	pkt.HopCount++
 
 	// Routing decision: a pending source route wins; otherwise the
 	// time-flow table decides (Fig. 3).

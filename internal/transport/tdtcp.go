@@ -1,5 +1,7 @@
 package transport
 
+import "openoptics/internal/core"
+
 // TDTCP (Time-division TCP, Chen et al., SIGCOMM 2022) is one of the
 // transport designs the paper positions OpenOptics as a sandbox for: on a
 // reconfigurable network whose path capacity changes with the optical
@@ -8,147 +10,134 @@ package transport
 // the optical cycle — so the window for the 100 Gbps circuit division no
 // longer collapses when the 10 Gbps electrical division loses a packet.
 //
-// The implementation divides time by the configured division period
-// (normally the slice duration): segments are stamped with the division
-// active when they are emitted, and ACK feedback (growth, dupacks, fast
-// retransmit, timeouts) is applied to the state of the division that sent
-// the acknowledged data.
+// Classic TCP is TDTCP at one division: every connection runs the same
+// rules (ccState) on the state of the division that sent the segments an
+// ACK acknowledges, or the hole a dupack or a timeout reports. Time is
+// divided by the configured division period (normally the slice
+// duration); with one division every segment belongs to division 0 and
+// no bookkeeping runs.
 
-// tdState is one division's congestion state.
-type tdState struct {
+// ccState is one division's congestion state.
+type ccState struct {
 	cwnd     float64
 	ssthresh float64
 	dupacks  int
 	inFR     bool
 }
 
-// tdtcp augments a Conn with per-division state.
-type tdtcp struct {
-	states []tdState
-	// divOf maps a segment's starting sequence to the division it was
-	// (last) emitted in; entries retire as the cumulative ACK passes.
-	divOf map[int64]int
-	// lastDiv is the division of the previous emission (-1 before the
-	// first), for counting division switches.
-	lastDiv int
-}
-
-func newTDTCP(divisions int, maxCwnd float64) *tdtcp {
-	td := &tdtcp{
-		states:  make([]tdState, divisions),
-		divOf:   make(map[int64]int),
-		lastDiv: -1,
-	}
-	for i := range td.states {
-		td.states[i] = tdState{cwnd: initCwnd, ssthresh: maxCwnd}
-	}
-	return td
-}
-
-// division returns the active division for virtual time t.
-func (c *Conn) division(t int64) int {
-	n := len(c.td.states)
-	p := c.stack.cfg.TDTCPPeriodNs
-	if p <= 0 {
-		p = 100_000
-	}
-	return int((t / p) % int64(n))
-}
-
-// tdCwnd returns the window of the currently active division.
-func (c *Conn) tdCwnd() float64 {
-	return c.td.states[c.division(c.stack.eng.Now())].cwnd
-}
-
-// tdStamp records which division emitted the segment at seq.
-func (c *Conn) tdStamp(seq int64) {
-	d := c.division(c.stack.eng.Now())
-	if c.td.lastDiv >= 0 && d != c.td.lastDiv {
-		c.stack.Counters.DivisionSwitches++
-	}
-	c.td.lastDiv = d
-	c.td.divOf[seq] = d
-}
-
-// tdOnAck applies cumulative-ACK feedback to the divisions whose segments
-// the ACK covers, and dupack feedback to the division of the hole.
-func (c *Conn) tdOnAck(prevAcked, acked int64, progress bool) {
-	cfg := &c.stack.cfg
-	if progress {
-		// Credit every division whose segment was just acknowledged.
-		credited := make(map[int]bool)
-		for seq := range c.td.divOf {
-			if seq >= prevAcked && seq < acked {
-				credited[c.td.divOf[seq]] = true
-				delete(c.td.divOf, seq)
-			}
-		}
-		if len(credited) == 0 {
-			credited[c.division(c.stack.eng.Now())] = true
-		}
-		for d := range credited {
-			st := &c.td.states[d]
-			st.dupacks = 0
-			if st.inFR {
-				st.inFR = false
-				st.cwnd = st.ssthresh
-			} else if st.cwnd < st.ssthresh {
-				st.cwnd++
-			} else {
-				st.cwnd += 1 / st.cwnd
-			}
-			if st.cwnd > cfg.maxCwnd() {
-				st.cwnd = cfg.maxCwnd()
-			}
-		}
-		return
-	}
-	// Duplicate ACK: the hole is the segment at the cumulative ACK.
-	d, ok := c.td.divOf[acked]
-	if !ok {
-		d = c.division(c.stack.eng.Now())
-	}
-	st := &c.td.states[d]
-	st.dupacks++
-	if !st.inFR && st.dupacks >= cfg.dupThresh() {
-		st.inFR = true
-		st.ssthresh = st.cwnd / 2
-		if st.ssthresh < 2 {
-			st.ssthresh = 2
-		}
+// grow applies a cumulative ACK: it ends fast recovery or grows the
+// window by slow start or congestion avoidance, up to maxCwnd.
+func (st *ccState) grow() {
+	st.dupacks = 0
+	if st.inFR {
+		st.inFR = false
 		st.cwnd = st.ssthresh
-		c.Retransmissions++
-		c.stack.Counters.FastRetransmits++
-		c.stack.Counters.Retransmissions++
-		c.emit(c.acked)
-		c.tdStamp(c.acked)
+	} else if st.cwnd < st.ssthresh {
+		st.cwnd++ // slow start
+	} else {
+		st.cwnd += 1 / st.cwnd // congestion avoidance
+	}
+	if st.cwnd > maxCwnd {
+		st.cwnd = maxCwnd
 	}
 }
 
-// tdOnTimeout collapses only the division that owned the lost segment.
-func (c *Conn) tdOnTimeout() {
-	d, ok := c.td.divOf[c.acked]
-	if !ok {
-		d = c.division(c.stack.eng.Now())
-	}
-	st := &c.td.states[d]
+// halve sets the slow-start threshold to half the window, at least two
+// segments: the loss response of fast retransmit and of a timeout.
+func (st *ccState) halve() {
 	st.ssthresh = st.cwnd / 2
 	if st.ssthresh < 2 {
 		st.ssthresh = 2
 	}
-	st.cwnd = 1
-	st.dupacks = 0
-	st.inFR = false
 }
 
-// DivisionWindows exposes the per-division windows (telemetry, tests).
-func (c *Conn) DivisionWindows() []float64 {
-	if c.td == nil {
-		return []float64{c.cwnd}
+// divisions is a TDTCP connection's state beyond division 0.
+type divisions struct {
+	// more holds the congestion states of divisions 1..n-1.
+	more []ccState
+	// sent holds the division that (last) sent each in-flight segment,
+	// oldest at the head: a new segment pushes at the tail, a resend (of
+	// the segment at the cumulative ACK) rewrites the head, and a
+	// cumulative ACK pops the segments it covers.
+	sent core.Deque[int32]
+	// last is the division of the previous emission (-1 before the
+	// first), for counting division switches.
+	last int32
+}
+
+// state returns division d's congestion state.
+func (c *Conn) state(d int) *ccState {
+	if d == 0 {
+		return &c.cc
 	}
-	out := make([]float64, len(c.td.states))
-	for i, st := range c.td.states {
-		out[i] = st.cwnd
+	return &c.divs.more[d-1]
+}
+
+// current returns the division active now.
+func (c *Conn) current() int {
+	if c.divs == nil {
+		return 0
+	}
+	s := c.stack
+	return int(s.eng.Now() / s.period % int64(s.ndiv))
+}
+
+// hole returns the division that sent the segment at the cumulative ACK,
+// or the current one when nothing is in flight.
+func (c *Conn) hole() int {
+	if c.divs == nil || c.divs.sent.Len() == 0 {
+		return c.current()
+	}
+	return int(c.divs.sent.Front())
+}
+
+// stamp records the current division as the sender of a new segment or,
+// with resend, of the resent one.
+func (c *Conn) stamp(resend bool) {
+	td := c.divs
+	if td == nil {
+		return
+	}
+	d := int32(c.current())
+	if td.last >= 0 && d != td.last {
+		c.stack.Counters.DivisionSwitches++
+	}
+	td.last = d
+	switch {
+	case !resend:
+		td.sent.PushBack(d)
+	case td.sent.Len() > 0:
+		td.sent.SetFront(d)
+	}
+}
+
+// credit applies a cumulative ACK that advanced from prev: it grows once
+// each division that sent a segment the ACK covers, or the current
+// division when none is in flight.
+func (c *Conn) credit(prev int64) {
+	td := c.divs
+	if td == nil || td.sent.Len() == 0 {
+		c.state(c.current()).grow()
+		return
+	}
+	s := c.stack
+	s.acks++
+	for n := (c.acked - prev + mss - 1) / mss; n > 0 && td.sent.Len() > 0; n-- {
+		if d := td.sent.PopFront(); s.grown[d] != s.acks {
+			s.grown[d] = s.acks
+			c.state(int(d)).grow()
+		}
+	}
+}
+
+// DivisionWindows returns each division's window in segments (telemetry,
+// tests); classic TCP has one.
+func (c *Conn) DivisionWindows() []float64 {
+	out := []float64{c.cc.cwnd}
+	if c.divs != nil {
+		for _, st := range c.divs.more {
+			out = append(out, st.cwnd)
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -61,4 +62,62 @@ func TestTDTCPCompletesLossless(t *testing.T) {
 	if conn.Retransmissions != 0 {
 		t.Fatalf("lossless TDTCP retransmitted %d", conn.Retransmissions)
 	}
+}
+
+// TestOneDivisionIsClassicTCP: TDTCP at one division is classic TCP. On
+// the back-to-back rig, TDTCPDivisions 0 and 1 give the same
+// per-millisecond trace of acked bytes, windows and retransmissions, and
+// the same FCT, event count and stack counters — lossless, under two loss
+// rates and under reordering.
+func TestOneDivisionIsClassicTCP(t *testing.T) {
+	type sample struct {
+		acked   int64
+		windows []float64
+		retx    uint64
+	}
+	type outcome struct {
+		trace    []sample
+		fct      int64
+		events   uint64
+		counters Counters
+	}
+	run := func(divisions int, mutate func(*wire)) outcome {
+		p := newPair(TCPConfig{TDTCPDivisions: divisions, TDTCPPeriodNs: 100_000}, mutate)
+		var o outcome
+		p.stacks[0].OnFlowComplete = func(fc FlowComplete) { o.fct = fc.FCT() }
+		conn := p.stacks[0].OpenTCP(flowKey(), 0, 1, 1_000_000)
+		for ms := int64(1); ms <= 400; ms++ {
+			p.eng.RunUntil(ms * int64(time.Millisecond))
+			o.trace = append(o.trace, sample{conn.Acked(), conn.DivisionWindows(), conn.Retransmissions})
+		}
+		o.events = p.eng.Processed
+		o.counters = p.stacks[0].Counters
+		return o
+	}
+	cases := []struct {
+		name   string
+		mutate func(*wire)
+	}{
+		{"lossless", nil},
+		{"drop-every-3rd", func(w *wire) { w.dropEvery = 3 }},
+		{"drop-every-7th", func(w *wire) { w.dropEvery = 7 }},
+		{"reorder-every-5th", func(w *wire) { w.reorderEvery = 5 }},
+	}
+	var fastRetx, rtoFires uint64
+	for _, tc := range cases {
+		classic, one := run(0, tc.mutate), run(1, tc.mutate)
+		if classic.fct == 0 {
+			t.Errorf("%s: the classic flow did not complete", tc.name)
+		}
+		if !reflect.DeepEqual(classic, one) {
+			t.Errorf("%s: one division differs from classic TCP: FCT %d vs %d, events %d vs %d, counters %+v vs %+v",
+				tc.name, classic.fct, one.fct, classic.events, one.events, classic.counters, one.counters)
+		}
+		fastRetx += classic.counters.FastRetransmits
+		rtoFires += classic.counters.RTOFires
+	}
+	if fastRetx == 0 || rtoFires == 0 {
+		t.Fatalf("%d fast retransmits, %d RTO fires: the cases do not exercise recovery", fastRetx, rtoFires)
+	}
+	t.Logf("%d fast retransmits, %d RTO fires", fastRetx, rtoFires)
 }

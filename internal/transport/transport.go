@@ -2,7 +2,8 @@
 // studies exercise: a simulator TCP with slow start, AIMD congestion
 // avoidance, fast retransmit with a configurable dupack threshold (the
 // knob turned in Case II / Fig. 9), RTO recovery, and packet-reordering
-// accounting; plus UDP with echo support for RTT probing (Fig. 13).
+// accounting, which runs as classic TCP or as TDTCP (tdtcp.go); plus UDP
+// with echo support for RTT probing (Fig. 13).
 package transport
 
 import (
@@ -13,10 +14,12 @@ import (
 	"openoptics/internal/sim"
 )
 
-// The segment size and the initial congestion window of every connection.
+// The segment size, the initial congestion window and the window cap of
+// every connection.
 const (
 	mss      int64   = core.MaxPayload // maximum segment payload, bytes
 	initCwnd float64 = 10              // segments
+	maxCwnd  float64 = 512             // segments
 )
 
 // TCPConfig tunes the simulated TCP stack.
@@ -26,36 +29,13 @@ type TCPConfig struct {
 	DupAckThreshold int
 	// RTO is the retransmission timeout in ns (default 1 ms).
 	RTO int64
-	// MaxCwnd caps the window in segments (default 512).
-	MaxCwnd float64
 	// TDTCPDivisions enables Time-division TCP with that many divisions
-	// (normally the optical cycle length); 0 keeps classic single-state
-	// TCP. See tdtcp.go.
+	// (normally the optical cycle length); 0 or 1 keeps classic
+	// single-state TCP. See tdtcp.go.
 	TDTCPDivisions int
 	// TDTCPPeriodNs is one division's duration (normally the slice
 	// duration; default 100 µs).
 	TDTCPPeriodNs int64
-}
-
-func (c *TCPConfig) dupThresh() int {
-	if c.DupAckThreshold <= 0 {
-		return 3
-	}
-	return c.DupAckThreshold
-}
-
-func (c *TCPConfig) rto() int64 {
-	if c.RTO <= 0 {
-		return 1_000_000
-	}
-	return c.RTO
-}
-
-func (c *TCPConfig) maxCwnd() float64 {
-	if c.MaxCwnd <= 0 {
-		return 512
-	}
-	return c.MaxCwnd
 }
 
 // FlowComplete reports a finished TCP flow.
@@ -112,10 +92,18 @@ func (t *Conns) of(pkt *core.Packet) *Conn {
 type Stack struct {
 	eng   *sim.Engine
 	host  *hostsim.Host
-	cfg   TCPConfig
-	rng   *sim.Rand
 	conns *Conns
-	udp   map[uint16]func(pkt *core.Packet)
+
+	// The TCPConfig, defaults resolved by NewStack.
+	dupThresh int
+	rto       int64
+	ndiv      int
+	period    int64
+	// grown[d] is the number of the last cumulative ACK that grew
+	// division d's window (acks counts them), so an ACK covering several
+	// segments of one division grows it once. Sized only under TDTCP.
+	grown []uint64
+	acks  uint64
 
 	// Pool, when set, backs every packet this stack emits (segments, ACKs,
 	// datagrams, echo replies) with slab storage. Nil is valid — packets
@@ -140,11 +128,23 @@ type Stack struct {
 
 // NewStack attaches a transport stack to the host. Every stack that
 // exchanges TCP traffic with it must share its connection table.
-func NewStack(eng *sim.Engine, host *hostsim.Host, conns *Conns, cfg TCPConfig, seed uint64) *Stack {
+func NewStack(eng *sim.Engine, host *hostsim.Host, conns *Conns, cfg TCPConfig) *Stack {
 	s := &Stack{
-		eng: eng, host: host, cfg: cfg, conns: conns,
-		rng: sim.NewRand(seed ^ 0x7ca9),
-		udp: make(map[uint16]func(*core.Packet)),
+		eng: eng, host: host, conns: conns,
+		dupThresh: 3, rto: 1_000_000, ndiv: 1, period: 100_000,
+	}
+	if cfg.DupAckThreshold > 0 {
+		s.dupThresh = cfg.DupAckThreshold
+	}
+	if cfg.RTO > 0 {
+		s.rto = cfg.RTO
+	}
+	if cfg.TDTCPDivisions > 1 {
+		s.ndiv = cfg.TDTCPDivisions
+		s.grown = make([]uint64, s.ndiv)
+	}
+	if cfg.TDTCPPeriodNs > 0 {
+		s.period = cfg.TDTCPPeriodNs
 	}
 	host.Handler = s.onReceive
 	return s
@@ -163,23 +163,22 @@ type Conn struct {
 	// endpoints
 	srcNode, dstNode core.NodeID
 
-	total    int64
-	nextSeq  int64
-	acked    int64
-	cwnd     float64
-	ssthresh float64
-	dupacks  int
-	inFR     bool
-	start    int64
-	done     bool
+	total   int64
+	nextSeq int64
+	acked   int64
+	start   int64
+	done    bool
+
+	// cc is division 0's congestion state: the connection's only one
+	// under classic TCP. divs holds the other divisions' under TDTCP and
+	// is nil with one division.
+	cc   ccState
+	divs *divisions
 
 	// RTO bookkeeping: one timer pending at a time, validated against
 	// the last progress timestamp when it fires.
 	lastProgress int64
 	rtoArmed     bool
-
-	// td holds per-division congestion state when TDTCP is enabled.
-	td *tdtcp
 
 	// Retransmissions counts segments resent by fast retransmit or RTO.
 	Retransmissions uint64
@@ -190,11 +189,14 @@ type Conn struct {
 func (s *Stack) OpenTCP(flow core.FlowKey, srcNode, dstNode core.NodeID, totalBytes int64) *Conn {
 	c := &Conn{
 		stack: s, flow: flow, flowHash: flow.Hash(), srcNode: srcNode, dstNode: dstNode,
-		total: totalBytes, cwnd: initCwnd, ssthresh: s.cfg.maxCwnd(),
-		start: s.eng.Now(),
+		total: totalBytes, start: s.eng.Now(),
+		cc: ccState{cwnd: initCwnd, ssthresh: maxCwnd},
 	}
-	if s.cfg.TDTCPDivisions > 0 {
-		c.td = newTDTCP(s.cfg.TDTCPDivisions, s.cfg.maxCwnd())
+	if s.ndiv > 1 {
+		c.divs = &divisions{more: make([]ccState, s.ndiv-1), last: -1}
+		for i := range c.divs.more {
+			c.divs.more[i] = c.cc
+		}
 	}
 	c.id = s.conns.add(c)
 	c.trySend()
@@ -211,10 +213,7 @@ func (c *Conn) Done() bool { return c.done }
 func (c *Conn) inflight() int64 { return c.nextSeq - c.acked }
 
 func (c *Conn) window() int64 {
-	if c.td != nil {
-		return int64(c.tdCwnd() * float64(mss))
-	}
-	return int64(c.cwnd * float64(mss))
+	return int64(c.state(c.current()).cwnd * float64(mss))
 }
 
 // trySend pushes segments while the window and segment queue allow.
@@ -228,23 +227,14 @@ func (c *Conn) trySend() {
 			c.stack.host.NotifySpace(func() { c.trySend() })
 			return
 		}
-		if c.td != nil {
-			c.tdStamp(c.nextSeq)
-		}
-		payload := mss
-		if c.total-c.nextSeq < payload {
-			payload = c.total - c.nextSeq
-		}
-		c.nextSeq += payload
+		c.stamp(false)
+		c.nextSeq = min(c.nextSeq+mss, c.total)
 	}
 }
 
 // emit sends the segment starting at seq; returns false on backpressure.
 func (c *Conn) emit(seq int64) bool {
-	payload := mss
-	if c.total-seq < payload {
-		payload = c.total - seq
-	}
+	payload := min(mss, c.total-seq)
 	s := c.stack
 	s.nextID++
 	pkt := s.Pool.NewPacket(core.Packet{
@@ -272,7 +262,7 @@ func (c *Conn) armRTO() {
 		return
 	}
 	c.rtoArmed = true
-	c.scheduleRTOCheck(c.stack.cfg.rto())
+	c.scheduleRTOCheck(c.stack.rto)
 }
 
 func (c *Conn) scheduleRTOCheck(d int64) {
@@ -289,34 +279,31 @@ func (a *rtoCheck) RunEvent(any, int64) {
 		c.rtoArmed = false
 		return
 	}
-	rto := c.stack.cfg.rto()
+	rto := c.stack.rto
 	idle := c.stack.eng.Now() - c.lastProgress
 	if idle < rto {
 		c.scheduleRTOCheck(rto - idle)
 		return
 	}
-	// Timeout: collapse the window (only the owning division's, under
-	// TDTCP) and resend from the hole.
-	if c.td != nil {
-		c.tdOnTimeout()
-	} else {
-		c.ssthresh = c.cwnd / 2
-		if c.ssthresh < 2 {
-			c.ssthresh = 2
-		}
-		c.cwnd = 1
-		c.dupacks = 0
-		c.inFR = false
-	}
-	c.Retransmissions++
+	// Timeout: collapse the window of the division that sent the hole and
+	// resend it.
+	st := c.state(c.hole())
+	st.halve()
+	st.cwnd = 1
+	st.dupacks = 0
+	st.inFR = false
 	c.stack.Counters.RTOFires++
-	c.stack.Counters.Retransmissions++
-	c.emit(c.acked)
-	if c.td != nil {
-		c.tdStamp(c.acked)
-	}
+	c.resend()
 	c.lastProgress = c.stack.eng.Now()
 	c.scheduleRTOCheck(rto)
+}
+
+// resend re-emits the segment at the cumulative ACK.
+func (c *Conn) resend() {
+	c.Retransmissions++
+	c.stack.Counters.Retransmissions++
+	c.emit(c.acked)
+	c.stamp(true)
 }
 
 // onAck handles a cumulative ACK for this connection.
@@ -324,26 +311,10 @@ func (c *Conn) onAck(ack int64) {
 	if c.done {
 		return
 	}
-	cfg := &c.stack.cfg
 	if ack > c.acked {
 		prev := c.acked
 		c.acked = ack
-		if c.td != nil {
-			c.tdOnAck(prev, ack, true)
-		} else {
-			c.dupacks = 0
-			if c.inFR {
-				c.inFR = false
-				c.cwnd = c.ssthresh
-			} else if c.cwnd < c.ssthresh {
-				c.cwnd++ // slow start
-			} else {
-				c.cwnd += 1 / c.cwnd // congestion avoidance
-			}
-			if c.cwnd > cfg.maxCwnd() {
-				c.cwnd = cfg.maxCwnd()
-			}
-		}
+		c.credit(prev)
 		c.armRTO()
 		if c.acked >= c.total {
 			c.done = true
@@ -357,24 +328,16 @@ func (c *Conn) onAck(ack int64) {
 		c.trySend()
 		return
 	}
-	// Duplicate ACK.
-	if c.td != nil {
-		c.tdOnAck(c.acked, c.acked, false)
-		return
-	}
-	c.dupacks++
-	if !c.inFR && c.dupacks >= cfg.dupThresh() {
+	// Duplicate ACK: it counts against the division that sent the hole.
+	st := c.state(c.hole())
+	st.dupacks++
+	if !st.inFR && st.dupacks >= c.stack.dupThresh {
 		// Fast retransmit.
-		c.inFR = true
-		c.ssthresh = c.cwnd / 2
-		if c.ssthresh < 2 {
-			c.ssthresh = 2
-		}
-		c.cwnd = c.ssthresh
-		c.Retransmissions++
+		st.inFR = true
+		st.halve()
+		st.cwnd = st.ssthresh
 		c.stack.Counters.FastRetransmits++
-		c.stack.Counters.Retransmissions++
-		c.emit(c.acked)
+		c.resend()
 	}
 }
 
@@ -479,9 +442,6 @@ func (s *Stack) SendUDP(flow core.FlowKey, srcNode, dstNode core.NodeID, payload
 	return s.host.Send(pkt)
 }
 
-// HandleUDP registers a datagram handler for a destination port.
-func (s *Stack) HandleUDP(port uint16, fn func(pkt *core.Packet)) { s.udp[port] = fn }
-
 func (s *Stack) onUDP(pkt *core.Packet) {
 	if pkt.HasFlag(core.FlagEcho) {
 		if pkt.HasFlag(core.FlagACK) {
@@ -506,9 +466,5 @@ func (s *Stack) onUDP(pkt *core.Packet) {
 			TTL:     core.DefaultTTL,
 		})
 		s.host.Send(rep)
-		return
-	}
-	if fn, ok := s.udp[pkt.Flow.DstPort]; ok {
-		fn(pkt)
 	}
 }

@@ -83,7 +83,7 @@ func newPair(cfg TCPConfig, mutate func(*wire)) *pair {
 			fabric.Endpoint{Dev: w, Port: 0}, 100e9, 10)
 		h.AttachLink(link)
 		p.hosts[i] = h
-		p.stacks[i] = NewStack(eng, h, conns, cfg, uint64(i+1))
+		p.stacks[i] = NewStack(eng, h, conns, cfg)
 		w.peers[core.HostID(i)] = h
 	}
 	return p
@@ -221,7 +221,7 @@ func TestTCPSegmentQueueBackpressure(t *testing.T) {
 			fabric.Endpoint{Dev: w, Port: 0}, 100e9, 10)
 		h.AttachLink(link)
 		hosts[i] = h
-		stacks[i] = NewStack(eng, h, conns, TCPConfig{}, uint64(i+1))
+		stacks[i] = NewStack(eng, h, conns, TCPConfig{})
 		w.peers[core.HostID(i)] = h
 	}
 	conn := stacks[0].OpenTCP(flowKey(), 0, 1, 300_000)
@@ -250,26 +250,26 @@ func TestUDPEchoRTT(t *testing.T) {
 	}
 }
 
-func TestUDPHandlerDemux(t *testing.T) {
-	p := newPair(TCPConfig{}, nil)
-	var got int32
-	p.stacks[1].HandleUDP(99, func(pkt *core.Packet) { got = pkt.Payload })
-	flow := core.FlowKey{SrcHost: 0, DstHost: 1, SrcPort: 7, DstPort: 99, Proto: core.ProtoUDP}
-	p.stacks[0].SendUDP(flow, 0, 1, 333, false)
-	p.eng.RunUntil(int64(5 * time.Millisecond))
-	if got != 333 {
-		t.Fatalf("handler got %d, want 333", got)
-	}
-}
-
 func TestCwndGrowthAndCap(t *testing.T) {
-	p := newPair(TCPConfig{MaxCwnd: 16}, nil)
+	// A lossless 2 MB flow grows its window to the cap and holds it there.
+	p := newPair(TCPConfig{}, nil)
 	conn := p.stacks[0].OpenTCP(flowKey(), 0, 1, 2_000_000)
-	p.eng.RunUntil(int64(200 * time.Millisecond))
+	var capped bool
+	for us := int64(1); us <= 2_000; us++ {
+		p.eng.RunUntil(us * int64(time.Microsecond))
+		switch {
+		case conn.cc.cwnd > maxCwnd:
+			t.Fatalf("cwnd %f exceeded the %g cap", conn.cc.cwnd, maxCwnd)
+		case conn.cc.cwnd == maxCwnd:
+			capped = true
+		case capped:
+			t.Fatalf("cwnd fell to %f after reaching the cap", conn.cc.cwnd)
+		}
+	}
 	if !conn.Done() {
 		t.Fatalf("incomplete: %d", conn.Acked())
 	}
-	if conn.cwnd > 16.001 {
-		t.Fatalf("cwnd %f exceeded cap", conn.cwnd)
+	if !capped {
+		t.Fatalf("cwnd %f never reached the %g cap", conn.cc.cwnd, maxCwnd)
 	}
 }

@@ -14,16 +14,19 @@ import (
 	"openoptics/internal/stats"
 	"openoptics/internal/switchsim"
 	"openoptics/internal/traffic"
+	"openoptics/internal/transport"
 )
 
-// buildRandomRotor builds a RotorNet-style net from fuzzed parameters.
-func buildRandomRotor(nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error) {
+// buildRandomRotor builds a RotorNet-style net from fuzzed parameters,
+// its hosts running TCP with the given number of TDTCP divisions.
+func buildRandomRotor(nodesRaw, uplinkRaw uint8, seed uint64, divisions int) (*Net, int, error) {
 	nodes := 4 + int(nodesRaw%5)   // 4..8
 	uplink := 1 + int(uplinkRaw%2) // 1..2
 	n, err := New(Config{
 		NodeNum:         nodes,
 		Uplink:          uplink,
 		SliceDurationNs: 100_000,
+		TDTCPDivisions:  divisions,
 		Seed:            seed | 1,
 	})
 	if err != nil {
@@ -48,11 +51,12 @@ func buildRandomRotor(nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error)
 // robin with 2–3 uplinks, source-routed, MaxHop 6; a static uniform mesh
 // with 2–3 uplinks under WCMP with per-flow multipath (Jupiter's starting
 // point); or Clos, every pair one hop through the electrical fabric at the
-// line rate (arch.Clos's wiring).
-func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int, error) {
+// line rate (arch.Clos's wiring). Hosts run TCP with the given number of
+// TDTCP divisions.
+func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64, divisions int) (*Net, int, error) {
 	kind := kindRaw % 4
 	if kind == 0 {
-		return buildRandomRotor(nodesRaw, uplinkRaw, seed)
+		return buildRandomRotor(nodesRaw, uplinkRaw, seed, divisions)
 	}
 	nodes := 4 + int(nodesRaw%5) // 4..8
 	if kind == 3 {
@@ -62,6 +66,7 @@ func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int,
 			LineRateGbps:    100,
 			ElectricalGbps:  100,
 			SliceDurationNs: 100_000,
+			TDTCPDivisions:  divisions,
 			Seed:            seed | 1,
 		})
 		if err != nil {
@@ -78,6 +83,7 @@ func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) (*Net, int,
 		NodeNum:         nodes,
 		Uplink:          uplink,
 		SliceDurationNs: 100_000,
+		TDTCPDivisions:  divisions,
 		Seed:            seed | 1,
 	})
 	if err != nil {
@@ -117,33 +123,51 @@ func TestInvariants(t *testing.T) {
 }
 
 // TestPacketConservation keeps an exact ledger: every packet a host sent
-// is delivered to a host, dropped with an accounted reason, parked on a
-// host or still in the network — nothing vanishes and nothing is created —
-// and every switch-to-host delivery is received by its host as data. The
-// auditor's probes sweep at every window close and once after the run,
-// and must stay silent. The nets are RotorNet/VLB, Opera, static WCMP
-// meshes and Clos over the electrical fabric (buildRandomNet).
+// (data segments, ACKs and retransmitted copies included) is delivered to
+// a host, dropped with an accounted reason, parked on a host or still in
+// the network — nothing vanishes and nothing is created — and every
+// switch-to-host delivery is received by its host as data. The auditor's
+// probes sweep at every window close and once after the run, and must
+// stay silent. The nets are RotorNet/VLB, Opera, static WCMP meshes and
+// Clos over the electrical fabric (buildRandomNet), carrying UDP
+// datagrams and a few short TCP flows, classic or TDTCP at two divisions;
+// every flow must deliver all its bytes.
 func TestPacketConservation(t *testing.T) {
-	f := func(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64) bool {
-		n, nodes, err := buildRandomNet(kindRaw, nodesRaw, uplinkRaw, seed)
+	f := func(kindRaw, nodesRaw, uplinkRaw uint8, tdtcp bool, seed uint64) bool {
+		divisions := 0
+		if tdtcp {
+			divisions = 2
+		}
+		n, nodes, err := buildRandomNet(kindRaw, nodesRaw, uplinkRaw, seed, divisions)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		aud := n.AttachDigest(DigestOptions{WindowEvents: 256})
 		eps := n.Endpoints()
-		// UDP-only traffic so no retransmissions blur the count.
-		var sent uint64
 		rng := seed | 1
-		for i := 0; i < 200; i++ {
+		pair := func() (int, int) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			src := int(rng>>33) % nodes
-			dst := (src + 1 + int(rng>>40)%(nodes-1)) % nodes
+			return src, (src + 1 + int(rng>>40)%(nodes-1)) % nodes
+		}
+		for i := 0; i < 200; i++ {
+			src, dst := pair()
 			flow := core.FlowKey{SrcHost: eps[src].Host, DstHost: eps[dst].Host,
 				SrcPort: uint16(i), DstPort: 7, Proto: core.ProtoUDP}
-			if eps[src].Stack.SendUDP(flow, eps[src].Node, eps[dst].Node, 800, false) {
-				sent++
-			}
+			eps[src].Stack.SendUDP(flow, eps[src].Node, eps[dst].Node, 800, false)
+		}
+		type tcpFlow struct {
+			conn *transport.Conn
+			size int64
+		}
+		var flows []tcpFlow
+		for i := 0; i < 4; i++ {
+			src, dst := pair()
+			flow := core.FlowKey{SrcHost: eps[src].Host, DstHost: eps[dst].Host,
+				SrcPort: uint16(1000 + i), DstPort: 80, Proto: core.ProtoTCP}
+			size := int64(10_000 + 20_000*i)
+			flows = append(flows, tcpFlow{eps[src].Stack.OpenTCP(flow, eps[src].Node, eps[dst].Node, size), size})
 		}
 		n.Run(20 * time.Millisecond) // several cycles: everything settles
 		aud.sweep()
@@ -159,9 +183,10 @@ func TestPacketConservation(t *testing.T) {
 		fab := n.OpticalFabric()
 		// A host's data receptions are its receptions less rotor signals,
 		// push-backs and offloaded packets it parks.
-		var hostData, parked uint64
+		var sent, hostData, parked uint64
 		for _, h := range n.Hosts() {
 			hc := h.Counters
+			sent += hc.TxPkts - hc.Returned // offload returns are not new packets
 			hostData += hc.RxPkts - hc.SignalsRx - hc.PushBacksRx - hc.Parked
 			parked += uint64(h.ParkedPackets())
 		}
@@ -178,6 +203,12 @@ func TestPacketConservation(t *testing.T) {
 			t.Logf("sent=%d delivered=%d drops=%d parked=%d in-network=%d host-data=%d",
 				sent, c.Delivered, drops, parked, inNet, hostData)
 			return false
+		}
+		for _, fl := range flows {
+			if !fl.conn.Done() || fl.conn.Acked() != fl.size {
+				t.Logf("TCP flow of %d B: done %v, acked %d", fl.size, fl.conn.Done(), fl.conn.Acked())
+				return false
+			}
 		}
 		return true
 	}
@@ -196,7 +227,7 @@ func TestAuditorIsPassive(t *testing.T) {
 		fct      *stats.Sample
 	}
 	run := func(nodesRaw, uplinkRaw uint8, seed uint64, audit bool) (outcome, *Auditor) {
-		n, _, err := buildRandomRotor(nodesRaw, uplinkRaw, seed)
+		n, _, err := buildRandomRotor(nodesRaw, uplinkRaw, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +267,7 @@ func TestAuditorIsPassive(t *testing.T) {
 // results; a different seed produces different microscopic behaviour.
 func TestDeterminism(t *testing.T) {
 	run := func(seed uint64) (uint64, float64) {
-		n, _, err := buildRandomRotor(3, 0, seed)
+		n, _, err := buildRandomRotor(3, 0, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +294,7 @@ func TestDeterminism(t *testing.T) {
 // observed here via the no-circuit drop counter staying at zero for traffic
 // that follows deployed routing.
 func TestCircuitExclusivity(t *testing.T) {
-	n, nodes, err := buildRandomRotor(2, 0, 5)
+	n, nodes, err := buildRandomRotor(2, 0, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +317,7 @@ func TestCircuitExclusivity(t *testing.T) {
 // inside the slice their circuit is live in — the rotation/guard machinery
 // never leaks transmissions across slice boundaries.
 func TestSliceAlignment(t *testing.T) {
-	n, _, err := buildRandomRotor(0, 0, 9)
+	n, _, err := buildRandomRotor(0, 0, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func New(cfg Config) (*Net, error) {
 				RTO:             cfg.RTONs,
 				TDTCPDivisions:  cfg.TDTCPDivisions,
 				TDTCPPeriodNs:   cfg.SliceDurationNs,
-			}, cfg.Seed^uint64(hid)<<8)
+			})
 			st.Pool = n.pool
 			n.stacks = append(n.stacks, st)
 		}
