@@ -1,5 +1,5 @@
 # Tier-1: what every change must keep green.
-.PHONY: build test check bench bench-smoke sweep-smoke simbench-smoke
+.PHONY: build test check bench bench-smoke sweep-smoke simbench-smoke fuzz-smoke
 
 build:
 	go build ./...
@@ -88,6 +88,15 @@ bench-smoke:
 	$(call unit_gate,BenchmarkOpera,allocs/op,16000)
 	$(call bench_run,BenchmarkWCMP,./internal/routing,3x)
 	$(call unit_gate,BenchmarkWCMP,allocs/op,3500)
+
+# Twenty seconds of coverage-guided fuzzing of the deploy path
+# (FuzzDeploy): hostile circuits and paths through DeployTopo,
+# DeployRouting and Reprogram on a running net; no call may panic and a
+# rejected one must change nothing. Plain `go test` replays the committed
+# corpus (testdata/fuzz/FuzzDeploy); a failing input found here is written
+# there. CI runs this.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzDeploy$$' -fuzztime 20s .
 
 # Race-detector smoke of the sweep orchestrator: a tiny grid on 4 workers,
 # run fresh then resumed (the resume must skip everything). CI runs this.

@@ -116,7 +116,7 @@ func main() {
 	check(err)
 	fmt.Printf("routing %s: %d paths\n", *routingName, len(paths))
 
-	cr, err := controller.CompileRouting(sched, paths, controller.CompileOptions{
+	cr, err := controller.CompileRouting(ix, paths, controller.CompileOptions{
 		Lookup:    parseLookup(*lookup),
 		Multipath: parseMultipath(*multipath),
 	})

@@ -51,7 +51,8 @@ func run(args []string) int {
 	policy := fs.String("policy", "aware", "daware scheduling policy: oblivious|aware|reqgrant")
 	predictor := fs.String("predictor", "last", "daware TM predictor: last|ewma|mean")
 	collectUs := fs.Int64("collect-us", 1000, "daware TM collection interval in µs")
-	reprogramUs := fs.Int64("reprogram-us", 0, "daware reprogram epoch in µs (0 = 2x collect interval)")
+	reprogramUs := fs.Int64("reprogram-us", 0, "control-loop period in µs: the daware reprogram epoch (0 = 2x collect interval), "+
+		"or the c-through, jupiter, mordia and semi-oblivious loop period (0 = their defaults)")
 	drainUs := fs.Int64("drain-us", 0, "daware hot-swap drain window in µs (reconfiguration cost)")
 	hotFrac := fs.Float64("hot-frac", 0, "fraction of replay flows aimed at one hotspot node")
 	hotPairs := fs.Int("hot-pairs", 0, "route the hot fraction between this many disjoint node pairs instead")
@@ -97,11 +98,11 @@ func run(args []string) int {
 		ShapePeriodMs:   *shapePeriodMs,
 		ShapeAmplitude:  *shapeAmplitude,
 	}
+	sc.ReconfigPeriodUs = *reprogramUs
 	if *archName == "daware" {
 		sc.Policy = *policy
 		sc.Predictor = *predictor
 		sc.CollectIntervalUs = *collectUs
-		sc.ReconfigPeriodUs = *reprogramUs
 		sc.ReconfigDrainUs = *drainUs
 	}
 	w := runner.Wiring{Digest: openoptics.DigestOptions{WindowEvents: *digestWindow}}

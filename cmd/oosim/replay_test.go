@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,13 +15,21 @@ import (
 	"openoptics/internal/runner"
 )
 
+// loopArchs are the architectures with a TA control loop: their replay
+// cases run it every 500 µs (-reprogram-us), so every loop iteration is a
+// Net.Reprogram inside the journal's 2 ms.
+var loopArchs = []string{"c-through", "jupiter", "mordia", "semi-oblivious"}
+
 // replayCases are the oosim runs whose journals must replay: every
-// registry architecture at its defaults, plus the daware, hot-pair and
-// load-shape flags a default run leaves unexercised.
+// registry architecture at its defaults (the loop period aside), plus the
+// daware, hot-pair and load-shape flags a default run leaves unexercised.
 func replayCases() map[string][]string {
 	cases := map[string][]string{}
 	for _, name := range arch.Names() {
 		cases[name] = []string{"-arch", name}
+	}
+	for _, name := range loopArchs {
+		cases[name] = append(cases[name], "-reprogram-us", "500")
 	}
 	cases["daware-tuned"] = []string{"-arch", "daware", "-policy", "reqgrant", "-predictor", "ewma",
 		"-collect-us", "500", "-reprogram-us", "1000", "-drain-us", "5", "-hot-frac", "0.5", "-hot-pairs", "1"}
@@ -32,15 +43,23 @@ func replayCases() map[string][]string {
 // and requires replay.Execute, given only the journal's header, to
 // reproduce the run's final digest chain: oosim and the replayer must wire
 // a run identically, or `ooctl diverge` cannot bisect oosim's journals.
+// The TA loop cases also export oo_reconfig_total, which must count their
+// reconfigurations.
 func TestJournalsReplay(t *testing.T) {
 	dir := t.TempDir()
 	for name, flags := range replayCases() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, name+".digest.jsonl")
+			metrics := filepath.Join(dir, name+".prom")
 			args := append([]string{"-nodes", "4", "-workload", "rpc", "-duration-ms", "2", "-seed", "7",
-				"-digest-window", "1024", "-digest-out", path}, flags...)
+				"-digest-window", "1024", "-digest-out", path, "-metrics-out", metrics}, flags...)
 			if rc := run(args); rc != 0 {
 				t.Fatalf("oosim %v exited %d", args, rc)
+			}
+			if slices.Contains(loopArchs, name) {
+				if n := promValue(t, metrics, "oo_reconfig_total"); n < 1 {
+					t.Fatalf("oo_reconfig_total = %g, want >= 1: the control loop never reprogrammed", n)
+				}
 			}
 			j, err := diverge.ReadFile(path)
 			if err != nil {
@@ -56,6 +75,26 @@ func TestJournalsReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// promValue reads one unlabelled sample from a Prometheus text export.
+func promValue(t *testing.T, path, name string) float64 {
+	t.Helper()
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s has no %s sample", path, name)
+	return 0
 }
 
 // v1Flags and v1Journal are one run recorded by an oosim that wrote

@@ -34,8 +34,7 @@ func Table2(p Params) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := &core.Schedule{NumSlices: numSlices, SliceDuration: 100_000, Circuits: circuits}
-	ix := core.NewConnIndex(sched)
+	ix := core.NewConnIndex(&core.Schedule{NumSlices: numSlices, SliceDuration: 100_000, Circuits: circuits})
 	// Only the observed ToR's entries matter, exactly as the paper
 	// populates one representative ToR; one search per arrival slice
 	// answers every destination.
@@ -59,7 +58,7 @@ func Table2(p Params) (*Table2Result, error) {
 			paths = append(paths, ps...)
 		}
 	}
-	cr, err := controller.CompileRouting(sched, paths, controller.CompileOptions{
+	cr, err := controller.CompileRouting(ix, paths, controller.CompileOptions{
 		Lookup: core.LookupSource, Multipath: core.MultipathPacket,
 	})
 	if err != nil {

@@ -152,8 +152,10 @@ func Clos(o Options) (*Instance, error) {
 
 // CThrough is the TA-1 electrical/optical hybrid: mice ride a rate-limited
 // electrical network; the control loop collects the TM, schedules circuits
-// with Edmonds matching, and deploys direct optical routes at a higher
-// priority. Hosts run flow pausing so elephants wait for their circuits.
+// with Edmonds matching, and reprograms the network with direct optical
+// routes for the pairs that got a circuit and the electrical route for
+// every other pair. Hosts run flow pausing so elephants wait for their
+// circuits.
 func CThrough(o Options) (*Instance, error) {
 	o = o.defaults()
 	if o.ReconfigureEvery <= 0 {
@@ -171,7 +173,7 @@ func CThrough(o Options) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := n.DeployRoutingLayer(0, elec, core.LookupHop, core.MultipathNone); err != nil {
+	if err := n.DeployRouting(elec, core.LookupHop, core.MultipathNone); err != nil {
 		return nil, err
 	}
 	in := &Instance{Name: "c-through", Net: n, ReconfigureEvery: o.ReconfigureEvery}
@@ -184,19 +186,32 @@ func CThrough(o Options) (*Instance, error) {
 		if err != nil {
 			return err
 		}
-		if err := n.DeployTopo(circuits, 1); err != nil {
-			return err
-		}
-		paths := n.Direct(circuits, 1, o.Routing)
-		return n.DeployRoutingLayer(1, paths, core.LookupHop, core.MultipathNone)
+		return n.Reprogram(openoptics.ReprogramPlan{
+			Circuits: circuits, NumSlices: 1, Paths: overElectrical(n.Direct(circuits, 1, o.Routing), elec),
+			Lookup: core.LookupHop, Multipath: core.MultipathNone,
+		}, openoptics.ReconfigCost{})
 	}
 	return in, nil
 }
 
+// overElectrical is c-Through's path set: the direct routes, plus the
+// electrical route of every pair without one.
+func overElectrical(direct, elec []core.Path) []core.Path {
+	routed := make(map[[2]core.NodeID]bool, len(direct))
+	for _, p := range direct {
+		routed[[2]core.NodeID{p.Src, p.Dst}] = true
+	}
+	for _, p := range elec {
+		if !routed[[2]core.NodeID{p.Src, p.Dst}] {
+			direct = append(direct, p)
+		}
+	}
+	return direct
+}
+
 // Jupiter is the TA-2 architecture (Fig. 5 b): an all-optical static
 // topology starting from a uniform mesh with WCMP routing; the control
-// loop gradually evolves the topology toward the observed TM, deploying
-// routing before the topology so traffic shifts seamlessly.
+// loop gradually evolves the topology toward the observed TM.
 func Jupiter(o Options) (*Instance, error) {
 	o = o.defaults()
 	if o.Uplink <= 0 {
@@ -225,17 +240,14 @@ func Jupiter(o Options) (*Instance, error) {
 	prev := circuits
 	in := &Instance{Name: "jupiter", Net: n, ReconfigureEvery: o.ReconfigureEvery}
 	in.Reconfigure = func() error {
-		tm := n.Collect(0)
-		next, err := openoptics.Jupiter(tm, prev, o.Nodes, o.Uplink, 0)
+		next, err := openoptics.Jupiter(n.Collect(0), prev, o.Nodes, o.Uplink, 0)
 		if err != nil {
 			return err
 		}
-		// Routing first, then topology (the Fig. 5 b ordering).
-		if err := n.DeployTopo(next, 1); err != nil {
-			return err
-		}
-		paths := n.WCMP(next, o.Routing)
-		if err := n.DeployRouting(paths, core.LookupHop, core.MultipathFlow); err != nil {
+		if err := n.Reprogram(openoptics.ReprogramPlan{
+			Circuits: next, NumSlices: 1, Paths: n.WCMP(next, o.Routing),
+			Lookup: core.LookupHop, Multipath: core.MultipathFlow,
+		}, openoptics.ReconfigCost{}); err != nil {
 			return err
 		}
 		prev = next
@@ -262,22 +274,27 @@ func Mordia(o Options) (*Instance, error) {
 	if o.Nodes%2 == 1 {
 		numSlices = o.Nodes
 	}
-	deploy := func(tm core.TM) error {
-		circuits, ns, err := openoptics.BvN(tm, numSlices, numSlices)
-		if err != nil {
-			return err
-		}
-		if err := n.DeployTopo(circuits, ns); err != nil {
-			return err
-		}
-		paths := n.Direct(circuits, ns, o.Routing)
-		return n.DeployRouting(paths, core.LookupHop, core.MultipathNone)
+	circuits, ns, err := openoptics.BvN(core.NewTM(o.Nodes), numSlices, numSlices)
+	if err != nil {
+		return nil, err
 	}
-	if err := deploy(core.NewTM(o.Nodes)); err != nil {
+	if err := n.DeployTopo(circuits, ns); err != nil {
+		return nil, err
+	}
+	if err := n.DeployRouting(n.Direct(circuits, ns, o.Routing), core.LookupHop, core.MultipathNone); err != nil {
 		return nil, err
 	}
 	in := &Instance{Name: "mordia", Net: n, ReconfigureEvery: o.ReconfigureEvery}
-	in.Reconfigure = func() error { return deploy(n.Collect(0)) }
+	in.Reconfigure = func() error {
+		circuits, ns, err := openoptics.BvN(n.Collect(0), numSlices, numSlices)
+		if err != nil {
+			return err
+		}
+		return n.Reprogram(openoptics.ReprogramPlan{
+			Circuits: circuits, NumSlices: ns, Paths: n.Direct(circuits, ns, o.Routing),
+			Lookup: core.LookupHop, Multipath: core.MultipathNone,
+		}, openoptics.ReconfigCost{})
+	}
 	return in, nil
 }
 
@@ -432,19 +449,14 @@ func SemiOblivious(o Options) (*Instance, error) {
 	sliceCap := n.Cfg.LineRateGbps * 1e9 / 8 * float64(o.SliceDurationNs) / 1e9
 	in := &Instance{Name: "semi-oblivious", Net: n, ReconfigureEvery: o.ReconfigureEvery}
 	in.Reconfigure = func() error {
-		tm := n.Collect(0)
-		cts, ns, err := openoptics.SORN(tm, o.Nodes, n.Cfg.Uplink, sliceCap)
+		cts, ns, err := openoptics.SORN(n.Collect(0), o.Nodes, n.Cfg.Uplink, sliceCap)
 		if err != nil {
 			return err
 		}
-		// Topology first: the controller validates routing against the
-		// deployed schedule, and both deployments land at the same
-		// virtual instant, so no packet observes the intermediate state.
-		if err := n.DeployTopo(cts, ns); err != nil {
-			return err
-		}
-		paths := n.VLB(cts, ns, o.Routing)
-		return n.DeployRouting(paths, core.LookupHop, core.MultipathPacket)
+		return n.Reprogram(openoptics.ReprogramPlan{
+			Circuits: cts, NumSlices: ns, Paths: n.VLB(cts, ns, o.Routing),
+			Lookup: core.LookupHop, Multipath: core.MultipathPacket,
+		}, openoptics.ReconfigCost{})
 	}
 	return in, nil
 }

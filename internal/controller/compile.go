@@ -17,10 +17,6 @@ import (
 type CompileOptions struct {
 	Lookup    core.LookupMode
 	Multipath core.MultipathMode
-	// Priority assigned to the produced entries; TA reconfiguration
-	// deploys new routes at a higher priority than the incumbents so
-	// traffic shifts atomically, then garbage-collects the old ones.
-	Priority int
 	// ExternalPort marks ports that leave the optical schedule — e.g.
 	// the uplink into the electrical fabric of hybrid architectures.
 	// A hop out of an external port is not checked against the circuit
@@ -38,13 +34,12 @@ type CompiledRouting struct {
 	Entries int
 }
 
-// CompileRouting validates paths against the schedule and compiles them
-// into time-flow tables. Every hop must traverse a circuit that exists in
-// the schedule during the hop's departure slice and lead toward the next
-// hop (or the destination) — the controller's sanity check that catches
-// wrong routing scripts before they black-hole traffic.
-func CompileRouting(sched *core.Schedule, paths []core.Path, opt CompileOptions) (*CompiledRouting, error) {
-	ix := core.NewConnIndex(sched)
+// CompileRouting validates paths against the schedule ix indexes and
+// compiles them into time-flow tables. Every hop must traverse a circuit
+// that exists in the schedule during the hop's departure slice and lead
+// toward the next hop (or the destination) — the controller's sanity check
+// that catches wrong routing scripts before they black-hole traffic.
+func CompileRouting(ix *core.ConnIndex, paths []core.Path, opt CompileOptions) (*CompiledRouting, error) {
 	for i := range paths {
 		if err := paths[i].Validate(); err != nil {
 			return nil, fmt.Errorf("controller: path %d: %w", i, err)
@@ -227,10 +222,9 @@ func buildTables(groups map[matchKey]*actionAccum, order []matchKey, opt Compile
 			out.Tables[k.node] = tab
 		}
 		if err := tab.Add(core.Entry{
-			Priority: opt.Priority,
-			Match:    k.m,
-			Actions:  acc.actions,
-			Mode:     mode,
+			Match:   k.m,
+			Actions: acc.actions,
+			Mode:    mode,
 		}); err != nil {
 			return nil, fmt.Errorf("controller: node N%d: %w", k.node, err)
 		}

@@ -33,7 +33,7 @@ func TestCompilePerHopFig3b(t *testing.T) {
 		{Node: 0, Egress: 0, DepSlice: 0},
 		{Node: 1, Egress: 0, DepSlice: 1},
 	}}
-	cr, err := CompileRouting(sched, []core.Path{p}, CompileOptions{Lookup: core.LookupHop})
+	cr, err := CompileRouting(core.NewConnIndex(sched), []core.Path{p}, CompileOptions{Lookup: core.LookupHop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCompileSourceRoutingFig3d(t *testing.T) {
 		{Node: 0, Egress: 0, DepSlice: 0},
 		{Node: 1, Egress: 0, DepSlice: 1},
 	}}
-	cr, err := CompileRouting(sched, []core.Path{p}, CompileOptions{Lookup: core.LookupSource})
+	cr, err := CompileRouting(core.NewConnIndex(sched), []core.Path{p}, CompileOptions{Lookup: core.LookupSource})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func TestCompileSourceRoutingFig3d(t *testing.T) {
 }
 
 func TestCompileRejectsInfeasiblePath(t *testing.T) {
-	sched := fig2Schedule(t)
+	ix := core.NewConnIndex(fig2Schedule(t))
 	// No circuit out of N0.p0 reaches N3 in slice 1 (N0-N2 is live then).
 	bad := core.Path{Src: 0, Dst: 3, TS: 1, Weight: 1, Hops: []core.Hop{
 		{Node: 0, Egress: 0, DepSlice: 1},
 	}}
-	_, err := CompileRouting(sched, []core.Path{bad}, CompileOptions{Lookup: core.LookupHop})
+	_, err := CompileRouting(ix, []core.Path{bad}, CompileOptions{Lookup: core.LookupHop})
 	if err == nil {
 		t.Fatal("infeasible path accepted")
 	}
@@ -94,7 +94,7 @@ func TestCompileRejectsInfeasiblePath(t *testing.T) {
 	bad2 := core.Path{Src: 0, Dst: 3, TS: 0, Weight: 1, Hops: []core.Hop{
 		{Node: 0, Egress: 5, DepSlice: 0},
 	}}
-	if _, err := CompileRouting(sched, []core.Path{bad2}, CompileOptions{Lookup: core.LookupHop}); err == nil {
+	if _, err := CompileRouting(ix, []core.Path{bad2}, CompileOptions{Lookup: core.LookupHop}); err == nil {
 		t.Fatal("portless hop accepted")
 	}
 	// Hop chain inconsistency.
@@ -102,7 +102,7 @@ func TestCompileRejectsInfeasiblePath(t *testing.T) {
 		{Node: 0, Egress: 0, DepSlice: 0},
 		{Node: 2, Egress: 0, DepSlice: 1}, // packet is at N1, not N2
 	}}
-	if _, err := CompileRouting(sched, []core.Path{bad3}, CompileOptions{Lookup: core.LookupHop}); err == nil {
+	if _, err := CompileRouting(ix, []core.Path{bad3}, CompileOptions{Lookup: core.LookupHop}); err == nil {
 		t.Fatal("inconsistent hop chain accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestCompileMergesMultipathGroups(t *testing.T) {
 	sched := &core.Schedule{NumSlices: numSlices, SliceDuration: time.Microsecond, Circuits: circuits}
 	ix := core.NewConnIndex(sched)
 	paths := routing.VLB(ix, routing.Options{})
-	cr, err := CompileRouting(sched, paths, CompileOptions{
+	cr, err := CompileRouting(ix, paths, CompileOptions{
 		Lookup: core.LookupHop, Multipath: core.MultipathPacket})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestCompileMergesMultipathGroups(t *testing.T) {
 		t.Fatal("no multipath group produced for VLB spray")
 	}
 	// Without a multipath mode, the same paths must be rejected.
-	if _, err := CompileRouting(sched, paths, CompileOptions{Lookup: core.LookupHop}); err == nil {
+	if _, err := CompileRouting(ix, paths, CompileOptions{Lookup: core.LookupHop}); err == nil {
 		t.Fatal("diverging actions accepted with MULTIPATH=none")
 	}
 }
@@ -153,7 +153,7 @@ func TestCompileDuplicateActionsAccumulateWeight(t *testing.T) {
 		{Node: 0, Egress: 0, DepSlice: 0},
 		{Node: 1, Egress: 0, DepSlice: 1},
 	}}
-	cr, err := CompileRouting(sched, []core.Path{p, p}, CompileOptions{Lookup: core.LookupHop})
+	cr, err := CompileRouting(core.NewConnIndex(sched), []core.Path{p, p}, CompileOptions{Lookup: core.LookupHop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCompileWildcardTAPaths(t *testing.T) {
 	sched := &core.Schedule{NumSlices: 1, Circuits: mesh}
 	ix := core.NewConnIndex(sched)
 	paths := routing.ECMP(ix, routing.Options{})
-	cr, err := CompileRouting(sched, paths, CompileOptions{
+	cr, err := CompileRouting(ix, paths, CompileOptions{
 		Lookup: core.LookupHop, Multipath: core.MultipathFlow})
 	if err != nil {
 		t.Fatal(err)
@@ -230,22 +230,5 @@ func TestCompileTopoRejectsBadStructure(t *testing.T) {
 	}}
 	if _, err := CompileTopo(bad, OCSStructure{Count: 2, PortsPerOCS: 8}); err == nil {
 		t.Fatal("cross-OCS circuit accepted")
-	}
-}
-
-func TestCompilePriority(t *testing.T) {
-	sched := fig2Schedule(t)
-	p := core.Path{Src: 0, Dst: 3, TS: 0, Weight: 1, Hops: []core.Hop{
-		{Node: 0, Egress: 0, DepSlice: 0},
-		{Node: 1, Egress: 0, DepSlice: 1},
-	}}
-	cr, err := CompileRouting(sched, []core.Path{p}, CompileOptions{Lookup: core.LookupHop, Priority: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range cr.Tables[0].Entries() {
-		if e.Priority != 7 {
-			t.Fatalf("priority = %d", e.Priority)
-		}
 	}
 }

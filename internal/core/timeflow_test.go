@@ -115,7 +115,8 @@ func TestAddRejectsBadEntries(t *testing.T) {
 func TestPriorityAndSpecificity(t *testing.T) {
 	tab := NewTable()
 	// Low-priority default route plus a high-priority update on top — the
-	// TA deployment pattern ("higher-priority routes atop existing ones").
+	// hardware reconfiguration pattern of §4.3 ("higher-priority routes
+	// atop existing ones"), which Net.Add can still install.
 	mustAdd(t, tab, Entry{Priority: 0,
 		Match:   Match{ArrSlice: WildcardSlice, Src: NoNode, Dst: 3},
 		Actions: []Action{{Egress: 1, DepSlice: WildcardSlice}}})

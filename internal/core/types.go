@@ -72,6 +72,30 @@ func (c Circuit) Canon() Circuit {
 	return c
 }
 
+// DiffCircuits compares two circuit sets as canonical multisets and
+// returns, in canonical form and once each, the circuits whose count
+// differs: those torn down plus those newly set up. It is empty exactly
+// when the two sets hold the same circuits.
+func DiffCircuits(old, new []Circuit) []Circuit {
+	count := make(map[Circuit]int, len(old)+len(new))
+	for _, c := range old {
+		count[c.Canon()]++
+	}
+	for _, c := range new {
+		count[c.Canon()]--
+	}
+	var out []Circuit
+	for _, set := range [][]Circuit{old, new} {
+		for _, c := range set {
+			if count[c.Canon()] != 0 {
+				out = append(out, c.Canon())
+				count[c.Canon()] = 0
+			}
+		}
+	}
+	return out
+}
+
 // Other returns the far endpoint of the circuit as seen from node n and the
 // port used on the far side. ok is false if n is not an endpoint.
 func (c Circuit) Other(n NodeID) (peer NodeID, peerPort PortID, ok bool) {

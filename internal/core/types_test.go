@@ -27,6 +27,26 @@ func TestCircuitCanonAndOther(t *testing.T) {
 	}
 }
 
+// TestDiffCircuits: the diff ignores orientation and order, counts
+// duplicates, and is empty exactly when the two multisets match.
+func TestDiffCircuits(t *testing.T) {
+	a := Circuit{A: 0, PortA: 0, B: 1, PortB: 0, Slice: 0}
+	b := Circuit{A: 2, PortA: 1, B: 3, PortB: 0, Slice: 1}
+	flip := Circuit{A: 1, PortA: 0, B: 0, PortB: 0, Slice: 0}
+	if d := DiffCircuits([]Circuit{a, b}, []Circuit{b, flip}); len(d) != 0 {
+		t.Fatalf("same set reordered and flipped: diff %v", d)
+	}
+	if d := DiffCircuits([]Circuit{a, a}, []Circuit{a}); len(d) != 1 || d[0] != a {
+		t.Fatalf("duplicate dropped: diff %v", d)
+	}
+	moved := b
+	moved.Slice = 0
+	d := DiffCircuits([]Circuit{flip, b}, []Circuit{a, moved})
+	if len(d) != 2 || d[0] != b || d[1] != moved {
+		t.Fatalf("moved circuit: diff %v, want [%v %v]", d, b, moved)
+	}
+}
+
 func TestScheduleSliceAt(t *testing.T) {
 	s := &Schedule{NumSlices: 4, SliceDuration: 100 * time.Microsecond}
 	cases := []struct {

@@ -184,7 +184,7 @@ func (c *Controller) reprogram(realized core.TM) error {
 		return fmt.Errorf("demand: policy %s: %w", c.cfg.Policy.Name(), err)
 	}
 	c.epochs++
-	if sameCircuits(circuits, c.net.Schedule().Circuits) {
+	if len(core.DiffCircuits(circuits, c.net.Schedule().Circuits)) == 0 {
 		// No-op epoch: the policy kept the installed schedule (the
 		// oblivious baseline always lands here), so skip the hot-swap and
 		// pay no reconfiguration cost.
@@ -296,24 +296,6 @@ func slicesByWeight(circuits []core.Circuit, dem core.TM, numSlices int) []core.
 // pathsComplete reports whether every (src, dst, slice) tuple has a path.
 func pathsComplete(paths []core.Path, nodes, numSlices int) bool {
 	return len(paths) >= nodes*(nodes-1)*numSlices
-}
-
-// sameCircuits compares two schedules as canonical multisets.
-func sameCircuits(a, b []core.Circuit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	count := make(map[core.Circuit]int, len(a))
-	for _, c := range a {
-		count[c.Canon()]++
-	}
-	for _, c := range b {
-		if count[c.Canon()] == 0 {
-			return false
-		}
-		count[c.Canon()]--
-	}
-	return true
 }
 
 // coverage is the matching-weight coverage metric: the fraction of the

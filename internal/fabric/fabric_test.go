@@ -126,6 +126,16 @@ func opticalRig(t *testing.T) (*sim.Engine, *OpticalFabric, [3]*sink, [3]*Link) 
 	return eng, f, sinks, links
 }
 
+// apply compiles sched into f's connection table and installs it.
+func apply(t *testing.T, f *OpticalFabric, sched *core.Schedule) {
+	t.Helper()
+	ct, err := f.Compile(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Install(sched, ct)
+}
+
 func TestOpticalFabricSlicedForwarding(t *testing.T) {
 	eng, f, sinks, _ := opticalRig(t)
 	sched := &core.Schedule{NumSlices: 2, SliceDuration: 100 * time.Microsecond,
@@ -133,9 +143,7 @@ func TestOpticalFabricSlicedForwarding(t *testing.T) {
 			{A: 0, PortA: 0, B: 1, PortB: 0, Slice: 0},
 			{A: 0, PortA: 0, B: 2, PortB: 0, Slice: 1},
 		}}
-	if err := f.ApplySchedule(sched); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, f, sched)
 	// Slice 0 (after guard): port 0 connects to node 1.
 	eng.At(10_000, func() { f.Receive(pkt(1000, 1), 0) })
 	// Slice 1: port 0 connects to node 2.
@@ -158,9 +166,7 @@ func TestOpticalFabricGuardDrop(t *testing.T) {
 		Guard: 500 * time.Nanosecond, Circuits: []core.Circuit{
 			{A: 0, PortA: 0, B: 1, PortB: 0, Slice: 0},
 		}}
-	if err := f.ApplySchedule(sched); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, f, sched)
 	// Arrive inside the guard window at the head of slice 0's second
 	// occurrence (t=200µs..+500ns).
 	eng.At(200_200, func() { f.Receive(pkt(1000, 1), 0) })
@@ -177,9 +183,7 @@ func TestOpticalFabricNoCircuitDrop(t *testing.T) {
 	eng, f, sinks, _ := opticalRig(t)
 	sched := &core.Schedule{NumSlices: 2, SliceDuration: 100 * time.Microsecond,
 		Circuits: []core.Circuit{{A: 0, PortA: 0, B: 1, PortB: 0, Slice: 0}}}
-	if err := f.ApplySchedule(sched); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, f, sched)
 	// During slice 1, port 0 has no circuit: drop.
 	eng.At(150_000, func() { f.Receive(pkt(1000, 1), 0) })
 	// Port 2 never has a circuit.
@@ -197,9 +201,7 @@ func TestOpticalFabricStaticCircuits(t *testing.T) {
 	eng, f, sinks, _ := opticalRig(t)
 	sched := &core.Schedule{NumSlices: 1, Circuits: []core.Circuit{
 		{A: 0, PortA: 0, B: 2, PortB: 0, Slice: core.WildcardSlice}}}
-	if err := f.ApplySchedule(sched); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, f, sched)
 	eng.At(1_000, func() { f.Receive(pkt(700, 2), 0) })
 	eng.At(2_000, func() { f.Receive(pkt(700, 0), 2) }) // duplex reverse
 	eng.Run()
@@ -213,7 +215,7 @@ func TestOpticalFabricRejectsUnattached(t *testing.T) {
 	f := NewOpticalFabric(eng)
 	sched := &core.Schedule{NumSlices: 1, Circuits: []core.Circuit{
 		{A: 0, PortA: 0, B: 1, PortB: 0, Slice: 0}}}
-	if err := f.ApplySchedule(sched); err == nil {
+	if _, err := f.Compile(sched); err == nil {
 		t.Fatal("unattached endpoints accepted")
 	}
 }

@@ -29,13 +29,8 @@ type OpticalFabric struct {
 	// observability plane uses it to render circuit state in node terms.
 	rev []attachKey
 
-	// conn is the port connection table, dense per [slice][port]: the
-	// fabric port a packet entering port p in slice ts leaves by is at
-	// ts*connPorts+p, or -1 for no circuit. Row connSlices holds the
-	// static (wildcard-slice) circuits, the per-port fallback of every
-	// slice.
-	conn                  []int32
-	connSlices, connPorts int
+	// table is the installed port connection table.
+	table ConnTable
 
 	// CutThroughDelay models the emulating device's cut-through
 	// forwarding latency.
@@ -66,7 +61,7 @@ type attachKey struct {
 }
 
 // NewOpticalFabric creates an unattached fabric. Attach endpoints, then
-// ApplySchedule before traffic flows.
+// Compile and Install a schedule before traffic flows.
 func NewOpticalFabric(eng *sim.Engine) *OpticalFabric {
 	return &OpticalFabric{eng: eng, attached: make(map[attachKey]int)}
 }
@@ -88,36 +83,44 @@ func (f *OpticalFabric) PortOf(node core.NodeID, nodePort core.PortID) (int, boo
 	return fp, ok
 }
 
-// ApplySchedule programs the fabric's lookup table from node-level
-// circuits. Every circuit endpoint must already be attached.
-func (f *OpticalFabric) ApplySchedule(sched *core.Schedule) error {
-	if err := sched.Validate(); err != nil {
-		return fmt.Errorf("fabric: %w", err)
-	}
-	ns := sched.NumSlices
-	if ns < 1 {
-		ns = 1
-	}
+// ConnTable is a compiled port connection table, dense per [slice][port]:
+// the fabric port a packet entering port p in slice ts leaves by is at
+// ts*ports+p, or -1 for no circuit. Row slices holds the static
+// (wildcard-slice) circuits, the per-port fallback of every slice.
+type ConnTable struct {
+	conn          []int32
+	slices, ports int
+}
+
+// Compile builds the connection table of a schedule's circuits without
+// touching the fabric. Every circuit endpoint must already be attached;
+// the schedule itself is validated by the controller (CompileTopo).
+func (f *OpticalFabric) Compile(sched *core.Schedule) (*ConnTable, error) {
+	ns := max(sched.NumSlices, 1)
 	np := len(f.ports)
-	conn := make([]int32, (ns+1)*np)
-	for i := range conn {
-		conn[i] = -1
+	t := &ConnTable{conn: make([]int32, (ns+1)*np), slices: ns, ports: np}
+	for i := range t.conn {
+		t.conn[i] = -1
 	}
 	for _, c := range sched.Circuits {
 		pa, okA := f.attached[attachKey{c.A, c.PortA}]
 		pb, okB := f.attached[attachKey{c.B, c.PortB}]
 		if !okA || !okB {
-			return fmt.Errorf("fabric: circuit %v references unattached endpoint", c)
+			return nil, fmt.Errorf("fabric: circuit %v references unattached endpoint", c)
 		}
 		row := ns
 		if !c.Slice.IsWildcard() {
 			row = int(c.Slice) % ns
 		}
-		conn[row*np+pa], conn[row*np+pb] = int32(pb), int32(pa)
+		t.conn[row*np+pa], t.conn[row*np+pb] = int32(pb), int32(pa)
 	}
-	f.sched = sched
-	f.conn, f.connSlices, f.connPorts = conn, ns, np
-	return nil
+	return t, nil
+}
+
+// Install makes a compiled table live, read against sched's slice clock
+// and guardband.
+func (f *OpticalFabric) Install(sched *core.Schedule, t *ConnTable) {
+	f.sched, f.table = sched, *t
 }
 
 // SetDark marks the given fabric ports dark until the given virtual time:
@@ -164,9 +167,9 @@ func (f *OpticalFabric) Receive(pkt *core.Packet, port core.PortID) {
 		return
 	}
 	out := int32(-1)
-	if p := int(port); p >= 0 && p < f.connPorts {
-		if out = f.conn[int(ts)%f.connSlices*f.connPorts+p]; out < 0 {
-			out = f.conn[f.connSlices*f.connPorts+p]
+	if t, p := &f.table, int(port); p >= 0 && p < t.ports {
+		if out = t.conn[int(ts)%t.slices*t.ports+p]; out < 0 {
+			out = t.conn[t.slices*t.ports+p]
 		}
 	}
 	if out < 0 {

@@ -50,10 +50,10 @@ func (f *OpticalFabric) Snapshot() OpticalSnapshot {
 	ts := f.sched.SliceAt(f.eng.Now())
 	snap.Slice = ts
 	snap.NumSlices = f.sched.NumSlices
-	np := f.connPorts
-	row := int(ts) % f.connSlices * np
-	snap.Circuits = f.circuitList(f.conn[row:row+np], false, snap.Circuits)
-	snap.Circuits = f.circuitList(f.conn[f.connSlices*np:], true, snap.Circuits)
+	t := &f.table
+	row := int(ts) % t.slices * t.ports
+	snap.Circuits = f.circuitList(t.conn[row:row+t.ports], false, snap.Circuits)
+	snap.Circuits = f.circuitList(t.conn[t.slices*t.ports:], true, snap.Circuits)
 	return snap
 }
 

@@ -211,7 +211,8 @@ func (n *Network) Deploy(circuits []core.Circuit, numSlices int, paths []core.Pa
 	if err := sched.Validate(); err != nil {
 		return err
 	}
-	cr, err := controller.CompileRouting(sched, paths, controller.CompileOptions{
+	ix := core.NewConnIndex(sched)
+	cr, err := controller.CompileRouting(ix, paths, controller.CompileOptions{
 		Lookup: lookup, Multipath: mp,
 	})
 	if err != nil {
@@ -223,7 +224,6 @@ func (n *Network) Deploy(circuits []core.Circuit, numSlices int, paths []core.Pa
 	for i := range conn {
 		conn[i] = make(map[core.NodeID]core.NodeID)
 	}
-	ix := core.NewConnIndex(sched)
 	for ts := 0; ts < numSlices; ts++ {
 		for _, sw := range n.switches {
 			for _, peer := range ix.Neighbors(sw.id, core.Slice(ts)) {

@@ -46,7 +46,10 @@ type Scenario struct {
 	TraceSample     float64 `json:"trace_sample,omitempty"`
 	EventDigest     bool    `json:"event_digest,omitempty"`
 
-	// Demand-aware control-plane point (daware architecture only).
+	// Demand-aware control-plane point (daware architecture only), except
+	// ReconfigPeriodUs: the control-loop period, daware's scheduling epoch
+	// and the TA loop period of c-through, jupiter, mordia and
+	// semi-oblivious (0 keeps each architecture's default).
 	Policy            string `json:"policy,omitempty"`
 	Predictor         string `json:"predictor,omitempty"`
 	CollectIntervalUs int64  `json:"collect_interval_us,omitempty"`
@@ -300,12 +303,13 @@ func (sc Scenario) archName() string {
 func (sc Scenario) options(tune func(*openoptics.Config)) arch.Options {
 	name := sc.archName()
 	return arch.Options{
-		Nodes:           sc.Nodes,
-		Uplink:          sc.Uplink,
-		HostsPerNode:    1,
-		SliceDurationNs: sc.SliceDurationNs,
-		Seed:            sc.Seed,
-		Routing:         routing.Options{MaxHop: sc.MaxHop},
+		Nodes:            sc.Nodes,
+		Uplink:           sc.Uplink,
+		HostsPerNode:     1,
+		SliceDurationNs:  sc.SliceDurationNs,
+		ReconfigureEvery: time.Duration(sc.ReconfigPeriodUs) * time.Microsecond,
+		Seed:             sc.Seed,
+		Routing:          routing.Options{MaxHop: sc.MaxHop},
 		Tune: func(c *openoptics.Config) {
 			if tune != nil {
 				tune(c)

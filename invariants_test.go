@@ -46,17 +46,21 @@ func buildRandomRotor(nodesRaw, uplinkRaw uint8, seed uint64, divisions int) (*N
 	return n, nodes, nil
 }
 
-// buildRandomNet builds one of four kinds of net from fuzzed parameters,
+// buildRandomNet builds one of five kinds of net from fuzzed parameters,
 // picked by kindRaw: RotorNet/VLB (buildRandomRotor); Opera on a round
 // robin with 2–3 uplinks, source-routed, MaxHop 6; a static uniform mesh
 // with 2–3 uplinks under WCMP with per-flow multipath (Jupiter's starting
-// point); or Clos, every pair one hop through the electrical fabric at the
-// line rate (arch.Clos's wiring). Hosts run TCP with the given number of
-// TDTCP divisions.
-func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64, divisions int) (*Net, int, error) {
-	kind := kindRaw % 4
+// point); Clos, every pair one hop through the electrical fabric at the
+// line rate (arch.Clos's wiring); or daware's cold start, a round robin
+// with 1–2 uplinks under source-routed HOHO, whose swap hot-swaps it to
+// the round robin one slice later with daware's 5 µs drain window. Hosts run
+// TCP with the given number of TDTCP divisions. swap is nil for the kinds
+// that keep their program.
+func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64, divisions int) (*Net, int, func() error, error) {
+	kind := kindRaw % 5
 	if kind == 0 {
-		return buildRandomRotor(nodesRaw, uplinkRaw, seed, divisions)
+		n, nodes, err := buildRandomRotor(nodesRaw, uplinkRaw, seed, divisions)
+		return n, nodes, nil, err
 	}
 	nodes := 4 + int(nodesRaw%5) // 4..8
 	if kind == 3 {
@@ -70,13 +74,42 @@ func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64, divisions i
 			Seed:            seed | 1,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		paths, err := n.ElectricalPaths()
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
-		return n, nodes, n.DeployRouting(paths, LookupHop, MultipathNone)
+		return n, nodes, nil, n.DeployRouting(paths, LookupHop, MultipathNone)
+	}
+	if kind == 4 {
+		uplink := 1 + int(uplinkRaw%2) // 1..2
+		n, err := New(Config{
+			NodeNum:         nodes,
+			Uplink:          uplink,
+			SliceDurationNs: 100_000,
+			TDTCPDivisions:  divisions,
+			Seed:            seed | 1,
+		})
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		circuits, numSlices, err := RoundRobin(nodes, uplink)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if err := n.DeployTopo(circuits, numSlices); err != nil {
+			return nil, 0, nil, err
+		}
+		swap := func() error {
+			next := rotateSlices(circuits, numSlices)
+			return n.Reprogram(ReprogramPlan{
+				Circuits: next, NumSlices: numSlices, Paths: n.HOHO(next, numSlices, RoutingOptions{}),
+				Lookup: LookupSource, Multipath: MultipathNone,
+			}, ReconfigCost{DrainNs: 5_000})
+		}
+		paths := n.HOHO(circuits, numSlices, RoutingOptions{})
+		return n, nodes, swap, n.DeployRouting(paths, LookupSource, MultipathNone)
 	}
 	uplink := 2 + int(uplinkRaw%2) // 2..3
 	n, err := New(Config{
@@ -87,28 +120,28 @@ func buildRandomNet(kindRaw, nodesRaw, uplinkRaw uint8, seed uint64, divisions i
 		Seed:            seed | 1,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	if kind == 1 {
 		circuits, numSlices, err := RoundRobin(nodes, uplink)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		if err := n.DeployTopo(circuits, numSlices); err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		paths := n.Opera(circuits, numSlices, RoutingOptions{MaxHop: 6})
-		return n, nodes, n.DeployRouting(paths, LookupSource, MultipathPacket)
+		return n, nodes, nil, n.DeployRouting(paths, LookupSource, MultipathPacket)
 	}
 	circuits, err := UniformMesh(nodes, uplink)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	if err := n.DeployTopo(circuits, 1); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	paths := n.WCMP(circuits, RoutingOptions{})
-	return n, nodes, n.DeployRouting(paths, LookupHop, MultipathFlow)
+	return n, nodes, nil, n.DeployRouting(paths, LookupHop, MultipathFlow)
 }
 
 // TestInvariants bundles the system-level invariant checks under one name
@@ -128,23 +161,36 @@ func TestInvariants(t *testing.T) {
 // the network — nothing vanishes and nothing is created — and every
 // switch-to-host delivery is received by its host as data. The auditor's
 // probes sweep at every window close and once after the run, and must
-// stay silent. The nets are RotorNet/VLB, Opera, static WCMP meshes and
-// Clos over the electrical fabric (buildRandomNet), carrying UDP
-// datagrams and a few short TCP flows, classic or TDTCP at two divisions;
-// every flow must deliver all its bytes.
+// stay silent. The nets are RotorNet/VLB, Opera, static WCMP meshes, Clos
+// over the electrical fabric and daware's HOHO round robin hot-swapped
+// 2 ms in (buildRandomNet), carrying UDP datagrams and a few short TCP
+// flows, classic or TDTCP at two divisions; every flow must deliver all
+// its bytes. The four kinds that keep their program send everything at
+// t=0 and run 20 ms. The hot-swapped kind spreads its datagrams over the
+// first 4 ms and starts its flows 0.7 ms apart, so packets are in flight
+// at the swap, and runs 60 ms.
 func TestPacketConservation(t *testing.T) {
 	f := func(kindRaw, nodesRaw, uplinkRaw uint8, tdtcp bool, seed uint64) bool {
 		divisions := 0
 		if tdtcp {
 			divisions = 2
 		}
-		n, nodes, err := buildRandomNet(kindRaw, nodesRaw, uplinkRaw, seed, divisions)
+		n, nodes, swap, err := buildRandomNet(kindRaw, nodesRaw, uplinkRaw, seed, divisions)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		aud := n.AttachDigest(DigestOptions{WindowEvents: 256})
-		eps := n.Endpoints()
+		eng, eps := n.Engine(), n.Endpoints()
+		// at starts traffic at virtual time ns on the hot-swapped kind and
+		// at once on the others.
+		at := func(ns int64, start func()) {
+			if swap == nil {
+				start()
+				return
+			}
+			eng.At(ns, start)
+		}
 		rng := seed | 1
 		pair := func() (int, int) {
 			rng = rng*6364136223846793005 + 1442695040888963407
@@ -155,21 +201,37 @@ func TestPacketConservation(t *testing.T) {
 			src, dst := pair()
 			flow := core.FlowKey{SrcHost: eps[src].Host, DstHost: eps[dst].Host,
 				SrcPort: uint16(i), DstPort: 7, Proto: core.ProtoUDP}
-			eps[src].Stack.SendUDP(flow, eps[src].Node, eps[dst].Node, 800, false)
+			at(int64(i)*20_000, func() {
+				eps[src].Stack.SendUDP(flow, eps[src].Node, eps[dst].Node, 800, false)
+			})
 		}
 		type tcpFlow struct {
 			conn *transport.Conn
 			size int64
 		}
-		var flows []tcpFlow
-		for i := 0; i < 4; i++ {
+		flows := make([]tcpFlow, 4)
+		for i := range flows {
 			src, dst := pair()
 			flow := core.FlowKey{SrcHost: eps[src].Host, DstHost: eps[dst].Host,
 				SrcPort: uint16(1000 + i), DstPort: 80, Proto: core.ProtoTCP}
 			size := int64(10_000 + 20_000*i)
-			flows = append(flows, tcpFlow{eps[src].Stack.OpenTCP(flow, eps[src].Node, eps[dst].Node, size), size})
+			at(int64(i)*700_000, func() {
+				flows[i] = tcpFlow{eps[src].Stack.OpenTCP(flow, eps[src].Node, eps[dst].Node, size), size}
+			})
 		}
-		n.Run(20 * time.Millisecond) // several cycles: everything settles
+		if swap == nil {
+			n.Run(20 * time.Millisecond) // several cycles: everything settles
+		} else {
+			n.Run(2 * time.Millisecond)
+			if err := swap(); err != nil {
+				t.Log(err)
+				return false
+			}
+			// A flow in flight at the swap can lose a window of segments;
+			// without partial-ACK retransmission it recovers one segment per
+			// RTO (~1.3 ms each).
+			n.Run(58 * time.Millisecond)
+		}
 		aud.sweep()
 		if aud.ViolationCount() != 0 {
 			t.Logf("invariant violations: %+v", aud.Violations())

@@ -2,7 +2,6 @@ package openoptics
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"openoptics/internal/controller"
@@ -41,10 +40,10 @@ type Net struct {
 
 	syncModel *syncproto.Model
 
-	layers  map[int]layer
+	// ix indexes the deployed schedule's circuits; routing deployments
+	// compile against it.
+	ix      *core.ConnIndex
 	started bool
-	// deployGen counts DeployRouting invocations (telemetry).
-	deployGen int
 
 	// epoch/reconfigs/lastReprogramNs track mid-run schedule hot-swaps
 	// (Net.Reprogram); the observability plane attributes anomalies to
@@ -69,12 +68,6 @@ type Net struct {
 	flightDump func(reason string)
 }
 
-type layer struct {
-	paths  []core.Path
-	lookup core.LookupMode
-	mp     core.MultipathMode
-}
-
 // New builds a network from the static configuration. The returned Net is
 // idle: deploy a topology and routing, start applications on Endpoints(),
 // then Run.
@@ -96,8 +89,8 @@ func New(cfg Config) (*Net, error) {
 		optical:   fabric.NewOpticalFabric(eng),
 		cp:        switchsim.NewControlPlane(eng),
 		syncModel: syncproto.NewModel(cfg.SyncErrorNs, cfg.Seed),
-		layers:    make(map[int]layer),
 	}
+	n.ix = core.NewConnIndex(n.sched)
 	if cfg.SyncErrorNs == 0 {
 		n.syncModel = nil
 	}
@@ -262,123 +255,105 @@ func (n *Net) Endpoints() []traffic.Endpoint {
 // fabric. numSlices is the optical cycle length the circuits were
 // generated for (1 for TA/static topologies). The cycle length is fixed
 // once the network has started; only the circuits may change afterwards
-// (TA reconfiguration, SORN re-skewing).
+// (TA reconfiguration, SORN re-skewing). The deployed routing stays as it
+// is. A rejected schedule changes nothing.
 func (n *Net) DeployTopo(circuits []core.Circuit, numSlices int) error {
+	p, err := n.compileTopo(circuits, numSlices)
+	if err != nil {
+		return err
+	}
+	n.install(p)
+	return nil
+}
+
+// DeployRouting implements deploy_routing() (Table 1): compile the paths
+// against the deployed schedule and replace every node's time-flow table.
+// A rejected path set changes nothing.
+func (n *Net) DeployRouting(paths []core.Path, lookup core.LookupMode, mp core.MultipathMode) error {
+	r, err := n.compileRouting(n.ix, paths, lookup, mp)
+	if err != nil {
+		return err
+	}
+	n.install(&program{routing: r})
+	return nil
+}
+
+// program is one deployment checked and compiled on candidate values,
+// before any of it touches the network: a schedule with the fabric's
+// connection table and its circuit index (ix nil: the deployed topology
+// stays), and the time-flow tables (routing nil: the deployed routing
+// stays).
+type program struct {
+	sched   core.Schedule
+	conn    *fabric.ConnTable
+	ix      *core.ConnIndex
+	routing *controller.CompiledRouting
+}
+
+// compileTopo checks a schedule whole — cycle length, schedule validity,
+// OCS feasibility, the fabric's attachments — and compiles it.
+func (n *Net) compileTopo(circuits []core.Circuit, numSlices int) (*program, error) {
 	if numSlices < 1 {
-		return fmt.Errorf("openoptics: numSlices must be >= 1")
+		return nil, fmt.Errorf("openoptics: numSlices must be >= 1")
 	}
 	if n.started && numSlices != n.sched.NumSlices {
-		return fmt.Errorf("openoptics: cycle length is fixed after start (%d != %d)",
+		return nil, fmt.Errorf("openoptics: cycle length is fixed after start (%d != %d)",
 			numSlices, n.sched.NumSlices)
 	}
-	cand := &core.Schedule{
+	p := &program{sched: core.Schedule{
 		NumSlices:     numSlices,
 		SliceDuration: n.sched.SliceDuration,
 		Guard:         n.sched.Guard,
 		Circuits:      circuits,
-	}
-	if _, err := controller.CompileTopo(cand, controller.OCSStructure{
+	}}
+	if _, err := controller.CompileTopo(&p.sched, controller.OCSStructure{
 		Count:          n.Cfg.OCSCount,
 		PortsPerOCS:    n.Cfg.OCSPorts,
 		UplinksPerNode: n.Cfg.Uplink,
 		ReconfDelayNs:  n.Cfg.ReconfDelayNs,
 	}); err != nil {
-		return err
+		return nil, err
 	}
-	n.sched.NumSlices = numSlices
-	n.sched.Circuits = circuits
-	if err := n.optical.ApplySchedule(n.sched); err != nil {
-		return err
+	conn, err := n.optical.Compile(&p.sched)
+	if err != nil {
+		return nil, err
 	}
-	ix := core.NewConnIndex(n.sched)
-	for _, sw := range n.switches {
-		sw.InstallConnIndex(ix)
-	}
-	return nil
+	p.conn, p.ix = conn, core.NewConnIndex(&p.sched)
+	return p, nil
 }
 
-// DeployRouting implements deploy_routing() (Table 1) at layer 0.
-func (n *Net) DeployRouting(paths []core.Path, lookup core.LookupMode, mp core.MultipathMode) error {
-	return n.DeployRoutingLayer(0, paths, lookup, mp)
+// compileRouting checks paths against the circuits ix indexes and
+// compiles them into time-flow tables.
+func (n *Net) compileRouting(ix *core.ConnIndex, paths []core.Path, lookup core.LookupMode, mp core.MultipathMode) (*controller.CompiledRouting, error) {
+	return controller.CompileRouting(ix, paths, controller.CompileOptions{
+		Lookup:       lookup,
+		Multipath:    mp,
+		ExternalPort: n.isExternalPort,
+	})
 }
 
-// DeployRoutingLayer deploys paths at the given priority layer, replacing
-// that layer's previous contents and rebuilding every node's time-flow
-// table from all layers. Hybrid TA-1 architectures keep default
-// (electrical) routes at layer 0 and deploy opportunistic circuit routes
-// at layer 1, exactly the "higher-priority routes atop existing ones"
-// pattern of §4.3.
-func (n *Net) DeployRoutingLayer(prio int, paths []core.Path, lookup core.LookupMode, mp core.MultipathMode) error {
-	old, hadOld := n.layers[prio]
-	n.layers[prio] = layer{paths: paths, lookup: lookup, mp: mp}
-	if err := n.rebuildTables(); err != nil {
-		// Roll back the failed layer so the network keeps its last good
-		// deployment.
-		if hadOld {
-			n.layers[prio] = old
-		} else {
-			delete(n.layers, prio)
+// install swaps a compiled program in, all in one virtual instant: the
+// fabric's connection table, the one schedule the fabric, switches and
+// hosts read, each switch's circuit index (TA circuit signals go out
+// here, in node order), then each switch's table. It cannot fail.
+func (n *Net) install(p *program) {
+	if p.ix != nil {
+		n.optical.Install(n.sched, p.conn)
+		n.sched.NumSlices, n.sched.Circuits = p.sched.NumSlices, p.sched.Circuits
+		n.ix = p.ix
+		for _, sw := range n.switches {
+			sw.InstallConnIndex(p.ix)
 		}
-		if rerr := n.rebuildTables(); rerr != nil {
-			return fmt.Errorf("openoptics: deploy failed (%v) and rollback failed: %w", err, rerr)
-		}
-		return err
 	}
-	n.deployGen++
-	return nil
-}
-
-// ClearRoutingLayer removes a priority layer (e.g. expired circuit routes).
-func (n *Net) ClearRoutingLayer(prio int) error {
-	delete(n.layers, prio)
-	return n.rebuildTables()
-}
-
-func (n *Net) rebuildTables() error {
-	prios := make([]int, 0, len(n.layers))
-	for p := range n.layers {
-		prios = append(prios, p)
-	}
-	sort.Ints(prios)
-	var tables map[core.NodeID]*core.Table
-	for i, p := range prios {
-		l := n.layers[p]
-		cr, err := controller.CompileRouting(n.sched, l.paths, controller.CompileOptions{
-			Lookup:       l.lookup,
-			Multipath:    l.mp,
-			Priority:     p,
-			ExternalPort: n.isExternalPort,
-		})
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			// The lowest layer installs as compiled: with one layer (the
-			// common case) no table is copied.
-			tables = cr.Tables
-			continue
-		}
-		for node, tab := range cr.Tables {
-			m := tables[node]
-			if m == nil {
-				m = core.NewTable()
-				tables[node] = m
+	if p.routing != nil {
+		for _, sw := range n.switches {
+			tab := p.routing.Tables[sw.ID()]
+			if tab == nil {
+				tab = core.NewTable()
 			}
-			for _, e := range tab.Entries() {
-				if err := m.Add(*e); err != nil {
-					return fmt.Errorf("openoptics: merging layer %d at N%d: %w", p, node, err)
-				}
-			}
-		}
-	}
-	for _, sw := range n.switches {
-		if tab, ok := tables[sw.ID()]; ok {
 			sw.InstallTable(tab)
-		} else {
-			sw.InstallTable(core.NewTable())
 		}
 	}
-	return nil
 }
 
 // Add implements the add() API: install one time-flow table entry directly

@@ -149,8 +149,8 @@ func TestEndToEndClosBaseline(t *testing.T) {
 }
 
 func TestEndToEndHybridLayers(t *testing.T) {
-	// c-Through pattern: electrical default routes at layer 0, direct
-	// optical circuits at layer 1.
+	// c-Through pattern, deployed as one path set: direct optical routes
+	// for the pairs with a circuit, electrical routes for every other pair.
 	cfg := Config{NodeNum: 4, Uplink: 1, ElectricalGbps: 10,
 		SliceDurationNs: 100_000, Seed: 7}
 	n, err := New(cfg)
@@ -161,7 +161,7 @@ func TestEndToEndHybridLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.DeployRoutingLayer(0, elecPaths, LookupHop, MultipathNone); err != nil {
+	if err := n.DeployRouting(elecPaths, LookupHop, MultipathNone); err != nil {
 		t.Fatal(err)
 	}
 	// Static optical circuits pairing 0-1 and 2-3 (TA instance).
@@ -172,11 +172,16 @@ func TestEndToEndHybridLayers(t *testing.T) {
 	if err := n.DeployTopo(circuits, 1); err != nil {
 		t.Fatal(err)
 	}
-	optPaths := n.Direct(circuits, 1, RoutingOptions{})
-	if len(optPaths) != 4 { // 0<->1 and 2<->3, both directions
-		t.Fatalf("direct paths = %d, want 4", len(optPaths))
+	paths := n.Direct(circuits, 1, RoutingOptions{})
+	if len(paths) != 4 { // 0<->1 and 2<->3, both directions
+		t.Fatalf("direct paths = %d, want 4", len(paths))
 	}
-	if err := n.DeployRoutingLayer(1, optPaths, LookupHop, MultipathNone); err != nil {
+	for _, p := range elecPaths {
+		if p.Src/2 != p.Dst/2 { // no circuit joins the pair
+			paths = append(paths, p)
+		}
+	}
+	if err := n.DeployRouting(paths, LookupHop, MultipathNone); err != nil {
 		t.Fatal(err)
 	}
 	eps := n.Endpoints()
@@ -200,16 +205,21 @@ func TestEndToEndHybridLayers(t *testing.T) {
 	if n.ElectricalFabric().Forwarded == 0 {
 		t.Fatal("electrical fabric carried nothing")
 	}
-	// Layer sanity: after clearing layer 1, traffic still flows via elec.
-	if err := n.ClearRoutingLayer(1); err != nil {
+	// With the electrical routes alone redeployed, 1 -> 0 flows through
+	// the electrical fabric although the circuit is still up.
+	if err := n.DeployRouting(elecPaths, LookupHop, MultipathNone); err != nil {
 		t.Fatal(err)
 	}
+	optical := n.OpticalFabric().Forwarded
 	f10 := core.FlowKey{SrcHost: eps[1].Host, DstHost: eps[0].Host,
 		SrcPort: 12, DstPort: traffic.PortReplay, Proto: core.ProtoTCP}
 	c10 := eps[1].Stack.OpenTCP(f10, 1, 0, 100_000)
 	n.Run(50 * time.Millisecond)
 	if !c10.Done() {
-		t.Fatalf("post-clear flow incomplete; %+v", n.Counters())
+		t.Fatalf("electrical-only flow incomplete; %+v", n.Counters())
+	}
+	if got := n.OpticalFabric().Forwarded; got != optical {
+		t.Fatalf("electrical-only routing forwarded %d packets optically", got-optical)
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"openoptics/internal/core"
 )
 
-// This file implements the mid-run schedule hot-swap the demand-aware
-// control plane (internal/demand) builds on: Net.Reprogram re-enters the
-// existing controller compile path — DeployTopo then DeployRouting — at a
-// simulated epoch boundary, atomically in virtual time (both deployments
-// land at the same instant, so no packet observes the intermediate state),
-// with an explicit reconfiguration-cost model: fabric ports whose circuits
+// This file implements the mid-run reprogramming every adaptive
+// architecture builds on (the TA control loops of internal/arch and the
+// demand-aware control plane of internal/demand): Net.Reprogram compiles
+// the schedule and the routing against it whole, then installs both in
+// one virtual instant, so no packet observes an intermediate state; with
+// an explicit reconfiguration-cost model: fabric ports whose circuits
 // changed go dark for a drain window during which they carry no traffic.
 
 // ReprogramPlan is one epoch's full program: the circuit schedule plus the
@@ -36,33 +36,24 @@ type ReconfigCost struct {
 }
 
 // Reprogram hot-swaps the deployed schedule and routing in one virtual
-// instant. On routing failure the previous program is restored (the same
-// rollback discipline as DeployRoutingLayer), so the network always runs a
-// complete, validated program. A swap that changes no circuit still
-// replaces the routing and counts as a reconfiguration, but darkens no
-// ports.
+// instant. The whole plan is checked and compiled before anything is
+// installed, so a rejected plan changes nothing and counts nothing: the
+// network always runs a complete, validated program. A swap that changes
+// no circuit still replaces the routing and counts as a reconfiguration,
+// but darkens no ports.
 func (n *Net) Reprogram(plan ReprogramPlan, cost ReconfigCost) error {
 	if plan.NumSlices <= 0 {
 		plan.NumSlices = n.sched.NumSlices
 	}
-	oldCircuits := n.sched.Circuits
-	oldSlices := n.sched.NumSlices
-	changed := diffCircuits(oldCircuits, plan.Circuits)
-	if err := n.DeployTopo(plan.Circuits, plan.NumSlices); err != nil {
+	p, err := n.compileTopo(plan.Circuits, plan.NumSlices)
+	if err != nil {
 		return fmt.Errorf("openoptics: reprogram topo: %w", err)
 	}
-	if err := n.DeployRouting(plan.Paths, plan.Lookup, plan.Multipath); err != nil {
-		// DeployRoutingLayer already restored the old layer contents; put
-		// the old schedule back and recompile so tables and topology agree.
-		rerr := n.DeployTopo(oldCircuits, oldSlices)
-		if rerr == nil {
-			rerr = n.rebuildTables()
-		}
-		if rerr != nil {
-			return fmt.Errorf("openoptics: reprogram failed (%v) and rollback failed: %w", err, rerr)
-		}
+	if p.routing, err = n.compileRouting(p.ix, plan.Paths, plan.Lookup, plan.Multipath); err != nil {
 		return fmt.Errorf("openoptics: reprogram routing: %w", err)
 	}
+	changed := core.DiffCircuits(n.sched.Circuits, plan.Circuits)
+	n.install(p)
 	if cost.DrainNs > 0 && n.started && len(changed) > 0 {
 		ports := make([]int, 0, 2*len(changed))
 		for _, c := range changed {
@@ -92,30 +83,3 @@ func (n *Net) Reconfigs() uint64 { return n.reconfigs }
 // LastReprogramNs returns the virtual time of the most recent hot-swap
 // (0 if none happened yet).
 func (n *Net) LastReprogramNs() int64 { return n.lastReprogramNs }
-
-// diffCircuits returns the circuits present in exactly one of the two
-// programs (canonical, endpoint-ordered form): those torn down plus those
-// newly set up — the set the reconfiguration cost applies to.
-func diffCircuits(old, new []core.Circuit) []core.Circuit {
-	count := make(map[core.Circuit]int, len(old)+len(new))
-	for _, c := range old {
-		count[c.Canon()]++
-	}
-	for _, c := range new {
-		count[c.Canon()]--
-	}
-	var out []core.Circuit
-	for _, c := range old {
-		if count[c.Canon()] != 0 {
-			out = append(out, c.Canon())
-			count[c.Canon()] = 0
-		}
-	}
-	for _, c := range new {
-		if count[c.Canon()] != 0 {
-			out = append(out, c.Canon())
-			count[c.Canon()] = 0
-		}
-	}
-	return out
-}

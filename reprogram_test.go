@@ -1,10 +1,12 @@
 package openoptics
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"openoptics/internal/core"
+	"openoptics/internal/fabric"
 	"openoptics/internal/traffic"
 )
 
@@ -144,6 +146,9 @@ func TestReprogramSameCircuitsDarkensNothing(t *testing.T) {
 	}
 }
 
+// TestReprogramRollbackOnBadRouting: a Reprogram whose routing does not
+// compile against its new topology is rejected and changes nothing — the
+// old schedule and tables keep running and nothing is counted.
 func TestReprogramRollbackOnBadRouting(t *testing.T) {
 	n, circuits, numSlices := hohoNet4(t)
 	eps := n.Endpoints()
@@ -155,8 +160,8 @@ func TestReprogramRollbackOnBadRouting(t *testing.T) {
 
 	next := rotateSlices(circuits, numSlices)
 	// A path whose hop departs on a slice with no matching circuit fails
-	// routing compilation after the topology already swapped — Reprogram
-	// must restore the old schedule and tables.
+	// routing compilation, so the whole plan is rejected before anything
+	// is installed.
 	bad := []Path{{Src: 0, Dst: 1, TS: 0,
 		Hops: []Hop{{Node: 0, Egress: 99, DepSlice: 0}}}}
 	err := n.Reprogram(ReprogramPlan{
@@ -171,21 +176,123 @@ func TestReprogramRollbackOnBadRouting(t *testing.T) {
 	}
 	deployed := n.Schedule().Circuits
 	if len(deployed) != len(circuits) {
-		t.Fatalf("schedule not rolled back: %d circuits, want %d", len(deployed), len(circuits))
+		t.Fatalf("rejected reprogram changed the schedule: %d circuits, want %d", len(deployed), len(circuits))
 	}
 	for i, c := range circuits {
 		if deployed[i] != c {
-			t.Fatalf("circuit %d not rolled back: %+v != %+v", i, deployed[i], c)
+			t.Fatalf("rejected reprogram changed circuit %d: %+v != %+v", i, deployed[i], c)
 		}
 	}
 	before := sink.RTT.N()
 	n.Run(40 * time.Millisecond)
 	if sink.RTT.N() <= before {
-		t.Fatal("network not functional after rollback")
+		t.Fatal("network not functional after a rejected reprogram")
 	}
 	if n.OpticalFabric().DropsReconfig != 0 {
 		t.Fatal("failed reprogram darkened ports")
 	}
+}
+
+// TestRejectedProgramChangesNothing: a deployment is checked whole before
+// any of it is installed, so a rejected call — a circuit on an uplink its
+// node lacks (the OCS check passes it, the fabric refuses it), or a path
+// no circuit carries — leaves the schedule, the fabric's circuits, every
+// switch's table and the reconfiguration counters as they were, and the
+// running program keeps carrying traffic.
+func TestRejectedProgramChangesNothing(t *testing.T) {
+	n, circuits, numSlices := hohoNet4(t)
+	eps := n.Endpoints()
+	sink := traffic.NewSink(eps)
+	probe := traffic.NewUDPProbe(n.Engine(), eps[0], eps[3])
+	probe.IntervalNs = 50_000
+	probe.Start(int64(40 * time.Millisecond))
+	n.Run(5 * time.Millisecond)
+
+	paths := n.HOHO(circuits, numSlices, RoutingOptions{})
+	noUplink := []Circuit{Connect(0, 1, 2, 0, 0)} // every node has uplink 0 only
+	offCircuit := []Path{{Src: 0, Dst: 1, TS: 0,
+		Hops: []Hop{{Node: 0, Egress: 99, DepSlice: 0}}}}
+	drain := ReconfigCost{DrainNs: int64(time.Millisecond)}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"DeployTopo on a missing uplink", func() error { return n.DeployTopo(noUplink, numSlices) }},
+		{"Reprogram on a missing uplink", func() error {
+			return n.Reprogram(ReprogramPlan{Circuits: noUplink, NumSlices: numSlices, Paths: paths,
+				Lookup: LookupSource, Multipath: MultipathNone}, drain)
+		}},
+		{"DeployRouting off the circuits", func() error {
+			return n.DeployRouting(offCircuit, LookupSource, MultipathNone)
+		}},
+		{"Reprogram off the circuits", func() error {
+			return n.Reprogram(ReprogramPlan{Circuits: rotateSlices(circuits, numSlices), NumSlices: numSlices,
+				Paths: offCircuit, Lookup: LookupSource, Multipath: MultipathNone}, drain)
+		}},
+	}
+	running := deployedOf(n)
+	for _, c := range calls {
+		if err := c.call(); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if moved := running.moved(deployedOf(n)); moved != "" {
+			t.Fatalf("%s changed %s", c.name, moved)
+		}
+	}
+	if err := n.DeployRouting(paths, LookupSource, MultipathNone); err != nil {
+		t.Fatalf("redeploying the running program: %v", err)
+	}
+	before := sink.RTT.N()
+	n.Run(30 * time.Millisecond)
+	if sink.RTT.N() <= before {
+		t.Fatalf("no round trips after the rejected calls (before=%d after=%d)", before, sink.RTT.N())
+	}
+	if n.OpticalFabric().DropsReconfig != 0 {
+		t.Fatal("a rejected reprogram darkened ports")
+	}
+}
+
+// deployed is what a rejected deployment must leave as it was.
+type deployed struct {
+	numSlices int
+	circuits  []Circuit
+	live      []fabric.CircuitSnapshot
+	tables    []*core.Table
+	epoch     int
+	reconfigs uint64
+}
+
+func deployedOf(n *Net) deployed {
+	d := deployed{
+		numSlices: n.Schedule().NumSlices,
+		circuits:  n.Schedule().Circuits,
+		live:      n.OpticalFabric().Snapshot().Circuits,
+		epoch:     n.Epoch(),
+		reconfigs: n.Reconfigs(),
+	}
+	for _, sw := range n.Switches() {
+		d.tables = append(d.tables, sw.Table())
+	}
+	return d
+}
+
+// moved names what differs between a and b ("" when nothing does):
+// tables by identity, everything else by value.
+func (a deployed) moved(b deployed) string {
+	switch {
+	case a.numSlices != b.numSlices || !reflect.DeepEqual(a.circuits, b.circuits):
+		return "the schedule"
+	case !reflect.DeepEqual(a.live, b.live):
+		return "the fabric's circuits"
+	case a.epoch != b.epoch || a.reconfigs != b.reconfigs:
+		return "the epoch or the reconfiguration count"
+	}
+	for i := range a.tables {
+		if a.tables[i] != b.tables[i] {
+			return "a switch's table"
+		}
+	}
+	return ""
 }
 
 // TestCollectWindowedDelta is the windowed-collect regression: two
@@ -229,9 +336,9 @@ func TestCollectWindowedDelta(t *testing.T) {
 	}
 }
 
-// TestDeployRoutingRepeated pins the idempotence and rollback semantics of
-// repeated DeployRouting calls: redeploying the same program is safe
-// mid-run, and a failed redeploy restores the previous working tables.
+// TestDeployRoutingRepeated pins the idempotence of repeated DeployRouting
+// calls: redeploying the same program is safe mid-run, and a rejected
+// redeploy changes nothing, so the previous tables keep working.
 func TestDeployRoutingRepeated(t *testing.T) {
 	n, circuits, numSlices := hohoNet4(t)
 	eps := n.Endpoints()
@@ -255,6 +362,6 @@ func TestDeployRoutingRepeated(t *testing.T) {
 	before := sink.RTT.N()
 	n.Run(30 * time.Millisecond)
 	if sink.RTT.N() <= before {
-		t.Fatal("network not functional after failed redeploy rollback")
+		t.Fatal("network not functional after a rejected redeploy")
 	}
 }
