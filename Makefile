@@ -1,5 +1,5 @@
 # Tier-1: what every change must keep green.
-.PHONY: build test check bench bench-smoke sweep-smoke simbench-smoke fuzz-smoke
+.PHONY: build test check bench bench-smoke sweep-smoke simbench-smoke fuzz-smoke netlines
 
 build:
 	go build ./...
@@ -120,3 +120,28 @@ simbench-smoke:
 		*) echo "FAIL: simbench $$w: $$last"; exit 1 ;; \
 		esac; \
 	done
+
+# Go line changes against BASE (default HEAD), per package with non-test
+# and test files apart: lines added and removed, and the net change in
+# code lines (neither blank nor //-only). It reads `git diff` of tracked
+# .go files plus every untracked .go file, outside simbench/. A report, not
+# a gate:  make netlines BASE=<rev>
+BASE ?= HEAD
+netlines:
+	@{ git diff $(BASE) -- '*.go' ':(exclude)simbench'; \
+	   git ls-files -o --exclude-standard -- '*.go' ':(exclude)simbench' | \
+	   while read -r f; do git diff --no-index /dev/null "$$f"; done; } | \
+	awk 'function code(l) { sub(/^[ \t]+/, "", l); return l != "" && l !~ /^\/\// } \
+	/^diff /   { hdr = 1; next } \
+	hdr && /^(---|\+\+\+) [ab]\// { f = substr($$2, 3) } \
+	hdr && /^@@/ { hdr = 0; p = f; if (!sub(/\/[^\/]*$$/, "", p)) p = "."; \
+		k = p (f ~ /_test\.go$$/ ? " test" : " non-test"); seen[k] = 1; next } \
+	hdr        { next } \
+	/^\+/      { add[k]++; if (code(substr($$0, 2))) net[k]++ } \
+	/^-/       { del[k]++; if (code(substr($$0, 2))) net[k]-- } \
+	END { printf "%-28s %-8s %7s %7s %9s\n", "package", "files", "added", "removed", "net code"; \
+		sort = "sort"; for (k in seen) { split(k, pk, " "); \
+			printf "%-28s %-8s %7d %7d %+9d\n", pk[1], pk[2], add[k], del[k], net[k] | sort; \
+			A[pk[2]] += add[k]; D[pk[2]] += del[k]; N[pk[2]] += net[k] } close(sort); \
+		split("non-test test", ts, " "); for (i = 1; i <= 2; i++) \
+			printf "%-28s %-8s %7d %7d %+9d\n", "all", ts[i], A[ts[i]], D[ts[i]], N[ts[i]] }'

@@ -34,7 +34,7 @@ func TestTraceRunIsAnalyzable(t *testing.T) {
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "run.trace.jsonl")
 	metricsFile := filepath.Join(dir, "metrics.prom")
-	if rc, _ := runCaptured(t, "-nodes", "4", "-workload", "udp-probe", "-duration-ms", "20",
+	if rc, _, _ := runCaptured(t, "-nodes", "4", "-workload", "udp-probe", "-duration-ms", "20",
 		"-trace-out", traceFile, "-trace-sample", "1", "-metrics-out", metricsFile); rc != 0 {
 		t.Fatalf("oosim exited %d", rc)
 	}

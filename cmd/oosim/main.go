@@ -27,7 +27,6 @@ import (
 	"openoptics/internal/obsv"
 	"openoptics/internal/provenance"
 	"openoptics/internal/runner"
-	"openoptics/internal/sim"
 	"openoptics/internal/telemetry"
 	"openoptics/internal/traffic"
 )
@@ -222,15 +221,25 @@ func run(args []string) int {
 		rec.OnDump = func(reason string) {
 			fmt.Fprintln(os.Stderr, "oosim: flight dump:", reason)
 		}
-		st.Net.AttachFlightRecorder(rec, true)
+		st.Net.AttachFlightRecorder(rec)
 	}
 	if *profile {
 		eng.EnableProfiling(true)
 	}
 	if *progressMs > 0 {
-		eng.ReportProgress(int64(*progressMs)*1e6, func(p sim.Progress) bool {
+		// One report per interval of virtual time: the events figure
+		// counts every event up to the instant, and the ratio is virtual
+		// over real time since the previous report.
+		lastReal, lastVirtual := time.Now(), eng.Now()
+		eng.Watch(int64(*progressMs)*1e6, func() bool {
+			now := time.Now()
+			real, ratio := now.Sub(lastReal), 0.0
+			if real > 0 {
+				ratio = float64(eng.Now()-lastVirtual) / float64(real.Nanoseconds())
+			}
 			fmt.Fprintf(os.Stderr, "progress: virtual %.1f ms, %d events, %.3fx real time\n",
-				float64(p.VirtualNs)/1e6, p.Events, p.Ratio)
+				float64(eng.Now())/1e6, eng.Processed, ratio)
+			lastReal, lastVirtual = now, eng.Now()
 			return true
 		})
 	}
@@ -318,13 +327,12 @@ func run(args []string) int {
 		// still leaves a (marked-interrupted) journal behind. The scenario
 		// is recorded only for runs `ooctl diverge` can re-execute
 		// bit-exactly: trace replays, flag-configured (a config file can
-		// tune parameters the scenario does not carry), and with no live
-		// telemetry or progress reporting (both schedule engine events).
+		// tune parameters the scenario does not carry).
 		j, err := st.Journal(&manifest)
 		if err != nil {
 			return fail(err)
 		}
-		if st.Replay == nil || *cfgPath != "" || *httpAddr != "" || *progressMs != 0 {
+		if st.Replay == nil || *cfgPath != "" {
 			j.Header.Scenario = nil
 		}
 		if err := diverge.WriteFile(*digestOut, j); err != nil {

@@ -29,73 +29,94 @@ func readMasked(t *testing.T, path string) []byte {
 }
 
 // TestObserversKeepRunsIdentical runs the 16-node RotorNet/VLB RPC
-// workload twice with the profiler and the digest both attached, and once
-// with the digest alone. The two instrumented runs must write
-// byte-identical journals, and their digest chain must equal the
+// workload twice with the profiler and the digest both attached, once with
+// the digest alone, and once observed by everything else oosim offers (the
+// live plane, progress reports, the flight recorder). The two profiled runs
+// must write byte-identical journals, and every chain must equal the
 // digest-only run's: attaching observers never changes what the engine
-// dispatches.
+// dispatches. The observed run's journal keeps its Scenario, so `ooctl
+// diverge` can bisect it.
 func TestObserversKeepRunsIdentical(t *testing.T) {
 	dir := t.TempDir()
-	oosim := func(extra ...string) {
+	path := func(name string) string { return filepath.Join(dir, name) }
+	oosim := func(extra ...string) string {
 		t.Helper()
-		args := append([]string{
+		rc, _, stderr := runCaptured(t, append([]string{
 			"-nodes", "16", "-arch", "rotornet-vlb", "-workload", "rpc",
 			"-load", "0.3", "-duration-ms", "4", "-seed", "7",
-		}, extra...)
-		if rc := run(args); rc != 0 {
+		}, extra...)...)
+		if rc != 0 {
 			t.Fatalf("oosim %v exited %d", extra, rc)
 		}
+		return stderr
 	}
-	path := func(name string) string { return filepath.Join(dir, name) }
 	for _, r := range []string{"a", "b"} {
 		oosim("-profile", "-digest-out", path(r+".digest.jsonl"))
 	}
 	oosim("-digest-out", path("d.digest.jsonl"))
+	stderr := oosim("-http", "127.0.0.1:0", "-progress-ms", "1", "-flight-out", path("flight.jsonl"),
+		"-digest-out", path("o.digest.jsonl"))
+	if !strings.Contains(stderr, "progress: virtual 1.0 ms") {
+		t.Fatalf("observed run printed no progress report at 1 ms:\n%s", stderr)
+	}
 
 	if !bytes.Equal(readMasked(t, path("a.digest.jsonl")), readMasked(t, path("b.digest.jsonl"))) {
 		t.Fatal("the journal differs between two identical instrumented runs")
 	}
 
-	all, err := diverge.ReadFile(path("a.digest.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	alone, err := diverge.ReadFile(path("d.digest.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := diverge.Compare(all, alone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical || all.Final.Chain != alone.Final.Chain || len(all.Windows) < 2 {
-		t.Fatalf("instrumented chain %s (%d windows) vs digest-only %s: identical=%v",
-			all.Final.Chain, len(all.Windows), alone.Final.Chain, rep.Identical)
+	for _, name := range []string{"a", "o"} {
+		j, err := diverge.ReadFile(path(name + ".digest.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := diverge.Compare(j, alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Identical || j.Final.Chain != alone.Final.Chain || len(j.Windows) < 2 {
+			t.Fatalf("%s: chain %s (%d windows) vs digest-only %s: identical=%v",
+				name, j.Final.Chain, len(j.Windows), alone.Final.Chain, rep.Identical)
+		}
+		if len(j.Header.Scenario) == 0 {
+			t.Fatalf("%s: the journal carries no scenario", name)
+		}
 	}
 }
 
 // runCaptured runs oosim in-process and returns its exit code and what it
-// printed on stdout.
-func runCaptured(t *testing.T, args ...string) (int, string) {
+// printed on stdout and on stderr.
+func runCaptured(t *testing.T, args ...string) (rc int, stdout, stderr string) {
 	t.Helper()
-	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout.txt"))
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	create := func(name string) *os.File {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	saved := os.Stdout
-	os.Stdout = stdout
-	rc := run(args)
-	os.Stdout = saved
-	stdout.Close()
-	out, err := os.ReadFile(stdout.Name())
-	if err != nil {
-		t.Fatal(err)
+	read := func(f *os.File) string {
+		f.Close()
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
 	}
-	return rc, string(out)
+	outF, errF := create("stdout.txt"), create("stderr.txt")
+	savedOut, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	rc = run(args)
+	os.Stdout, os.Stderr = savedOut, savedErr
+	return rc, read(outF), read(errF)
 }
 
 func TestVersion(t *testing.T) {
-	if rc, out := runCaptured(t, "-version"); rc != 0 || !strings.HasPrefix(out, "oosim ") {
+	if rc, out, _ := runCaptured(t, "-version"); rc != 0 || !strings.HasPrefix(out, "oosim ") {
 		t.Fatalf("oosim -version exited %d printing %q", rc, out)
 	}
 }
@@ -106,7 +127,7 @@ func TestVersion(t *testing.T) {
 // counted.
 func TestDawareControlLoopMetrics(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	rc, out := runCaptured(t,
+	rc, out, _ := runCaptured(t,
 		"-arch", "daware", "-policy", "aware", "-nodes", "8", "-hot-frac", "0.5", "-hot-pairs", "2",
 		"-workload", "rpc", "-load", "0.3", "-duration-ms", "20", "-metrics-out", metrics,
 	)

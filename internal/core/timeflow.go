@@ -221,12 +221,6 @@ func (e *Entry) precomputeWeights() {
 	}
 }
 
-// Clear removes all entries (used when the controller re-deploys routing
-// for a new topology instance in TA architectures).
-func (t *Table) Clear() {
-	t.entries, t.built, t.ix = nil, false, tableIndex{}
-}
-
 // compareEntries orders entries best-first: priority descending, then
 // fewer wildcards, then insertion order.
 func compareEntries(a, b *Entry) int {

@@ -44,6 +44,28 @@ func (m TM) Total() float64 {
 	return t
 }
 
+// Symmetric returns the n×n pairwise demand S[i][j] = m[i][j] + m[j][i]
+// with a zero diagonal: a circuit carries both directions, so a pair's
+// weight is its demand both ways. Cells m lacks (every cell when m is nil)
+// read as zero.
+func (m TM) Symmetric(n int) TM {
+	at := func(i, j int) float64 {
+		if i < len(m) && j < len(m[i]) {
+			return m[i][j]
+		}
+		return 0
+	}
+	s := NewTM(n)
+	for i := range s {
+		for j := range s[i] {
+			if i != j {
+				s[i][j] = at(i, j) + at(j, i)
+			}
+		}
+	}
+	return s
+}
+
 // Clone returns a deep copy.
 func (m TM) Clone() TM {
 	c := make(TM, len(m))

@@ -265,7 +265,7 @@ func (c *Controller) compile(circuits []core.Circuit, env Env) ([]core.Circuit, 
 // epochWeights is the symmetric demand the repair loop scores slices by:
 // the last prediction when available, else uniform.
 func (c *Controller) epochWeights() core.TM {
-	return symmetric(c.pred, c.net.Cfg.NodeNum)
+	return c.pred.Symmetric(c.net.Cfg.NodeNum)
 }
 
 // slicesByWeight orders slice indices by ascending carried demand weight
@@ -304,7 +304,7 @@ func pathsComplete(paths []core.Path, nodes, numSlices int) bool {
 // so oblivious/aware/reqgrant compare on the same scale.
 func coverage(realized core.TM, circuits []core.Circuit, env Env) float64 {
 	n := env.Nodes
-	dem := symmetric(realized, n)
+	dem := realized.Symmetric(n)
 	slots := make(map[[2]int]float64, len(circuits))
 	for _, cc := range circuits {
 		i, j := int(cc.A), int(cc.B)

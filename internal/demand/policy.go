@@ -65,7 +65,7 @@ func (Aware) Name() string { return "aware" }
 
 // Synthesize implements Policy.
 func (Aware) Synthesize(in Input, env Env) ([]core.Circuit, error) {
-	resid := symmetric(in.Predicted, env.Nodes)
+	resid := in.Predicted.Symmetric(env.Nodes)
 	return grantSchedule(resid, env)
 }
 
@@ -87,33 +87,13 @@ func (p *ReqGrant) Synthesize(in Input, env Env) ([]core.Circuit, error) {
 	if p.outstanding == nil {
 		p.outstanding = core.NewTM(env.Nodes)
 	}
-	req := symmetric(in.Realized, env.Nodes)
+	req := in.Realized.Symmetric(env.Nodes)
 	for i := range p.outstanding {
 		for j := range p.outstanding[i] {
 			p.outstanding[i][j] += req[i][j]
 		}
 	}
 	return grantSchedule(p.outstanding, env)
-}
-
-// symmetric folds a (possibly nil) directed TM into a symmetric matrix:
-// out[i][j] = out[j][i] = tm[i][j] + tm[j][i]. Circuits are bidirectional,
-// so matching weight is pairwise demand.
-func symmetric(tm core.TM, n int) core.TM {
-	out := core.NewTM(n)
-	if tm == nil {
-		return out
-	}
-	for i := 0; i < n && i < len(tm); i++ {
-		for j := 0; j < n && j < len(tm[i]); j++ {
-			if i == j {
-				continue
-			}
-			out[i][j] += tm[i][j]
-			out[j][i] += tm[i][j]
-		}
-	}
-	return out
 }
 
 // grantSchedule is the shared synthesis core of Aware and ReqGrant: for

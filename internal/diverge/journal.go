@@ -43,11 +43,10 @@ type Header struct {
 	PerturbA uint64 `json:"perturb_a,omitempty"`
 	PerturbB uint64 `json:"perturb_b,omitempty"`
 	// Scenario is the run's runner.Scenario, recorded only when the run
-	// can be re-executed in-process (a trace-replay run with no
-	// wall-clock-coupled telemetry events); without it `ooctl diverge`
-	// still localizes divergence to a window, just not to an event. It
-	// stays raw JSON because the root package, which the runner imports,
-	// writes journals.
+	// can be re-executed in-process (a trace-replay run configured by its
+	// flags alone); without it `ooctl diverge` still localizes divergence
+	// to a window, just not to an event. It stays raw JSON because the
+	// root package, which the runner imports, writes journals.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 

@@ -34,7 +34,7 @@ type Run struct {
 // window plus a quarter.
 func Execute(h *diverge.Header, capStart, capEnd uint64) (*Run, error) {
 	if len(h.Scenario) == 0 {
-		return nil, fmt.Errorf("journal carries no scenario (config-file, live-telemetry, progress-reporting, or non-replay-workload run)")
+		return nil, fmt.Errorf("journal carries no scenario (config-file or non-replay-workload run)")
 	}
 	var sc runner.Scenario
 	dec := json.NewDecoder(bytes.NewReader(h.Scenario))

@@ -209,10 +209,6 @@ type Started struct {
 // oosim, the journal replayer, the sweep runner and Table 3: build the
 // architecture, attach the flow sink, arm the perturbation, attach the
 // auditor. The caller then attaches its observers and starts the arrivals.
-// A step that schedules engine events shifts the sequence numbers of every
-// later one, so callers wiring one scenario in different orders could never
-// replay each other's runs: observers that schedule events (the live plane,
-// progress reports) attach between Start and StartTrace in every caller.
 func (sc Scenario) Start(w Wiring) (*Started, error) {
 	in, err := arch.Build(sc.archName(), sc.options(w.Tune), arch.DemandConfig{
 		Policy:         sc.Policy,

@@ -21,8 +21,8 @@ type SweepOptions struct {
 	// it, a pre-existing non-empty ledger is an error — mixing two sweeps'
 	// records silently would corrupt aggregation.
 	Resume bool
-	// Progress, when set, receives one line per job completion in the
-	// sim progress-reporting convention (virtual/real speed ratio).
+	// Progress, when set, receives one line per job completion with its
+	// virtual/real speed ratio, like oosim's -progress-ms reports.
 	Progress io.Writer
 	// MetricsDir, when set, stores each job's telemetry registry (PR 1)
 	// as <sanitized-job-id>.json under it.
@@ -201,8 +201,8 @@ func Sweep(spec *Spec, opt SweepOptions) (*SweepResult, error) {
 	return sr, nil
 }
 
-// progressLine prints one completion in the sim.Progress convention: how
-// much virtual time the job covered and the virtual/real speed ratio.
+// progressLine prints one completion: how much virtual time the job
+// covered and the virtual/real speed ratio.
 func progressLine(w io.Writer, done, total int, rec Record, virtual, elapsed time.Duration) {
 	ratio := 0.0
 	if elapsed > 0 {

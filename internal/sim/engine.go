@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -43,6 +44,10 @@ type Engine struct {
 	// digest is the attached determinism digest (digest.go), the one
 	// observer of the dispatch stream; nil when detached.
 	digest *EventDigest
+
+	// watches are the periodic observers (Watch) in registration order,
+	// run between handlers at virtual-time instants.
+	watches []watch
 
 	// Perturbation harness (digest.go, simdebug builds only): when armed,
 	// the events that would receive sequence numbers perturbA and perturbB
@@ -141,9 +146,6 @@ func (e *Engine) AfterClass(d int64, class Class, fn func()) {
 	e.AtClass(e.now+d, class, fn)
 }
 
-// AfterDur schedules fn to run after a time.Duration.
-func (e *Engine) AfterDur(d time.Duration, fn func()) { e.After(int64(d), fn) }
-
 // Every schedules fn at start and then every interval nanoseconds until fn
 // returns false or the engine halts. It models periodic device machinery —
 // the on-chip packet generator, traffic collection, flow aging scans.
@@ -171,7 +173,8 @@ func (e *Engine) EveryClass(start, interval int64, class Class, fn func() bool) 
 	e.AtClass(start, class, tick)
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains or Halt is called. It fires
+// no watch after the last event and leaves the clock there.
 func (e *Engine) Run() {
 	e.RunUntil(math.MaxInt64)
 }
@@ -181,22 +184,76 @@ func (e *Engine) Run() {
 // interrupt is honored within a few microseconds of simulation work.
 const interruptMask = 1023
 
-// RunUntil executes events with timestamps <= deadline. Unless halted or
+// watch is one periodic observer: fn runs at next, then every interval.
+type watch struct {
+	interval, next int64
+	fn             func() bool
+}
+
+// Watch runs fn between handlers at every multiple of interval the clock
+// reaches, starting with the first one after Now(), until fn returns
+// false. At an instant T, fn runs after every event with t <= T and
+// before any event with t > T, with Now() == T; watches due at one
+// instant run in registration order. A watch is no event: it takes no
+// sequence number and no class, the digest never sees it and the profiler
+// does not time it, so a watched run dispatches exactly the events of an
+// unwatched one. That holds only while fn reads simulation state and
+// schedules nothing; the contract is the caller's to keep.
+func (e *Engine) Watch(interval int64, fn func() bool) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("sim: non-positive watch interval %d", interval))
+	}
+	if fn == nil {
+		panic("sim: nil watch fn")
+	}
+	e.watches = append(e.watches, watch{interval: interval, next: satAdd(e.now-e.now%interval, interval), fn: fn})
+}
+
+// RunUntil executes events with timestamps <= deadline and fires every
+// watch instant <= deadline as the clock passes it. Unless halted or
 // running to MaxInt64 (Run), the clock then moves to the deadline, but
 // never backwards: a deadline behind Now() runs nothing and leaves the
-// clock where it is.
+// clock where it is. With watches attached the events run in segments,
+// each up to the next due instant, so the dispatch loop itself carries no
+// watch code.
 func (e *Engine) RunUntil(deadline int64) {
-	if e.interrupted.Load() {
-		return
-	}
 	e.halted = false
+	for len(e.watches) > 0 {
+		at := e.watches[0].next
+		for _, w := range e.watches[1:] {
+			at = min(at, w.next)
+		}
+		if at > deadline {
+			break
+		}
+		if !e.dispatchUntil(at) {
+			return // halted or interrupted
+		}
+		if deadline == math.MaxInt64 && e.sched.n == 0 && e.now < at {
+			return // Run: the queue drained before this instant
+		}
+		e.now = at
+		e.fireWatches(at)
+	}
+	if e.dispatchUntil(deadline) && deadline != math.MaxInt64 && deadline > e.now {
+		e.now = deadline
+	}
+}
+
+// dispatchUntil is the run loop: it executes events with timestamps <=
+// until in (t, seq) order and reports false when Halt or Interrupt
+// stopped it first.
+func (e *Engine) dispatchUntil(until int64) bool {
+	if e.interrupted.Load() {
+		return false
+	}
 	s := &e.sched
 	for s.n > 0 && !e.halted {
 		if e.Processed&interruptMask == 0 && e.interrupted.Load() {
-			return
+			return false
 		}
 		t, src := s.peek()
-		if t > deadline {
+		if t > until {
 			break
 		}
 		r := s.pop(src)
@@ -204,9 +261,24 @@ func (e *Engine) RunUntil(deadline int64) {
 		e.Processed++
 		e.dispatch(r)
 	}
-	if !e.halted && deadline != math.MaxInt64 && deadline > e.now {
-		e.now = deadline
+	return !e.halted
+}
+
+// fireWatches runs, in registration order, every watch due at instant at
+// and drops those whose fn returned false. A watch registered by one of
+// them is due after at, so it does not run here.
+func (e *Engine) fireWatches(at int64) {
+	for i, n := 0, len(e.watches); i < n; i++ {
+		if e.watches[i].next != at {
+			continue
+		}
+		if e.watches[i].fn() {
+			e.watches[i].next = satAdd(at, e.watches[i].interval)
+		} else {
+			e.watches[i].fn = nil
+		}
 	}
+	e.watches = slices.DeleteFunc(e.watches, func(w watch) bool { return w.fn == nil })
 }
 
 // dispatch invokes the handler of the popped event whose slab record is

@@ -125,16 +125,6 @@ func TestPastSchedulingClamps(t *testing.T) {
 	}
 }
 
-func TestAfterDur(t *testing.T) {
-	e := New()
-	var at int64
-	e.AfterDur(3*time.Microsecond, func() { at = e.Now() })
-	e.Run()
-	if at != 3000 {
-		t.Fatalf("at = %d", at)
-	}
-}
-
 // Property: events always fire in nondecreasing time order regardless of
 // insertion order.
 func TestMonotonicClockProperty(t *testing.T) {

@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Handler classes: every scheduled event belongs to a class naming the
 // device machinery that will run it, so the profiler can attribute event
 // counts and wall-clock time to subsystems. The taxonomy is fixed here —
@@ -23,7 +21,6 @@ const (
 	ClassFabricOptical              // optical-fabric relay (unused: reserved on arrival)
 	ClassFabricElec                 // electrical-fabric enqueue stage and drain
 	ClassApp                        // application/traffic generators
-	ClassTelemetry                  // monitors, progress reporters
 	NumClasses
 )
 
@@ -31,7 +28,7 @@ var classNames = [NumClasses]string{
 	"other", "link.deliver", "switch.ingress", "switch.drain",
 	"switch.rotate", "switch.signal", "host.tx", "host.offload",
 	"host.report", "transport.rto", "fabric.optical", "fabric.elec",
-	"app", "telemetry",
+	"app",
 }
 
 func (c Class) String() string {
@@ -81,42 +78,4 @@ func (e *Engine) ProfileStats() []ClassStats {
 		out = append(out, cs)
 	}
 	return out
-}
-
-// Progress is one periodic progress report: how far virtual time has
-// advanced and how expensive it is in real time.
-type Progress struct {
-	// VirtualNs is the engine clock at the report.
-	VirtualNs int64
-	// Events is the total executed event count so far.
-	Events uint64
-	// RealElapsed is wall time since the previous report (or since
-	// ReportProgress for the first).
-	RealElapsed time.Duration
-	// Ratio is virtual ns advanced per real ns over the interval — the
-	// simulation speed (>1: faster than real time).
-	Ratio float64
-}
-
-// ReportProgress invokes fn every interval of *virtual* time with the
-// virtual/real speed ratio over that interval, until fn returns false.
-// The classic long-run heartbeat: is the run 10× real time or 0.01×?
-func (e *Engine) ReportProgress(interval int64, fn func(Progress) bool) {
-	lastReal := time.Now()
-	lastVirtual := e.now
-	e.EveryClass(interval, interval, ClassTelemetry, func() bool {
-		now := time.Now()
-		real := now.Sub(lastReal)
-		p := Progress{
-			VirtualNs:   e.now,
-			Events:      e.Processed,
-			RealElapsed: real,
-		}
-		if real > 0 {
-			p.Ratio = float64(e.now-lastVirtual) / float64(real.Nanoseconds())
-		}
-		lastReal = now
-		lastVirtual = e.now
-		return fn(p)
-	})
 }

@@ -49,28 +49,3 @@ func TestClassCountsWithoutProfiling(t *testing.T) {
 		t.Fatalf("wall time collected while profiling off: %d", stats[0].WallNs)
 	}
 }
-
-func TestReportProgress(t *testing.T) {
-	e := New()
-	var reports []Progress
-	e.ReportProgress(1000, func(p Progress) bool {
-		reports = append(reports, p)
-		return len(reports) < 3
-	})
-	// Keep the queue non-empty well past the reports.
-	for i := int64(1); i <= 100; i++ {
-		e.At(i*100, func() {})
-	}
-	e.RunUntil(20_000)
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports, want 3 (fn returning false must stop the reporter)", len(reports))
-	}
-	for i, p := range reports {
-		if want := int64(i+1) * 1000; p.VirtualNs != want {
-			t.Fatalf("report %d at virtual %d, want %d", i, p.VirtualNs, want)
-		}
-		if p.Ratio < 0 {
-			t.Fatalf("negative ratio: %+v", p)
-		}
-	}
-}

@@ -224,11 +224,6 @@ type Switch struct {
 	// sampled packets (telemetry). Hot-path cost when unset: one nil
 	// check per decision point.
 	Tracer *telemetry.Tracer
-	// OnRotate, when set, fires after every calendar-queue rotation with
-	// the slice that just ended — the flight recorder's per-slice sampling
-	// point. Hot-path cost when unset: one nil check per rotation (one per
-	// slice, not per packet).
-	OnRotate func(ended core.Slice)
 
 	// dropsBySlice[r] counts drops of DropReasons[r] by arrival slice and
 	// missesBySlice counts slice misses by the slice that ended: one entry
@@ -547,9 +542,6 @@ func (s *Switch) rotate() {
 	s.active = int(s.rotations % int64(s.k))
 	for _, p := range s.uplinks {
 		s.drain(p)
-	}
-	if s.OnRotate != nil {
-		s.OnRotate(endedSlice)
 	}
 }
 

@@ -153,7 +153,7 @@ func BvN(tm core.TM, maxTerms, numSlices int) ([]core.Circuit, int, error) {
 		counts[0]++
 		total++
 	}
-	w := symmetrizeForPairs(tm)
+	w := tm.Symmetric(tm.N())
 	var circuits []core.Circuit
 	ts := 0
 	for i, t := range terms {
@@ -170,20 +170,4 @@ func BvN(tm core.TM, maxTerms, numSlices int) ([]core.Circuit, int, error) {
 		}
 	}
 	return circuits, numSlices, nil
-}
-
-// symmetrizeForPairs is symmetrize without the diagonal suppression —
-// permToPairs only reads off-diagonal weights.
-func symmetrizeForPairs(tm core.TM) [][]float64 {
-	n := tm.N()
-	s := make([][]float64, n)
-	for i := range s {
-		s[i] = make([]float64, n)
-		for j := range s[i] {
-			if i != j {
-				s[i][j] = tm[i][j] + tm[j][i]
-			}
-		}
-	}
-	return s
 }

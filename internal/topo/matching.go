@@ -158,24 +158,6 @@ func orient(a, b int) [2]core.NodeID {
 	return [2]core.NodeID{core.NodeID(a), core.NodeID(b)}
 }
 
-// symmetrize returns S with S[i][j] = tm[i][j] + tm[j][i] and the diagonal
-// suppressed to a large negative value so self-assignment is a last resort.
-func symmetrize(tm core.TM) [][]float64 {
-	n := tm.N()
-	s := make([][]float64, n)
-	for i := range s {
-		s[i] = make([]float64, n)
-		for j := range s[i] {
-			if i == j {
-				s[i][j] = -1e18
-				continue
-			}
-			s[i][j] = tm[i][j] + tm[j][i]
-		}
-	}
-	return s
-}
-
 // Edmonds materializes topo() for c-Through-style TA scheduling: it runs
 // `uplink` rounds of maximum-weight matching over the (residual) traffic
 // matrix and returns one static topology instance (wildcard-slice circuits)
@@ -191,7 +173,10 @@ func Edmonds(tm core.TM, uplink int) ([]core.Circuit, error) {
 	res := tm.Clone()
 	var circuits []core.Circuit
 	for u := 0; u < uplink; u++ {
-		s := symmetrize(res)
+		s := res.Symmetric(n)
+		for i := range s {
+			s[i][i] = -1e18 // self-assignment only as a last resort
+		}
 		perm, err := MaxWeightAssignment(s)
 		if err != nil {
 			return nil, err

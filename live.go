@@ -5,31 +5,33 @@ import (
 	"encoding/json"
 	"time"
 
-	"openoptics/internal/core"
 	"openoptics/internal/obsv"
-	"openoptics/internal/sim"
 )
 
 // This file wires a Net into the live observability plane (internal/obsv).
-// Everything here is opt-in: a network with no server attached schedules
-// no publication events and pays nothing — the same discipline as the
-// tracer and metrics hooks.
+// Everything here is opt-in, and every periodic observer is an engine
+// watch (sim.Engine.Watch): it runs between handlers and schedules no
+// event, so an observed run dispatches exactly the events of a plain one.
 
 // AttachLive publishes the network's metrics (Prometheus text) and state
 // snapshot (JSON) to the server now and then every interval of virtual
-// time (<=0 defaults to 1ms). Arm before Run; publications ride the
-// telemetry handler class, so they appear in engine profiles. The final
-// state after a run is published by calling PublishLive once more.
+// time (<=0 defaults to 1ms). Arm before Run. The final state after a run
+// is published by calling PublishLive once more.
 func (n *Net) AttachLive(srv *obsv.Server, interval time.Duration) {
-	iv := int64(interval)
-	if iv <= 0 {
-		iv = int64(time.Millisecond)
-	}
 	n.PublishLive(srv)
-	n.eng.EveryClass(iv, iv, sim.ClassTelemetry, func() bool {
+	n.watch(interval, func() bool {
 		n.PublishLive(srv)
 		return true
 	})
+}
+
+// watch registers fn as an engine watch every interval of virtual time
+// (<=0 defaults to 1ms).
+func (n *Net) watch(interval time.Duration, fn func() bool) {
+	if interval <= 0 {
+		interval = time.Millisecond
+	}
+	n.eng.Watch(int64(interval), fn)
 }
 
 // PublishLive renders the registry and a network snapshot once and
@@ -44,33 +46,22 @@ func (n *Net) PublishLive(srv *obsv.Server) {
 	}
 }
 
-// AttachFlightRecorder samples the network into the flight recorder on
-// every calendar-queue rotation — one sample per slice, capturing the
-// state the anomaly triggers and any later dump replay will see. withData
-// embeds a full NetSnapshot in each sample (the replayable form); without
-// it samples carry only the trigger signals.
-//
-// The sampling hook rides the highest-index switch's rotation: switches
-// start in index order, so among the same-instant rotation events the
-// last switch's fires last and the hook observes every switch
-// post-rotation. Calendar-off (static/TA) networks never rotate and
-// produce no samples.
-func (n *Net) AttachFlightRecorder(rec *obsv.FlightRecorder, withData bool) {
+// AttachFlightRecorder samples the network into the flight recorder at
+// every slice boundary of the schedule, on every net: one sample per
+// slice, tagged with the slice that just ended and embedding the full
+// NetSnapshot, which is what the anomaly triggers and any later dump
+// replay see. On calendar-off nets (Clos, c-Through, Jupiter) the
+// boundaries are those of the configured slice duration.
+func (n *Net) AttachFlightRecorder(rec *obsv.FlightRecorder) {
 	// The determinism auditor dumps the ring when an invariant probe
 	// fires, preserving the slices leading up to the violation.
 	n.flightDump = rec.Dump
-	if len(n.switches) == 0 {
-		return
-	}
-	last := n.switches[len(n.switches)-1]
-	last.OnRotate = func(ended core.Slice) {
-		s := obsv.Sample{TimeNs: n.eng.Now(), Slice: int64(ended), Signals: n.signals()}
-		if withData {
-			snap := n.Snapshot()
-			s.Data = &snap
-		}
-		rec.Record(s)
-	}
+	n.watch(n.sched.SliceDuration, func() bool {
+		now := n.eng.Now()
+		snap := n.Snapshot()
+		rec.Record(obsv.Sample{TimeNs: now, Slice: int64(n.sched.SliceAt(now - 1)), Signals: n.signals(), Data: &snap})
+		return true
+	})
 }
 
 // signals extracts the flight recorder's trigger signals: network-wide

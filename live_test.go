@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"openoptics/internal/core"
 	"openoptics/internal/obsv"
+	"openoptics/internal/sim"
+	"openoptics/internal/switchsim"
 	"openoptics/internal/traffic"
 )
 
@@ -222,24 +225,21 @@ func TestFlightRecorderCongestionDump(t *testing.T) {
 	rec := obsv.NewFlightRecorder(8, obsv.TriggerConfig{
 		CongestHits: 5, CongestSlices: 2,
 	}, &dump)
-	n.AttachFlightRecorder(rec, true)
+	n.AttachFlightRecorder(rec)
 
-	// Wrap the installed sampling hook to record ground-truth buffer usage
-	// at every sampling instant, keyed by virtual time. The wrapper runs in
-	// the same event as the sample capture, so the two views are
-	// simultaneous by construction.
-	sw := n.Switches()[len(n.Switches())-1]
-	inner := sw.OnRotate
+	// Record ground-truth buffer usage at every sampling instant, keyed by
+	// virtual time, with a second watch at the recorder's cadence. It runs
+	// right after the recorder's, between the same two handlers, so the
+	// two views are simultaneous by construction.
 	truth := map[int64][]int64{}
-	sw.OnRotate = func(ended core.Slice) {
-		now := n.Engine().Now()
+	n.Engine().Watch(int64(n.Schedule().SliceDuration), func() bool {
 		usage := make([]int64, len(n.Switches()))
 		for i := range n.Switches() {
 			usage[i] = n.BufferUsage(core.NodeID(i), core.NoPort)
 		}
-		truth[now] = usage
-		inner(ended)
-	}
+		truth[n.Engine().Now()] = usage
+		return true
+	})
 
 	n.Run(20 * time.Millisecond)
 
@@ -299,15 +299,98 @@ func TestFlightRecorderCongestionDump(t *testing.T) {
 	}
 }
 
-func TestAttachLiveZeroCostWhenAbsent(t *testing.T) {
-	// Without AttachLive / AttachFlightRecorder the network must schedule
-	// no telemetry events and install no rotation hooks.
-	n := rotorNet4(t, nil)
-	for i, sw := range n.Switches() {
-		if sw.OnRotate != nil {
-			t.Fatalf("switch %d has a rotation hook without a flight recorder", i)
+// TestFlightRecorderSamplesCalendarOffNets: a net without a calendar
+// (Clos, over the electrical fabric) still gets one sample per slice
+// duration.
+func TestFlightRecorderSamplesCalendarOffNets(t *testing.T) {
+	n, err := New(Config{NodeNum: 4, Uplink: 1, ElectricalGbps: 100, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := n.ElectricalPaths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.DeployRouting(paths, LookupHop, MultipathNone); err != nil {
+		t.Fatal(err)
+	}
+	rec := obsv.NewFlightRecorder(8, obsv.TriggerConfig{}, nil)
+	n.AttachFlightRecorder(rec)
+	n.Run(time.Millisecond) // ten 100 µs slices
+	if rec.Len() != 8 {
+		t.Fatalf("recorder holds %d samples after 10 slices, want a full ring of 8", rec.Len())
+	}
+	for i, s := range rec.Entries() {
+		if want := int64(3+i) * 100_000; s.TimeNs != want || s.Slice != 0 || s.Data == nil {
+			t.Fatalf("sample %d at t=%d slice %d (data %v), want t=%d slice 0 with a snapshot",
+				i, s.TimeNs, s.Slice, s.Data != nil, want)
 		}
 	}
+}
+
+// TestObserversArePassive: every instrument a net offers — the live
+// plane, Monitor, the flight recorder, the tracer, the metrics registry
+// and the profiler — leaves the run exactly as it is without them: the
+// same events, class counts, scheduler pressure, pool statistics and
+// switch counters, and, with the digest attached, the digest-only chain.
+func TestObserversArePassive(t *testing.T) {
+	type outcome struct {
+		processed uint64
+		classes   []sim.ClassStats
+		pressure  sim.SchedPressure
+		pool      core.PoolStats
+		counters  switchsim.Counters
+		chain     string
+	}
+	run := func(observed, digest bool) outcome {
+		n := rotorNet4(t, nil)
+		probeTraffic(t, n, int64(8*time.Millisecond))
+		eps := n.Endpoints()
+		for i := 0; i < 3; i++ {
+			flow := core.FlowKey{SrcHost: eps[i].Host, DstHost: eps[3-i].Host,
+				SrcPort: uint16(100 + i), DstPort: traffic.PortReplay, Proto: core.ProtoTCP}
+			eps[i].Stack.OpenTCP(flow, eps[i].Node, eps[3-i].Node, 200_000)
+		}
+		var aud *Auditor
+		if digest {
+			aud = n.AttachDigest(DigestOptions{WindowEvents: 1024})
+		}
+		if observed {
+			n.AttachLive(obsv.NewServer(), 500*time.Microsecond)
+			n.Monitor(time.Millisecond, func(Telemetry) bool { return true })
+			n.AttachFlightRecorder(obsv.NewFlightRecorder(16, obsv.TriggerConfig{DropSpike: 1}, io.Discard))
+			n.Tracer(1)
+			n.Metrics()
+			n.Engine().EnableProfiling(true)
+		}
+		n.Run(10 * time.Millisecond)
+		o := outcome{processed: n.Engine().Processed, pressure: n.Engine().SchedPressure(),
+			pool: n.PoolStats(), counters: n.Counters()}
+		for _, cs := range n.Engine().ProfileStats() {
+			cs.WallNs = 0
+			o.classes = append(o.classes, cs)
+		}
+		if aud != nil {
+			o.chain = aud.ChainHex()
+		}
+		return o
+	}
+	plain, observed := run(false, false), run(true, false)
+	if plain.counters.Delivered == 0 {
+		t.Fatal("nothing delivered")
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatalf("observed run differs from the plain one:\nplain    %+v\nobserved %+v", plain, observed)
+	}
+	if alone, all := run(false, true), run(true, true); alone.chain != all.chain {
+		t.Fatalf("digest chain %s with every observer attached, %s with the digest alone", all.chain, alone.chain)
+	}
+}
+
+func TestAttachLiveZeroCostWhenAbsent(t *testing.T) {
+	// Without AttachLive / AttachFlightRecorder the network builds no
+	// metrics registry.
+	n := rotorNet4(t, nil)
 	n.Run(time.Millisecond)
 	if n.reg != nil {
 		t.Fatal("metrics registry materialized without opt-in")

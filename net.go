@@ -465,13 +465,10 @@ type Telemetry struct {
 }
 
 // Monitor invokes fn with a telemetry snapshot every interval of virtual
-// time, until fn returns false. Arm before Run.
+// time (<=0 defaults to 1ms), until fn returns false. Arm before Run; it
+// is an engine watch, so it schedules no event.
 func (n *Net) Monitor(interval time.Duration, fn func(Telemetry) bool) {
-	iv := int64(interval)
-	if iv <= 0 {
-		iv = int64(time.Millisecond)
-	}
-	n.eng.EveryClass(iv, iv, sim.ClassTelemetry, func() bool {
+	n.watch(interval, func() bool {
 		t := Telemetry{Time: n.eng.Now()}
 		for _, sw := range n.switches {
 			t.BufferBytes = append(t.BufferBytes, sw.BufferUsage(core.NoPort))

@@ -146,66 +146,20 @@ func TestReprogramSameCircuitsDarkensNothing(t *testing.T) {
 	}
 }
 
-// TestReprogramRollbackOnBadRouting: a Reprogram whose routing does not
-// compile against its new topology is rejected and changes nothing — the
-// old schedule and tables keep running and nothing is counted.
-func TestReprogramRollbackOnBadRouting(t *testing.T) {
-	n, circuits, numSlices := hohoNet4(t)
-	eps := n.Endpoints()
-	sink := traffic.NewSink(eps)
-	probe := traffic.NewUDPProbe(n.Engine(), eps[0], eps[3])
-	probe.IntervalNs = 50_000
-	probe.Start(int64(40 * time.Millisecond))
-	n.Run(5 * time.Millisecond)
-
-	next := rotateSlices(circuits, numSlices)
-	// A path whose hop departs on a slice with no matching circuit fails
-	// routing compilation, so the whole plan is rejected before anything
-	// is installed.
-	bad := []Path{{Src: 0, Dst: 1, TS: 0,
-		Hops: []Hop{{Node: 0, Egress: 99, DepSlice: 0}}}}
-	err := n.Reprogram(ReprogramPlan{
-		Circuits: next, NumSlices: numSlices, Paths: bad,
-		Lookup: LookupSource, Multipath: MultipathNone,
-	}, ReconfigCost{DrainNs: int64(time.Millisecond)})
-	if err == nil {
-		t.Fatal("Reprogram with invalid paths succeeded, want error")
-	}
-	if n.Reconfigs() != 0 || n.Epoch() != 0 {
-		t.Fatalf("failed reprogram counted: reconfigs=%d epoch=%d", n.Reconfigs(), n.Epoch())
-	}
-	deployed := n.Schedule().Circuits
-	if len(deployed) != len(circuits) {
-		t.Fatalf("rejected reprogram changed the schedule: %d circuits, want %d", len(deployed), len(circuits))
-	}
-	for i, c := range circuits {
-		if deployed[i] != c {
-			t.Fatalf("rejected reprogram changed circuit %d: %+v != %+v", i, deployed[i], c)
-		}
-	}
-	before := sink.RTT.N()
-	n.Run(40 * time.Millisecond)
-	if sink.RTT.N() <= before {
-		t.Fatal("network not functional after a rejected reprogram")
-	}
-	if n.OpticalFabric().DropsReconfig != 0 {
-		t.Fatal("failed reprogram darkened ports")
-	}
-}
-
 // TestRejectedProgramChangesNothing: a deployment is checked whole before
 // any of it is installed, so a rejected call — a circuit on an uplink its
 // node lacks (the OCS check passes it, the fabric refuses it), or a path
 // no circuit carries — leaves the schedule, the fabric's circuits, every
-// switch's table and the reconfiguration counters as they were, and the
-// running program keeps carrying traffic.
+// switch's table and the reconfiguration counters as they were. The
+// running program then redeploys mid-run, again and again, and keeps
+// carrying traffic.
 func TestRejectedProgramChangesNothing(t *testing.T) {
 	n, circuits, numSlices := hohoNet4(t)
 	eps := n.Endpoints()
 	sink := traffic.NewSink(eps)
 	probe := traffic.NewUDPProbe(n.Engine(), eps[0], eps[3])
 	probe.IntervalNs = 50_000
-	probe.Start(int64(40 * time.Millisecond))
+	probe.Start(int64(60 * time.Millisecond))
 	n.Run(5 * time.Millisecond)
 
 	paths := n.HOHO(circuits, numSlices, RoutingOptions{})
@@ -239,8 +193,11 @@ func TestRejectedProgramChangesNothing(t *testing.T) {
 			t.Fatalf("%s changed %s", c.name, moved)
 		}
 	}
-	if err := n.DeployRouting(paths, LookupSource, MultipathNone); err != nil {
-		t.Fatalf("redeploying the running program: %v", err)
+	for i := 0; i < 3; i++ {
+		if err := n.DeployRouting(paths, LookupSource, MultipathNone); err != nil {
+			t.Fatalf("redeploy %d of the running program: %v", i, err)
+		}
+		n.Run(5 * time.Millisecond)
 	}
 	before := sink.RTT.N()
 	n.Run(30 * time.Millisecond)
@@ -333,35 +290,5 @@ func TestCollectWindowedDelta(t *testing.T) {
 				t.Fatalf("CollectTotal not idempotent at [%d][%d]", i, j)
 			}
 		}
-	}
-}
-
-// TestDeployRoutingRepeated pins the idempotence of repeated DeployRouting
-// calls: redeploying the same program is safe mid-run, and a rejected
-// redeploy changes nothing, so the previous tables keep working.
-func TestDeployRoutingRepeated(t *testing.T) {
-	n, circuits, numSlices := hohoNet4(t)
-	eps := n.Endpoints()
-	sink := traffic.NewSink(eps)
-	probe := traffic.NewUDPProbe(n.Engine(), eps[0], eps[3])
-	probe.IntervalNs = 50_000
-	probe.Start(int64(60 * time.Millisecond))
-
-	paths := n.HOHO(circuits, numSlices, RoutingOptions{})
-	for i := 0; i < 3; i++ {
-		n.Run(5 * time.Millisecond)
-		if err := n.DeployRouting(paths, LookupSource, MultipathNone); err != nil {
-			t.Fatalf("redeploy %d: %v", i, err)
-		}
-	}
-	bad := []Path{{Src: 0, Dst: 1, TS: 0,
-		Hops: []Hop{{Node: 0, Egress: 99, DepSlice: 0}}}}
-	if err := n.DeployRouting(bad, LookupSource, MultipathNone); err == nil {
-		t.Fatal("invalid redeploy succeeded, want error")
-	}
-	before := sink.RTT.N()
-	n.Run(30 * time.Millisecond)
-	if sink.RTT.N() <= before {
-		t.Fatal("network not functional after a rejected redeploy")
 	}
 }

@@ -74,7 +74,7 @@ type LinkSnapshot struct {
 }
 
 // Snapshot captures the instantaneous network-wide state. Call on the
-// simulation goroutine (between Run calls, or from a scheduled event).
+// simulation goroutine (between Run calls, from an event or from a watch).
 // Per-switch BufferedBytes equals BufferUsage(node, NoPort) at the capture
 // instant by construction.
 func (n *Net) Snapshot() NetSnapshot {
